@@ -177,62 +177,69 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
         bad.append("duplicate component ids")
     comp_set = set(comp_ids)
 
-    for aid, arc in d.arcs.items():
+    arcs = d.arcs
+    by_owner: dict[int, list[int]] = {}
+    for aid, arc in arcs.items():
         if arc.owner not in comp_set:
             bad.append("arc %d owned by unknown component %r" % (aid, arc.owner))
-        if arc.successor not in d.arcs:
+        if arc.successor not in arcs:
             bad.append("arc %d has unknown successor %r" % (aid, arc.successor))
+        by_owner.setdefault(arc.owner, []).append(aid)
 
     xids = [c.id for c in d.crossings.values()]
     if len(set(xids)) != len(xids):
         bad.append("duplicate crossing ids")
+    # every arc is the in-arc of exactly one crossing and the out-arc of
+    # exactly one, except arcs of zero-crossing loops; the counts and the
+    # components met by a crossing are gathered in the same walk.
+    in_count = dict.fromkeys(arcs, 0)
+    out_count = dict.fromkeys(arcs, 0)
+    busy: set[int] = set()
     for xid, c in d.crossings.items():
         if xid != c.id:
             bad.append("crossing key %d does not match id %d" % (xid, c.id))
         if c.sign not in (1, -1):
             bad.append("crossing %d has sign %r, expected +1 or -1" % (xid, c.sign))
-        missing = [a for a in c.arc_ids() if a not in d.arcs]
+        # strand owners are read from the in-arcs, as in zero_crossing_loops;
+        # a missing in-arc names no owner
+        for a in (c.over_in, c.under_in):
+            if a in arcs:
+                busy.add(arcs[a].owner)
+        missing = [a for a in c.arc_ids() if a not in arcs]
         if missing:
             bad.append("crossing %d references unknown arcs %r" % (xid, missing))
             continue
+        in_count[c.over_in] += 1
+        in_count[c.under_in] += 1
+        out_count[c.over_out] += 1
+        out_count[c.under_out] += 1
         # distinctness: the only allowed coincidences are the kink pattern
         # over_out == under_in / under_out == over_in.
         if c.over_in == c.under_in or c.over_out == c.under_out:
             bad.append("crossing %d shares an in-arc or out-arc between strands" % xid)
         if c.over_in == c.over_out or c.under_in == c.under_out:
             bad.append("crossing %d has a strand entering and leaving on one arc" % xid)
-        if d.arcs[c.over_in].successor != c.over_out:
+        if arcs[c.over_in].successor != c.over_out:
             bad.append("crossing %d: successor of over_in is not over_out" % xid)
-        if d.arcs[c.under_in].successor != c.under_out:
+        if arcs[c.under_in].successor != c.under_out:
             bad.append("crossing %d: successor of under_in is not under_out" % xid)
 
-    # every arc is the in-arc of exactly one crossing and the out-arc of
-    # exactly one, except arcs of zero-crossing loops.
-    in_count: dict[int, int] = {a: 0 for a in d.arcs}
-    out_count: dict[int, int] = {a: 0 for a in d.arcs}
-    for c in d.crossings.values():
-        if not all(a in d.arcs for a in c.arc_ids()):
-            continue
-        in_count[c.over_in] += 1
-        in_count[c.under_in] += 1
-        out_count[c.over_out] += 1
-        out_count[c.under_out] += 1
-    loops = d.zero_crossing_loops()
-    for aid, arc in d.arcs.items():
+    loops = comp_set - busy
+    for aid, arc in arcs.items():
         if arc.owner in loops:
-            if in_count.get(aid) or out_count.get(aid):
+            if in_count[aid] or out_count[aid]:
                 bad.append("arc %d of zero-crossing loop appears in a crossing" % aid)
         else:
-            if in_count.get(aid) != 1:
-                bad.append("arc %d is the in-arc of %d crossings" % (aid, in_count.get(aid, 0)))
-            if out_count.get(aid) != 1:
-                bad.append("arc %d is the out-arc of %d crossings" % (aid, out_count.get(aid, 0)))
+            if in_count[aid] != 1:
+                bad.append("arc %d is the in-arc of %d crossings" % (aid, in_count[aid]))
+            if out_count[aid] != 1:
+                bad.append("arc %d is the out-arc of %d crossings" % (aid, out_count[aid]))
 
     # per component, the successor map is one cycle through its arcs
     for comp in d.components:
-        mine = d.arcs_of_component(comp.id)
+        mine = by_owner.get(comp.id, [])
         if comp.basepoint is not None:
-            if comp.basepoint not in d.arcs or d.arcs[comp.basepoint].owner != comp.id:
+            if comp.basepoint not in arcs or arcs[comp.basepoint].owner != comp.id:
                 bad.append("component %d basepoint %r is not one of its arcs"
                            % (comp.id, comp.basepoint))
         if not mine:
@@ -240,9 +247,9 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
         start = min(mine)
         seen = [start]
         cur = start
-        for _ in range(len(d.arcs) + 1):
-            nxt = d.arcs[cur].successor if cur in d.arcs else None
-            if nxt is None or nxt not in d.arcs or d.arcs[nxt].owner != comp.id:
+        for _ in range(len(arcs) + 1):
+            nxt = arcs[cur].successor if cur in arcs else None
+            if nxt is None or nxt not in arcs or arcs[nxt].owner != comp.id:
                 bad.append("component %d successor chain leaves the component at arc %r"
                            % (comp.id, cur))
                 break
@@ -285,17 +292,33 @@ def linking_number(d: FramedLinkDiagram, i: int, j: int) -> int:
 
 
 def linking_matrix(d: FramedLinkDiagram) -> IntegralLattice:
-    """Framings on the diagonal, pairwise linking numbers off it."""
+    """Framings on the diagonal, pairwise linking numbers off it.
+
+    One walk over the crossings and one sweep of the matrix: O(crossings +
+    n^2) for n components, after the O(crossings + arcs) validation.
+    """
     require_valid(d)
     ids = d.component_ids()
     n = len(ids)
+    pos = {cid: a for a, cid in enumerate(ids)}
+    arcs = d.arcs
+    # for a < b, rows[a][b] sums the signs of the crossings between
+    # components a and b, and rows[b][a] counts them
     rows = [[0] * n for _ in range(n)]
-    for a, ca in enumerate(ids):
-        rows[a][a] = d.component(ca).framing
+    for c in d.crossings.values():
+        a = pos[arcs[c.over_in].owner]
+        b = pos[arcs[c.under_in].owner]
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            rows[a][b] += c.sign
+            rows[b][a] += 1
+    for a in range(n):
+        rows[a][a] = d.components[a].framing
         for b in range(a + 1, n):
-            lk = linking_number(d, ca, ids[b])
-            rows[a][b] = lk
-            rows[b][a] = lk
+            if rows[b][a] % 2:
+                raise DiagramError("components %d and %d share an odd number of crossings"
+                                   % (ids[a], ids[b]))
+            rows[a][b] = rows[b][a] = rows[a][b] // 2
     return IntegralLattice(rows)
 
 
@@ -710,8 +733,9 @@ def _walk_encounters(d: FramedLinkDiagram, order: list[int]):
     """Yield (crossing id, role, component, first_time) in traversal order."""
     seen: set[int] = set()
     inmap = _in_crossing_map(d)
+    loops = d.zero_crossing_loops()
     for cid in order:
-        if cid in d.zero_crossing_loops():
+        if cid in loops:
             continue
         for aid in component_cycle(d, cid):
             hit = inmap.get(aid)

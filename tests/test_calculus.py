@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from conftest import random_diagram
-from surgerykit import catalog, linkdiag
+from surgerykit import catalog, jsonio, linkdiag
 from surgerykit.calculus import (AddSplitUnknot, BlowDownIndex, GadgetSwitch,
                                  MatrixSlide, MoveError, MoveScript, Poke,
                                  SlideOverUnknot, build_embedding_certificate,
@@ -290,6 +291,34 @@ def test_tampered_certificate_fails():
     rep = verify_certificate(cert)
     assert not rep.passed
     assert any("linking matrix" in c.name for c in rep.failures())
+
+
+def test_target_naming_missing_arc_fails_report():
+    cert = build_embedding_certificate(catalog.hopf_link((1, -1)))
+    obj = jsonio.certificate_to_obj(cert)
+    obj["target"]["crossings"][0]["over_in"] = 99
+    rep = verify_certificate(jsonio.certificate_from_obj(obj))
+    assert [c.name for c in rep.failures()] == ["target diagram valid"]
+    assert "crossing 0 references unknown arcs [99]" in rep.failures()[0].detail
+
+
+# sha256 of the certificate JSON: certificates must stay byte-identical
+# across changes to how they are built and checked.
+CERTIFICATE_DIGESTS = [
+    (catalog.hopf_link, (),
+     "71784cc1046e5e3be85fb49ffc286d4cc43b1af53448e7a30002d51c06307ec4"),
+    (catalog.chain_link, ([2, -1, 0, 3],),
+     "7af70d1703f749b93762dbf612ec5c2353c668110749f85e8d7a6f831d1c4101"),
+    (catalog.e8_link, (),
+     "43282ee7c3450f469c768cb4588cfc275cb7487009a71c5e449978e06a13286a"),
+]
+
+
+@pytest.mark.parametrize("make, args, digest", CERTIFICATE_DIGESTS)
+def test_certificate_json_is_byte_identical(make, args, digest):
+    cert = build_embedding_certificate(make(*args))
+    text = jsonio.dumps(jsonio.certificate_to_obj(cert))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_wrong_initial_framing_fails():

@@ -197,6 +197,15 @@ def test_malformed_link_is_exit_two(tmp_path):
     assert main(["invariants", str(p)]) == 2
 
 
+def test_crossing_naming_missing_arc_is_exit_two(tmp_path, capsys):
+    d = catalog.hopf_link()
+    d.crossings[0].over_in = 99
+    assert main(["invariants", _write_link(tmp_path, d)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid diagram: crossing 0 references unknown arcs [99]; ")
+    assert "Traceback" not in err
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().out

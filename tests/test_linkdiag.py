@@ -4,7 +4,7 @@ import pytest
 
 from conftest import gadget_sides, random_diagram
 from surgerykit import catalog, linkdiag
-from surgerykit.linkdiag import (Arc, Component, DiagramError,
+from surgerykit.linkdiag import (Arc, Component, Crossing, DiagramError,
                                  FramedLinkDiagram, add_clasp, add_kink,
                                  add_poke, add_split_unknot, blow_down_gadget,
                                  descending_switch_set, insert_crossing_gadget,
@@ -39,6 +39,15 @@ def test_crossing_successor_mismatch_reported():
     d.crossings[0].over_out = 2  # breaks succ(over_in) == over_out
     bad = validate_diagram(d)
     assert any("successor of over_in" in v for v in bad)
+
+
+def test_crossing_naming_missing_arc_is_reported_not_raised():
+    d = catalog.hopf_link()
+    d.crossings[0].over_in = 99
+    bad = validate_diagram(d)
+    assert "crossing 0 references unknown arcs [99]" in bad
+    with pytest.raises(DiagramError, match=r"^invalid diagram: crossing 0 references"):
+        linking_matrix(d)
 
 
 # -- linking numbers ---------------------------------------------------------
@@ -83,6 +92,35 @@ def test_linking_matrix_symmetric_with_framing_diagonal():
         assert L.entries == [list(r) for r in zip(*L.entries)]
         for t, c in enumerate(d.components):
             assert L.entries[t][t] == c.framing
+
+
+def _pairwise_linking_matrix(d):
+    """Reference construction: framings on the diagonal, one
+    linking_number call per pair of components off it."""
+    ids = d.component_ids()
+    return [[d.component(i).framing if i == j else linking_number(d, i, j)
+             for j in ids] for i in ids]
+
+
+def test_linking_matrix_matches_pairwise_reference():
+    for seed in range(200):
+        d = random_diagram(random.Random(seed), max_components=6, max_crossings=40)
+        assert linking_matrix(d).entries == _pairwise_linking_matrix(d), seed
+
+
+def test_linking_matrix_odd_pair_error():
+    # three components of two arcs each; every pair shares one crossing
+    arcs = {0: Arc(0, 1), 1: Arc(0, 0), 2: Arc(1, 3), 3: Arc(1, 2),
+            4: Arc(2, 5), 5: Arc(2, 4)}
+    crossings = {0: Crossing(0, 0, 1, 2, 3, 1), 1: Crossing(1, 3, 2, 4, 5, 1),
+                 2: Crossing(2, 5, 4, 1, 0, 1)}
+    d = FramedLinkDiagram(
+        components=[Component(k, 0, basepoint=2 * k) for k in range(3)],
+        arcs=arcs, crossings=crossings)
+    assert validate_diagram(d) == []
+    with pytest.raises(DiagramError) as err:
+        linking_matrix(d)
+    assert str(err.value) == "components 0 and 1 share an odd number of crossings"
 
 
 # -- switch ------------------------------------------------------------------
