@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from . import intlattice, linkdiag
+from . import catalog, intlattice, linkdiag
 from .intlattice import IntegralLattice
 from .linkdiag import DiagramError, FramedLinkDiagram, GadgetRecord
 
@@ -186,29 +186,28 @@ def _apply_move(d: FramedLinkDiagram, L: IntegralLattice, move: KirbyMove):
 
     if isinstance(move, GadgetSwitch):
         try:
-            c = d.crossing(move.crossing)
-            s = c.sign
-            x, y, a, b = linkdiag._side_arcs(c, move.side)
-            comp_x = d.arc(x).owner
-            comp_y = d.arc(y).owner
-            d2, rec = linkdiag.apply_gadget_with_unknot(d, move.crossing,
-                                                        move.side, move.unknot)
+            owners = d._strand_owners(d.crossing(move.crossing))
+            d2, rec = linkdiag.insert_crossing_gadget(d, move.crossing, move.side,
+                                                      move.unknot)
         except DiagramError as e:
             raise MoveError(str(e)) from None
-        ix = _index_of(d, comp_x)
-        iy = _index_of(d, comp_y)
-        iu = _index_of(d, move.unknot)
+        # the switch moves lk(x, y) by eps*a*b; the unknot links the over
+        # strand's component a times and the under strand's b times
+        a, b = rec.passage_signs
+        ix, iy = (_index_of(d, cid) for cid in owners)
+        iu = _index_of(d, rec.unknot)
         A = [row[:] for row in L.entries]
         if ix != iy:
-            A[ix][iy] -= s
-            A[iy][ix] -= s
+            A[ix][iy] = A[iy][ix] = A[ix][iy] + rec.epsilon * a * b
         v = {ix: 0, iy: 0}
         v[ix] += a
         v[iy] += b
         for t, vt in v.items():
             A[iu][t] += vt
             A[t][iu] += vt
-            A[t][t] += rec.epsilon * vt * vt
+        for cid, delta in rec.framing_compensations.items():
+            t = _index_of(d, cid)
+            A[t][t] += delta
         return d2, IntegralLattice(A)
 
     if isinstance(move, MatrixSlide):
@@ -251,7 +250,6 @@ def replay(script: MoveScript) -> ReplayResult:
     """Deterministic replay; after every move the incrementally tracked
     matrix must equal the linking matrix recomputed from the diagram."""
     d = script.initial.copy()
-    linkdiag.require_valid(d)
     L = linkdiag.linking_matrix(d)
     trace = [L]
     for t, move in enumerate(script.moves):
@@ -349,64 +347,50 @@ def build_embedding_certificate(d: FramedLinkDiagram,
         d = unknotify(d).diagram
 
     target_ids = d.component_ids()
-    L = linkdiag.linking_matrix(d)
+    A = linkdiag.linking_matrix(d).entries
     k = len(target_ids)
+    sublink = {cid: t for t, cid in enumerate(target_ids)}
 
-    initial = FramedLinkDiagram()
-    sublink: dict[int, int] = {}
-    for t, cid in enumerate(target_ids):
-        eps = _sign_or_plus(L.entries[t][t])
-        initial, new_id = linkdiag.add_split_unknot(initial, eps)
-        sublink[cid] = new_id
+    # The initial unlink, in id order: one unknot per target component,
+    # one gadget unknot per unit of linking, then the framing-fix
+    # unknots.  A poke plus a 'before'-side gadget switch between a and b
+    # adds sign(lam) to lk(a, b) and to both framings, so the framing
+    # left to fix on t is A[t][t] - sign(A[t][t]) - sum_u A[t][u].
+    framings = [_sign_or_plus(A[t][t]) for t in range(k)]
+    pairs = [(a, b, A[a][b]) for a in range(k) for b in range(a + 1, k) if A[a][b]]
+    framings += [_sign_or_plus(lam) for _, _, lam in pairs for _ in range(abs(lam))]
+    deficits = [A[t][t] - framings[t] - sum(A[t][u] for u in range(k) if u != t)
+                for t in range(k)]
+    framings += [_sign_or_plus(dt) for dt in deficits for _ in range(abs(dt))]
+    if pad_positive and not (1 in framings and -1 in framings):
+        framings += [1, -1]
+    initial = catalog.unlink(framings)
 
+    state, L = initial, IntegralLattice.diagonal(framings)
     moves: list[KirbyMove] = []
-    # gadget unknots and the poke+switch pairs realizing each unit of
-    # linking number
-    state = initial
-    for a in range(k):
-        for b in range(a + 1, k):
-            lam = L.entries[a][b]
-            if lam == 0:
-                continue
-            sigma = -_sign_or_plus(lam)       # poke crossing sign
-            eps = -sigma                       # gadget framing -sigma*1*1
-            ia = sublink[target_ids[a]]
-            ib = sublink[target_ids[b]]
-            for _ in range(abs(lam)):
-                initial, g = linkdiag.add_split_unknot(initial, eps)
-                state, g2 = linkdiag.add_split_unknot(state, eps)
-                assert g == g2
-                state, c_main, _ = linkdiag.add_poke(state, ia, ib, sigma)
-                moves.append(Poke(over=ia, under=ib, sign=sigma))
-                state, _rec = linkdiag.apply_gadget_with_unknot(
-                    state, c_main, linkdiag.SIDE_BEFORE, g)
-                moves.append(GadgetSwitch(crossing=c_main, unknot=g,
-                                          side=linkdiag.SIDE_BEFORE))
-    p = sum(1 for mv in moves if isinstance(mv, GadgetSwitch))
 
-    # framing fixes: one fresh +/-1 unknot and one slide per missing unit
-    for t, cid in enumerate(target_ids):
-        current = state.component(sublink[cid]).framing
-        deficit = L.entries[t][t] - current
-        step = _sign_or_plus(deficit)
-        for _ in range(abs(deficit)):
-            initial, f = linkdiag.add_split_unknot(initial, step)
-            state, f2 = linkdiag.add_split_unknot(state, step)
-            assert f == f2
-            mv = SlideOverUnknot(component=sublink[cid], unknot=f, s=1)
-            state, _ = _apply_move(state, linkdiag.linking_matrix(state), mv)
-            moves.append(mv)
+    def emit(mv: KirbyMove) -> None:
+        nonlocal state, L
+        state, L = _apply_move(state, L, mv)
+        moves.append(mv)
 
-    if pad_positive:
-        signs = [c.framing for c in initial.components]
-        if not any(s == 1 for s in signs) or not any(s == -1 for s in signs):
-            initial, _ = linkdiag.add_split_unknot(initial, 1)
-            initial, _ = linkdiag.add_split_unknot(initial, -1)
+    u = k                                      # next unused unknot of initial
+    for a, b, lam in pairs:
+        sigma = -_sign_or_plus(lam)            # poke crossing sign
+        for _ in range(abs(lam)):
+            c_main = state.fresh_crossing_ids(1)[0]
+            emit(Poke(over=a, under=b, sign=sigma))
+            emit(GadgetSwitch(crossing=c_main, unknot=u, side=linkdiag.SIDE_BEFORE))
+            u += 1
+    p = u - k
+    for t, dt in enumerate(deficits):
+        for _ in range(abs(dt)):
+            emit(SlideOverUnknot(component=t, unknot=u, s=1))
+            u += 1
 
-    m = sum(1 for c in initial.components if c.framing == 1)
-    n = sum(1 for c in initial.components if c.framing == -1)
     return EmbeddingCertificate(target=d, initial=initial, moves=moves,
-                                sublink=sublink, m=m, n=n, p=p)
+                                sublink=sublink, m=framings.count(1),
+                                n=framings.count(-1), p=p)
 
 
 @dataclass
@@ -482,9 +466,13 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
     if not ok_map:
         return VerificationReport(checks)
 
-    Lt = linkdiag.linking_matrix(cert.target)
+    try:
+        Lt = linkdiag.linking_matrix(cert.target)
+    except DiagramError as e:
+        checks.append(CheckResult("target diagram valid", False, str(e)))
+        return VerificationReport(checks)
     idx = {cid: final_ids.index(cid) for cid in mapped}
-    Lf = linkdiag.linking_matrix(final)
+    Lf = result.matrix_trace[-1]
     sub = [[Lf.entries[idx[mapped[a]]][idx[mapped[b]]]
             for b in range(len(mapped))] for a in range(len(mapped))]
     same = sub == Lt.entries

@@ -8,6 +8,7 @@ so that schema drift fails loudly.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 from .calculus import (AddSplitUnknot, BlowDownIndex, EmbeddingCertificate,
                        GadgetSwitch, KirbyMove, MatrixSlide, Poke,
@@ -35,7 +36,7 @@ def decode_int(v, what: str = "integer") -> int:
         return v
     if isinstance(v, str):
         body = v[1:] if v[:1] == "-" else v
-        if body.isdigit():
+        if body.isascii() and body.isdigit():
             return int(v)
     raise FormatError("%s must be an integer or decimal string, got %r" % (what, v))
 
@@ -133,57 +134,37 @@ def lattice_from_obj(obj) -> IntegralLattice:
 # moves and certificates
 
 
+_MOVE_TYPES = {"gadget_switch": GadgetSwitch, "slide_over_unknot": SlideOverUnknot,
+               "add_split_unknot": AddSplitUnknot, "matrix_slide": MatrixSlide,
+               "blow_down_index": BlowDownIndex, "poke": Poke}
+# move class -> (tag, field names); every field is an integer but `side`
+_MOVE_FIELDS = {cls: (tag, tuple(f.name for f in fields(cls)))
+                for tag, cls in _MOVE_TYPES.items()}
+
+
 def move_to_obj(mv: KirbyMove) -> dict:
-    if isinstance(mv, GadgetSwitch):
-        return {"type": "gadget_switch", "crossing": mv.crossing,
-                "unknot": mv.unknot, "side": mv.side}
-    if isinstance(mv, SlideOverUnknot):
-        return {"type": "slide_over_unknot", "component": mv.component,
-                "unknot": mv.unknot, "s": mv.s}
-    if isinstance(mv, AddSplitUnknot):
-        return {"type": "add_split_unknot", "framing": encode_int(mv.framing)}
-    if isinstance(mv, MatrixSlide):
-        return {"type": "matrix_slide", "i": mv.i, "j": mv.j, "s": mv.s}
-    if isinstance(mv, BlowDownIndex):
-        return {"type": "blow_down_index", "k": mv.k}
-    if isinstance(mv, Poke):
-        return {"type": "poke", "over": mv.over, "under": mv.under, "sign": mv.sign}
-    raise FormatError("unknown move %r" % (mv,))
+    try:
+        tag, names = _MOVE_FIELDS[type(mv)]
+    except KeyError:
+        raise FormatError("unknown move %r" % (mv,)) from None
+    obj = {"type": tag}
+    for name in names:
+        v = getattr(mv, name)
+        obj[name] = v if name == "side" else encode_int(v)
+    return obj
 
 
 def move_from_obj(obj) -> KirbyMove:
     if not isinstance(obj, dict) or "type" not in obj:
         raise FormatError("move must be an object with a 'type' tag")
     kind = obj["type"]
-    if kind == "gadget_switch":
-        _check_keys(obj, ("type", "crossing", "unknot", "side"),
-                    ("type", "crossing", "unknot", "side"), "gadget_switch")
-        return GadgetSwitch(crossing=decode_int(obj["crossing"], "crossing"),
-                            unknot=decode_int(obj["unknot"], "unknot"),
-                            side=str(obj["side"]))
-    if kind == "slide_over_unknot":
-        _check_keys(obj, ("type", "component", "unknot", "s"),
-                    ("type", "component", "unknot", "s"), "slide_over_unknot")
-        return SlideOverUnknot(component=decode_int(obj["component"], "component"),
-                               unknot=decode_int(obj["unknot"], "unknot"),
-                               s=decode_int(obj["s"], "s"))
-    if kind == "add_split_unknot":
-        _check_keys(obj, ("type", "framing"), ("type", "framing"), "add_split_unknot")
-        return AddSplitUnknot(framing=decode_int(obj["framing"], "framing"))
-    if kind == "matrix_slide":
-        _check_keys(obj, ("type", "i", "j", "s"), ("type", "i", "j", "s"), "matrix_slide")
-        return MatrixSlide(i=decode_int(obj["i"], "i"), j=decode_int(obj["j"], "j"),
-                           s=decode_int(obj["s"], "s"))
-    if kind == "blow_down_index":
-        _check_keys(obj, ("type", "k"), ("type", "k"), "blow_down_index")
-        return BlowDownIndex(k=decode_int(obj["k"], "k"))
-    if kind == "poke":
-        _check_keys(obj, ("type", "over", "under", "sign"),
-                    ("type", "over", "under", "sign"), "poke")
-        return Poke(over=decode_int(obj["over"], "over"),
-                    under=decode_int(obj["under"], "under"),
-                    sign=decode_int(obj["sign"], "sign"))
-    raise FormatError("unknown move type %r" % (kind,))
+    cls = _MOVE_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise FormatError("unknown move type %r" % (kind,))
+    keys = ("type",) + _MOVE_FIELDS[cls][1]
+    _check_keys(obj, keys, keys, kind)
+    return cls(**{name: str(obj[name]) if name == "side" else decode_int(obj[name], name)
+                  for name in keys[1:]})
 
 
 def certificate_to_obj(cert: EmbeddingCertificate) -> dict:

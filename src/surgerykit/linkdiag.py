@@ -451,20 +451,29 @@ def _splice_out(d: FramedLinkDiagram, in_arc: int, out_arc: int) -> None:
 # clasps and pokes (linking adjusters / R2 isotopy)
 
 
-def add_clasp(d: FramedLinkDiagram, i: int, j: int, sign: int) -> FramedLinkDiagram:
-    """Two same-sign crossings between components i and j: lk(i,j) += sign."""
+def _crossing_pair(d: FramedLinkDiagram, i: int, j: int, sign: int, what: str):
+    """Copy `d` with room for two new crossings between components i and j.
+
+    Returns the copy, the (entries, exits) of the two new passages on i
+    and on j, and the two fresh crossing ids."""
     if i == j:
-        raise DiagramError("clasp needs two distinct components")
+        raise DiagramError("%s needs two distinct components" % what)
     if sign not in (1, -1):
-        raise DiagramError("clasp sign must be +1 or -1")
+        raise DiagramError("%s sign must be +1 or -1" % what)
     d.component(i)
     d.component(j)
     out = d.copy()
     p = _anchor_arc(out, i)
     q = _anchor_arc(out, j)
-    (pi, po) = _subdivide(out, p, 2)
-    (qi, qo) = _subdivide(out, q, 2)
+    pp = _subdivide(out, p, 2)
+    qq = _subdivide(out, q, 2)
     c1, c2 = out.fresh_crossing_ids(2)
+    return out, pp, qq, c1, c2
+
+
+def add_clasp(d: FramedLinkDiagram, i: int, j: int, sign: int) -> FramedLinkDiagram:
+    """Two same-sign crossings between components i and j: lk(i,j) += sign."""
+    out, (pi, po), (qi, qo), c1, c2 = _crossing_pair(d, i, j, sign, "clasp")
     out.crossings[c1] = Crossing(c1, over_in=pi[0], over_out=po[0],
                                  under_in=qi[0], under_out=qo[0], sign=sign)
     out.crossings[c2] = Crossing(c2, over_in=qi[1], over_out=qo[1],
@@ -479,18 +488,7 @@ def add_poke(d: FramedLinkDiagram, over: int, under: int,
 
     Returns (diagram, id of the sign-`sign` crossing, id of its mate).
     """
-    if over == under:
-        raise DiagramError("poke needs two distinct components")
-    if sign not in (1, -1):
-        raise DiagramError("poke sign must be +1 or -1")
-    d.component(over)
-    d.component(under)
-    out = d.copy()
-    p = _anchor_arc(out, over)
-    q = _anchor_arc(out, under)
-    (pi, po) = _subdivide(out, p, 2)
-    (qi, qo) = _subdivide(out, q, 2)
-    c1, c2 = out.fresh_crossing_ids(2)
+    out, (pi, po), (qi, qo), c1, c2 = _crossing_pair(d, over, under, sign, "poke")
     out.crossings[c1] = Crossing(c1, over_in=pi[0], over_out=po[0],
                                  under_in=qi[0], under_out=qo[0], sign=sign)
     out.crossings[c2] = Crossing(c2, over_in=pi[1], over_out=po[1],
@@ -537,28 +535,20 @@ def _side_arcs(c: Crossing, side: str) -> tuple[int, int, int, int]:
     raise DiagramError("unknown side selector %r (expected one of %r)" % (side, SIDES))
 
 
-def insert_crossing_gadget(d: FramedLinkDiagram, xid: int,
-                           side: str) -> tuple[FramedLinkDiagram, GadgetRecord]:
-    """Switch crossing `xid` and insert a fresh unknot encircling the two
-    adjacent strands on `side`, so that blowing the unknot down restores
-    the original linking matrix exactly."""
-    out = d.copy()
-    rec = _gadget_in_place(out, xid, side, unknot=None)
-    return out, rec
+def insert_crossing_gadget(d: FramedLinkDiagram, xid: int, side: str,
+                           unknot: int | None = None) -> tuple[FramedLinkDiagram, GadgetRecord]:
+    """Switch crossing `xid` and wire an unknot around the two adjacent
+    strands on `side`, so that blowing the unknot down restores the
+    original linking matrix exactly.
 
-
-def apply_gadget_with_unknot(d: FramedLinkDiagram, xid: int, side: str,
-                             unknot: int) -> tuple[FramedLinkDiagram, GadgetRecord]:
-    """Like insert_crossing_gadget, but consume an existing split
-    zero-crossing unknot whose framing must already equal the required
-    -s*a*b."""
-    out = d.copy()
-    rec = _gadget_in_place(out, xid, side, unknot=unknot)
-    return out, rec
-
-
-def _gadget_in_place(d: FramedLinkDiagram, xid: int, side: str,
-                     unknot: int | None) -> GadgetRecord:
+    With `unknot=None` the unknot is a fresh component.  Otherwise
+    `unknot` names an existing split zero-crossing component, other than
+    the two encircled ones, whose framing already equals the required
+    epsilon = -s*a*b (s the crossing sign, a and b the passage signs);
+    its arcs are replaced by the gadget's and its id is kept.  The input
+    diagram is not modified.
+    """
+    d = d.copy()
     c = d.crossing(xid)
     s = c.sign
     x, y, a, b = _side_arcs(c, side)
@@ -619,8 +609,8 @@ def _gadget_in_place(d: FramedLinkDiagram, xid: int, side: str,
         if delta:
             d.component(t).framing += delta
             comps[t] = delta
-    return GadgetRecord(unknot=ucid, crossing=xid, epsilon=eps,
-                        passage_signs=(a, b), framing_compensations=comps)
+    return d, GadgetRecord(unknot=ucid, crossing=xid, epsilon=eps,
+                           passage_signs=(a, b), framing_compensations=comps)
 
 
 def blow_down_gadget(d: FramedLinkDiagram, rec: GadgetRecord) -> FramedLinkDiagram:

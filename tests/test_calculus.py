@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_diagram
+from conftest import gadget_sides, random_diagram
 from surgerykit import catalog, jsonio, linkdiag
 from surgerykit.calculus import (AddSplitUnknot, BlowDownIndex, GadgetSwitch,
                                  MatrixSlide, MoveError, MoveScript, Poke,
@@ -13,7 +13,8 @@ from surgerykit.calculus import (AddSplitUnknot, BlowDownIndex, GadgetSwitch,
                                  word_from_intersections)
 from surgerykit.intlattice import (IntegralLattice, direct_sum, e8_matrix,
                                    homology_from_linking)
-from surgerykit.linkdiag import DiagramError, linking_matrix
+from surgerykit.linkdiag import (Arc, Component, Crossing, DiagramError,
+                                 FramedLinkDiagram, linking_matrix)
 
 
 # -- free words --------------------------------------------------------------
@@ -120,6 +121,27 @@ def test_replay_gadget_switch_then_blow_down():
     # the switch drops lk(0,1) to -1 and compensates framings through g
     assert res.matrix_trace[2].entries[0][1] == -1
     assert res.matrix_trace[-1].entries == [[1, 0], [0, 1]]
+
+
+def test_replay_gadget_switch_every_side_and_self_crossing():
+    # the per-move check in replay asserts the GadgetSwitch matrix rule,
+    # here on every side, on self-crossings and on mixed crossings
+    rng = random.Random(41)
+    replays = self_crossings = 0
+    for _ in range(60):
+        d = random_diagram(rng, 3, 10)
+        for xid in sorted(d.crossings):
+            owners = d._strand_owners(d.crossing(xid))
+            for side in gadget_sides(d, xid):
+                eps = linkdiag.insert_crossing_gadget(d, xid, side)[1].epsilon
+                u = d.fresh_component_id()
+                res = replay(MoveScript(initial=d, moves=[
+                    AddSplitUnknot(framing=eps), GadgetSwitch(crossing=xid, unknot=u,
+                                                              side=side)]))
+                assert res.final.component(u).framing == eps
+                replays += 1
+                self_crossings += owners[0] == owners[1]
+    assert (replays, self_crossings) == (1126, 638)
 
 
 def test_replay_matrix_slide_realizes_congruence():
@@ -302,21 +324,49 @@ def test_target_naming_missing_arc_fails_report():
     assert "crossing 0 references unknown arcs [99]" in rep.failures()[0].detail
 
 
+def test_target_with_odd_pair_fails_report():
+    # three components of two arcs each; every pair shares one crossing
+    target = FramedLinkDiagram(
+        components=[Component(k, 0, basepoint=2 * k) for k in range(3)],
+        arcs={0: Arc(0, 1), 1: Arc(0, 0), 2: Arc(1, 3), 3: Arc(1, 2),
+              4: Arc(2, 5), 5: Arc(2, 4)},
+        crossings={0: Crossing(0, 0, 1, 2, 3, 1), 1: Crossing(1, 3, 2, 4, 5, 1),
+                   2: Crossing(2, 5, 4, 1, 0, 1)})
+    cert = build_embedding_certificate(catalog.hopf_link())
+    cert.target = target
+    cert.sublink = {0: 0, 1: 1, 2: 2}
+    rep = verify_certificate(cert)
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("target diagram valid", "components 0 and 1 share an odd number of crossings")]
+
+
 # sha256 of the certificate JSON: certificates must stay byte-identical
 # across changes to how they are built and checked.
 CERTIFICATE_DIGESTS = [
-    (catalog.hopf_link, (),
+    (catalog.hopf_link, (), {},
      "71784cc1046e5e3be85fb49ffc286d4cc43b1af53448e7a30002d51c06307ec4"),
-    (catalog.chain_link, ([2, -1, 0, 3],),
+    (catalog.chain_link, ([2, -1, 0, 3],), {},
      "7af70d1703f749b93762dbf612ec5c2353c668110749f85e8d7a6f831d1c4101"),
-    (catalog.e8_link, (),
+    (catalog.e8_link, (), {},
      "43282ee7c3450f469c768cb4588cfc275cb7487009a71c5e449978e06a13286a"),
+    # negative linking; framing deficits of both signs
+    (catalog.hopf_link, ((3, -4), -1), {},
+     "831eee048a8c2960ed1b6ecdfba494675fedaf01b0deac53bbc4b666743dddff"),
+    (catalog.hopf_link, ((1, -1),), {"pad_positive": True},
+     "71941f895278a64dedc0180012b7c20be66ed0eaeb6f2078653aed88f6da1bfc"),
+    (catalog.trefoil, (2,), {"auto_unknotify": True},
+     "a73ea5b83a147b34b4e0d449631332636b129e88476ca11e2ec5c9e3aa05db38"),
+    (catalog.unlink, ([-1, -1],), {},
+     "bc4fa6a287a7fa90e195d7301c70382ca71f4cb3bb1544dd51341bc7cee34b42"),
 ]
 
 
-@pytest.mark.parametrize("make, args, digest", CERTIFICATE_DIGESTS)
-def test_certificate_json_is_byte_identical(make, args, digest):
-    cert = build_embedding_certificate(make(*args))
+@pytest.mark.parametrize(
+    "make, args, kwargs, digest", CERTIFICATE_DIGESTS,
+    ids=["%s-args%d-%s" % (make.__name__, i, digest)
+         for i, (make, _, _, digest) in enumerate(CERTIFICATE_DIGESTS)])
+def test_certificate_json_is_byte_identical(make, args, kwargs, digest):
+    cert = build_embedding_certificate(make(*args), **kwargs)
     text = jsonio.dumps(jsonio.certificate_to_obj(cert))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 

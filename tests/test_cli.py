@@ -206,6 +206,17 @@ def test_crossing_naming_missing_arc_is_exit_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_non_ascii_digit_framing_is_exit_two(tmp_path, capsys):
+    obj = jsonio.diagram_to_obj(catalog.unknot())
+    obj["components"][0]["framing"] = "\u00b2"
+    p = tmp_path / "link.json"
+    jsonio.save_path(str(p), obj)
+    assert main(["invariants", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: framing must be an integer or decimal string")
+    assert "Traceback" not in err
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().out

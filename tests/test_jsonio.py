@@ -33,7 +33,9 @@ def test_big_ints_become_strings():
 
 
 def test_decode_int_rejects_garbage():
-    for bad in (True, 1.5, "x", "1.5", "--3", "", None, [1]):
+    # "\u00b2" and "\u0661\u0662" pass str.isdigit but are not ASCII decimals
+    for bad in (True, 1.5, "x", "1.5", "--3", "", None, [1],
+                "\u00b2", "-\u00b2", "\u0661\u0662"):
         with pytest.raises(FormatError):
             decode_int(bad)
 
@@ -121,6 +123,12 @@ def test_move_rejects_unknown_type_and_keys():
         move_from_obj({"type": "blow_down_index", "k": 0, "x": 1})
     with pytest.raises(FormatError, match="type"):
         move_from_obj([1, 2])
+    with pytest.raises(FormatError, match="unknown move type"):
+        move_from_obj({"type": ["poke"]})
+    with pytest.raises(FormatError, match="poke is missing keys"):
+        move_from_obj({"type": "poke", "over": 0, "under": 1})
+    with pytest.raises(FormatError, match="sign must be an integer"):
+        move_from_obj({"type": "poke", "over": 0, "under": 1, "sign": "x"})
 
 
 # -- certificates ------------------------------------------------------------
@@ -136,6 +144,13 @@ def test_certificate_via_json_text():
     cert = build_embedding_certificate(catalog.hopf_link((4, 4)))
     text = dumps(certificate_to_obj(cert))
     assert certificate_from_obj(json.loads(text)) == cert
+
+
+def test_certificate_rejects_non_ascii_sublink_key():
+    obj = certificate_to_obj(build_embedding_certificate(catalog.unknot(1)))
+    obj["sublink"] = {"\u00b2": 0}
+    with pytest.raises(FormatError, match="sublink key"):
+        certificate_from_obj(obj)
 
 
 def test_certificate_rejects_extra_keys():
