@@ -43,9 +43,9 @@ def trefoil(framing: int = 0) -> FramedLinkDiagram:
         components=[Component(0, framing, basepoint=0)],
         arcs={a: Arc(owner=0, successor=(a + 1) % 6) for a in range(6)},
         crossings={
-            0: Crossing(0, over_in=0, over_out=1, under_in=3, under_out=4, sign=1),
-            1: Crossing(1, over_in=4, over_out=5, under_in=1, under_out=2, sign=1),
-            2: Crossing(2, over_in=2, over_out=3, under_in=5, under_out=0, sign=1),
+            0: Crossing(over_in=0, over_out=1, under_in=3, under_out=4, sign=1),
+            1: Crossing(over_in=4, over_out=5, under_in=1, under_out=2, sign=1),
+            2: Crossing(over_in=2, over_out=3, under_in=5, under_out=0, sign=1),
         })
     require_valid(d)
     return d

@@ -40,13 +40,14 @@ def _load_matrix_or_link(path: str) -> IntegralLattice:
 def _lattice_report(L: IntegralLattice) -> dict:
     inert = intlattice.inertia(L)
     det = intlattice.determinant(L)
-    hom = intlattice.homology_from_linking(L)
+    diag = intlattice.snf_diagonal(L)
+    hom = intlattice.homology_from_diagonal(diag)
     out = {
         "n": L.n,
         "det": jsonio.encode_int(det),
         "inertia": {"positive": inert.positive, "zero": inert.zero,
                     "negative": inert.negative},
-        "snf_diagonal": [jsonio.encode_int(x) for x in intlattice.snf_diagonal(L)],
+        "snf_diagonal": [jsonio.encode_int(x) for x in diag],
         "homology": {"rank": hom.rank,
                      "torsion": [jsonio.encode_int(t) for t in hom.torsion],
                      "pretty": str(hom)},

@@ -207,13 +207,17 @@ def snf_diagonal(A) -> list[int]:
     return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
 
 
+def homology_from_diagonal(diag) -> AbelianGroupPresentation:
+    """The cokernel of a matrix with Smith diagonal `diag`: one Z per
+    zero entry, one Z/d per entry d >= 2."""
+    return AbelianGroupPresentation(rank=diag.count(0),
+                                    torsion=[d for d in diag if d >= 2])
+
+
 def homology_from_linking(L: IntegralLattice) -> AbelianGroupPresentation:
     """First homology of the surgered manifold: cokernel of the linking
     matrix, read off the Smith diagonal."""
-    diag = snf_diagonal(L)
-    rank = sum(1 for d in diag if d == 0)
-    torsion = [d for d in diag if d >= 2]
-    return AbelianGroupPresentation(rank=rank, torsion=torsion)
+    return homology_from_diagonal(snf_diagonal(L))
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +364,13 @@ def e8_matrix() -> IntegralLattice:
 
 
 def _fp_decompose(L: IntegralLattice):
-    """Rational Cholesky data: L = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2."""
+    """Rational Cholesky data: L = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2.
+    All d_i > 0 iff L is positive definite (Sylvester); else it raises."""
     n = L.n
     q = [[Fraction(x) for x in row] for row in L.entries]
     for i in range(n):
         if q[i][i] <= 0:
-            raise LatticeError("matrix is not positive definite")
+            raise LatticeError("short_vectors needs a positive definite matrix")
         for j in range(i + 1, n):
             q[j][i] = q[i][j]
             q[i][j] = q[i][j] / q[i][i]
@@ -397,8 +402,6 @@ def short_vectors(L: IntegralLattice, bound: int) -> list[tuple[int, ...]]:
     Fincke-Pohst backtracking over the exact rational Cholesky
     decomposition; deterministic by construction.
     """
-    if not is_positive_definite(L):
-        raise LatticeError("short_vectors needs a positive definite matrix")
     n = L.n
     if n == 0:
         return []
@@ -430,66 +433,54 @@ def short_vectors(L: IntegralLattice, bound: int) -> list[tuple[int, ...]]:
 # diagonalizability over Z
 
 
-def _kernel_complement(u: list[int]):
-    """For an integer row u with gcd 1, a unimodular W with u*W =
-    (1, 0, ..., 0); columns 1.. span the kernel of u."""
-    n = len(u)
-    r = list(u)
-    W = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_sub(dst, src, k):  # col dst -= k * col src
-        r[dst] -= k * r[src]
-        for row in W:
-            row[dst] -= k * row[src]
-
-    while True:
-        nz = [j for j in range(n) if r[j]]
-        if len(nz) <= 1:
-            break
-        p = min(nz, key=lambda j: (abs(r[j]), j))
-        for j in nz:
-            if j != p:
-                col_sub(j, p, r[j] // r[p])
-    nz = [j for j in range(n) if r[j]]
-    if not nz or abs(r[nz[0]]) != 1:
-        raise LatticeError("row is not primitive")
-    p = nz[0]
-    if r[p] < 0:
-        r[p] = -r[p]
-        for row in W:
-            row[p] = -row[p]
-    if p != 0:
-        r[0], r[p] = r[p], r[0]
-        for row in W:
-            row[0], row[p] = row[p], row[0]
-    return W
+def _kernel_complement(rows: list[list[int]]):
+    """For k >= 1 integer rows of length n, a unimodular n x n W such
+    that rows*W is zero outside its first k columns (a column echelon
+    form).  When the leading k x k block of rows*W is invertible,
+    columns k.. of W span the integer kernel of the rows."""
+    k, n = len(rows), len(rows[0])
+    # column j of rows, then column j of W (which starts as e_j)
+    cols = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    for t in range(k):
+        while True:
+            nz = [j for j in range(t, n) if cols[j][t]]
+            if len(nz) <= 1:
+                break
+            p = min(nz, key=lambda j: (abs(cols[j][t]), j))
+            for j in nz:
+                if j != p:
+                    q = cols[j][t] // cols[p][t]
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[p])]
+        if nz:
+            cols[t], cols[nz[0]] = cols[nz[0]], cols[t]
+    return [[cols[j][k + i] for j in range(n)] for i in range(n)]
 
 
 def diagonalizable_over_Z(L: IntegralLattice):
-    """Split off <1> summands along norm-one vectors until none remain.
+    """Split off the whole <1>^k summand in one step.
 
-    Returns (verdict, diagonal_part, residual): verdict is True iff the
-    residual has rank zero.  Requires a positive definite unimodular
-    form; unimodularity guarantees each orthogonal complement splits
-    integrally.
+    The k norm-one vectors (up to sign) of a positive definite integral
+    form are orthonormal: |v.w| < 1 by Cauchy-Schwarz, and v.w is an
+    integer.  They span a unimodular <1>^k, so its orthogonal complement
+    splits off integrally and has no norm-one vector.  Returns (verdict,
+    k, residual), where the residual is the form on that complement (L
+    itself when k == 0) and the verdict is True iff k equals the rank.
+    Requires a positive definite unimodular form.
     """
     if not is_positive_definite(L):
         raise LatticeError("diagonalizability test needs a positive definite matrix")
     if not is_unimodular(L):
         raise LatticeError("diagonalizability test needs a unimodular matrix")
-    cur = L
-    count = 0
-    while cur.n > 0:
-        ones = [v for v in short_vectors(cur, 1) if cur.evaluate(v) == 1]
-        if not ones:
-            return False, count, cur
-        v = ones[0]
-        u = [sum(cur.entries[i][j] * v[i] for i in range(cur.n)) for j in range(cur.n)]
-        W = _kernel_complement(u)
-        basis = [[W[i][j] for i in range(cur.n)] for j in range(1, cur.n)]
-        A = [[sum(bi[r] * cur.entries[r][c] * bj[c]
-                  for r in range(cur.n) for c in range(cur.n))
-              for bj in basis] for bi in basis]
-        cur = IntegralLattice(A)
-        count += 1
-    return True, count, cur
+    ones = short_vectors(L, 1)
+    k, n = len(ones), L.n
+    if k == 0:
+        return n == 0, 0, L
+
+    def images(vs):  # L*v for each v
+        return [[sum(a * b for a, b in zip(row, v)) for row in L.entries] for v in vs]
+
+    W = _kernel_complement(images(ones))
+    basis = [[W[i][j] for i in range(n)] for j in range(k, n)]
+    lb = images(basis)
+    A = [[sum(a * b for a, b in zip(bi, lbj)) for lbj in lb] for bi in basis]
+    return k == n, k, IntegralLattice(A)

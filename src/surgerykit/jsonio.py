@@ -37,7 +37,11 @@ def decode_int(v, what: str = "integer") -> int:
     if isinstance(v, str):
         body = v[1:] if v[:1] == "-" else v
         if body.isascii() and body.isdigit():
-            return int(v)
+            try:
+                return int(v)
+            except ValueError:  # past the interpreter's int/str digit limit
+                raise FormatError("%s has %d digits, too many to read"
+                                  % (what, len(body))) from None
     raise FormatError("%s must be an integer or decimal string, got %r" % (what, v))
 
 
@@ -65,9 +69,9 @@ def diagram_to_obj(d: FramedLinkDiagram) -> dict:
         comps.append(rec)
     arcs = [{"id": a, "component": v.owner, "next": v.successor}
             for a, v in sorted(d.arcs.items())]
-    crossings = [{"id": c.id, "over_in": c.over_in, "over_out": c.over_out,
+    crossings = [{"id": x, "over_in": c.over_in, "over_out": c.over_out,
                   "under_in": c.under_in, "under_out": c.under_out, "sign": c.sign}
-                 for _, c in sorted(d.crossings.items())]
+                 for x, c in sorted(d.crossings.items())]
     return {"components": comps, "arcs": arcs, "crossings": crossings}
 
 
@@ -96,7 +100,6 @@ def diagram_from_obj(obj) -> FramedLinkDiagram:
         if xid in d.crossings:
             raise FormatError("duplicate crossing id %d" % xid)
         d.crossings[xid] = Crossing(
-            id=xid,
             over_in=decode_int(rec["over_in"], "over_in"),
             over_out=decode_int(rec["over_out"], "over_out"),
             under_in=decode_int(rec["under_in"], "under_in"),
@@ -212,7 +215,7 @@ def load_path(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad JSON, UTF-8 or digits
         raise FormatError("cannot read %s: %s" % (path, e)) from None
 
 

@@ -53,7 +53,6 @@ class Arc:
 
 @dataclass
 class Crossing:
-    id: int
     over_in: int
     over_out: int
     under_in: int
@@ -88,7 +87,7 @@ class FramedLinkDiagram:
             components=[Component(c.id, c.framing, c.basepoint) for c in self.components],
             arcs={a: Arc(v.owner, v.successor) for a, v in self.arcs.items()},
             crossings={
-                x: Crossing(c.id, c.over_in, c.over_out, c.under_in, c.under_out, c.sign)
+                x: Crossing(c.over_in, c.over_out, c.under_in, c.under_out, c.sign)
                 for x, c in self.crossings.items()
             },
         )
@@ -186,9 +185,6 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
             bad.append("arc %d has unknown successor %r" % (aid, arc.successor))
         by_owner.setdefault(arc.owner, []).append(aid)
 
-    xids = [c.id for c in d.crossings.values()]
-    if len(set(xids)) != len(xids):
-        bad.append("duplicate crossing ids")
     # every arc is the in-arc of exactly one crossing and the out-arc of
     # exactly one, except arcs of zero-crossing loops; the counts and the
     # components met by a crossing are gathered in the same walk.
@@ -196,8 +192,6 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
     out_count = dict.fromkeys(arcs, 0)
     busy: set[int] = set()
     for xid, c in d.crossings.items():
-        if xid != c.id:
-            bad.append("crossing key %d does not match id %d" % (xid, c.id))
         if c.sign not in (1, -1):
             bad.append("crossing %d has sign %r, expected +1 or -1" % (xid, c.sign))
         # strand owners are read from the in-arcs, as in zero_crossing_loops;
@@ -474,9 +468,9 @@ def _crossing_pair(d: FramedLinkDiagram, i: int, j: int, sign: int, what: str):
 def add_clasp(d: FramedLinkDiagram, i: int, j: int, sign: int) -> FramedLinkDiagram:
     """Two same-sign crossings between components i and j: lk(i,j) += sign."""
     out, (pi, po), (qi, qo), c1, c2 = _crossing_pair(d, i, j, sign, "clasp")
-    out.crossings[c1] = Crossing(c1, over_in=pi[0], over_out=po[0],
+    out.crossings[c1] = Crossing(over_in=pi[0], over_out=po[0],
                                  under_in=qi[0], under_out=qo[0], sign=sign)
-    out.crossings[c2] = Crossing(c2, over_in=qi[1], over_out=qo[1],
+    out.crossings[c2] = Crossing(over_in=qi[1], over_out=qo[1],
                                  under_in=pi[1], under_out=po[1], sign=sign)
     return out
 
@@ -489,9 +483,9 @@ def add_poke(d: FramedLinkDiagram, over: int, under: int,
     Returns (diagram, id of the sign-`sign` crossing, id of its mate).
     """
     out, (pi, po), (qi, qo), c1, c2 = _crossing_pair(d, over, under, sign, "poke")
-    out.crossings[c1] = Crossing(c1, over_in=pi[0], over_out=po[0],
+    out.crossings[c1] = Crossing(over_in=pi[0], over_out=po[0],
                                  under_in=qi[0], under_out=qo[0], sign=sign)
-    out.crossings[c2] = Crossing(c2, over_in=pi[1], over_out=po[1],
+    out.crossings[c2] = Crossing(over_in=pi[1], over_out=po[1],
                                  under_in=qi[1], under_out=qo[1], sign=-sign)
     return out, c1, c2
 
@@ -508,10 +502,10 @@ def add_kink(d: FramedLinkDiagram, cid: int, sign: int,
     (ent, ext) = _subdivide(out, p, 2)
     (xid,) = out.fresh_crossing_ids(1)
     if first_over:
-        out.crossings[xid] = Crossing(xid, over_in=ent[0], over_out=ext[0],
+        out.crossings[xid] = Crossing(over_in=ent[0], over_out=ext[0],
                                       under_in=ent[1], under_out=ext[1], sign=sign)
     else:
-        out.crossings[xid] = Crossing(xid, over_in=ent[1], over_out=ext[1],
+        out.crossings[xid] = Crossing(over_in=ent[1], over_out=ext[1],
                                       under_in=ent[0], under_out=ext[0], sign=sign)
     return out
 
@@ -590,13 +584,13 @@ def insert_crossing_gadget(d: FramedLinkDiagram, xid: int, side: str,
     cx1, cx2, cy1, cy2 = d.fresh_crossing_ids(4)
     # along the unknot: cx1, cy1, cy2, cx2; each strand goes over the
     # unknot at its first passage and under at its second.
-    d.crossings[cx1] = Crossing(cx1, over_in=ex[0], over_out=xx[0],
+    d.crossings[cx1] = Crossing(over_in=ex[0], over_out=xx[0],
                                 under_in=u3, under_out=u0, sign=a)
-    d.crossings[cy1] = Crossing(cy1, over_in=ey[0], over_out=yy[0],
+    d.crossings[cy1] = Crossing(over_in=ey[0], over_out=yy[0],
                                 under_in=u0, under_out=u1, sign=b)
-    d.crossings[cy2] = Crossing(cy2, over_in=u1, over_out=u2,
+    d.crossings[cy2] = Crossing(over_in=u1, over_out=u2,
                                 under_in=ey[1], under_out=yy[1], sign=b)
-    d.crossings[cx2] = Crossing(cx2, over_in=u2, over_out=u3,
+    d.crossings[cx2] = Crossing(over_in=u2, over_out=u3,
                                 under_in=ex[1], under_out=xx[1], sign=a)
     d.component(ucid).basepoint = u0
 

@@ -330,8 +330,8 @@ def test_target_with_odd_pair_fails_report():
         components=[Component(k, 0, basepoint=2 * k) for k in range(3)],
         arcs={0: Arc(0, 1), 1: Arc(0, 0), 2: Arc(1, 3), 3: Arc(1, 2),
               4: Arc(2, 5), 5: Arc(2, 4)},
-        crossings={0: Crossing(0, 0, 1, 2, 3, 1), 1: Crossing(1, 3, 2, 4, 5, 1),
-                   2: Crossing(2, 5, 4, 1, 0, 1)})
+        crossings={0: Crossing(0, 1, 2, 3, 1), 1: Crossing(3, 2, 4, 5, 1),
+                   2: Crossing(5, 4, 1, 0, 1)})
     cert = build_embedding_certificate(catalog.hopf_link())
     cert.target = target
     cert.sublink = {0: 0, 1: 1, 2: 2}

@@ -2,7 +2,7 @@ import json
 import random
 
 from conftest import random_diagram
-from surgerykit import catalog, jsonio, linkdiag
+from surgerykit import catalog, intlattice, jsonio, linkdiag
 from surgerykit.cli import main
 from surgerykit.intlattice import IntegralLattice, e8_matrix
 
@@ -195,6 +195,8 @@ def test_malformed_link_is_exit_two(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"components": [{"id": 0, "framing": 0, "junk": 1}]}')
     assert main(["invariants", str(p)]) == 2
+    p.write_bytes(b'{"components": "\xff"}')  # not UTF-8
+    assert main(["invariants", str(p)]) == 2
 
 
 def test_crossing_naming_missing_arc_is_exit_two(tmp_path, capsys):
@@ -215,6 +217,38 @@ def test_non_ascii_digit_framing_is_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: framing must be an integer or decimal string")
     assert "Traceback" not in err
+
+
+def test_overlong_framing_is_exit_two(tmp_path, capsys):
+    # past Python's 4,300-digit int/str limit, as a string and as a number
+    obj = jsonio.diagram_to_obj(catalog.unknot())
+    obj["components"][0]["framing"] = "1" * 5000
+    p = tmp_path / "link.json"
+    jsonio.save_path(str(p), obj)
+    assert main(["invariants", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: framing has 5000 digits")
+    p.write_text(p.read_text().replace('"%s"' % ("1" * 5000), "1" * 5000))
+    assert main(["invariants", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "Traceback" not in err
+
+
+def test_one_smith_form_per_report(tmp_path, capsys, monkeypatch):
+    calls = []
+    snf = intlattice.smith_normal_form
+
+    def counting_snf(A):
+        calls.append(A)
+        return snf(A)
+
+    monkeypatch.setattr(intlattice, "smith_normal_form", counting_snf)
+    matrix = _write_matrix(tmp_path, IntegralLattice([[2, 1, 0], [1, 3, 1], [0, 1, 4]]))
+    link = _write_link(tmp_path, catalog.hopf_link())
+    for argv in (["lattice", matrix], ["invariants", link]):
+        calls.clear()
+        code, _ = _run_json(capsys, argv)
+        assert code == 0 and len(calls) == 1
 
 
 def test_no_command_prints_help(capsys):

@@ -367,6 +367,29 @@ def test_unimodular_change_of_basis_still_diagonalizes():
         assert ok and count == n and res.n == 0
 
 
+def test_one_shot_split_on_scrambled_mixed_forms():
+    # E8 + I_k and I_k after random handle slides: exactly the <1>^k
+    # summand splits off, and the residual is unimodular, positive
+    # definite and free of norm-one vectors
+    rng = random.Random(521)
+    for trial in range(40):
+        e8 = trial % 2 == 1
+        k = rng.randint(0 if e8 else 1, 4)
+        L = IntegralLattice.identity(k)
+        if e8:
+            L = direct_sum(e8_matrix(), L)
+        n = L.n
+        for _ in range(rng.randint(0, 12) if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            L = congruence_slide(L, i, j, rng.choice((-1, 1)))
+        ok, count, res = diagonalizable_over_Z(L)
+        assert count == k and ok == (not e8)
+        assert res.n == n - count
+        assert determinant(res) == 1
+        assert inertia(res).positive == res.n
+        assert short_vectors(res, 1) == []
+
+
 def test_diagonalizable_rejects_bad_input():
     with pytest.raises(LatticeError):
         diagonalizable_over_Z(IntegralLattice([[-1]]))

@@ -35,7 +35,7 @@ def test_big_ints_become_strings():
 def test_decode_int_rejects_garbage():
     # "\u00b2" and "\u0661\u0662" pass str.isdigit but are not ASCII decimals
     for bad in (True, 1.5, "x", "1.5", "--3", "", None, [1],
-                "\u00b2", "-\u00b2", "\u0661\u0662"):
+                "\u00b2", "-\u00b2", "\u0661\u0662", "1" * 5000, "-" + "1" * 5000):
         with pytest.raises(FormatError):
             decode_int(bad)
 

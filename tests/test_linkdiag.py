@@ -112,8 +112,8 @@ def test_linking_matrix_odd_pair_error():
     # three components of two arcs each; every pair shares one crossing
     arcs = {0: Arc(0, 1), 1: Arc(0, 0), 2: Arc(1, 3), 3: Arc(1, 2),
             4: Arc(2, 5), 5: Arc(2, 4)}
-    crossings = {0: Crossing(0, 0, 1, 2, 3, 1), 1: Crossing(1, 3, 2, 4, 5, 1),
-                 2: Crossing(2, 5, 4, 1, 0, 1)}
+    crossings = {0: Crossing(0, 1, 2, 3, 1), 1: Crossing(3, 2, 4, 5, 1),
+                 2: Crossing(5, 4, 1, 0, 1)}
     d = FramedLinkDiagram(
         components=[Component(k, 0, basepoint=2 * k) for k in range(3)],
         arcs=arcs, crossings=crossings)
