@@ -1,9 +1,7 @@
-"""Exact integer symmetric-bilinear-form engine.
-
-Everything here runs over unbounded integers or exact rationals; no
-floating point enters any verdict.  Floats appear only as first guesses
-for enumeration bounds, and every guess is corrected against the exact
-inequality before use.
+"""Exact integer symmetric-bilinear-form engine, over unbounded integers
+and exact rationals only.  Inertia, the checks of the diagonalizability
+test and the Fincke-Pohst data read one fraction-free symmetric
+elimination; the determinant of any square matrix is Bareiss.
 """
 
 from __future__ import annotations
@@ -249,45 +247,47 @@ def determinant(L) -> int:
     return sign * A[n - 1][n - 1]
 
 
-def inertia(L: IntegralLattice) -> Inertia:
-    """Counts of positive/zero/negative eigenvalues by exact symmetric
-    reduction over the rationals."""
-    n = L.n
-    A = [[Fraction(x) for x in row] for row in L.entries]
-    active = list(range(n))
-    pos = neg = zero = 0
+def _eliminate(L: IntegralLattice):
+    """Fraction-free (Bareiss) symmetric elimination.  Returns the pivots
+    p_t, leading principal minors of a congruent form, and each pivot's
+    row as it stood when taken.  The pivot is the first remaining index
+    with a nonzero diagonal entry (index order, on a positive definite
+    form); if there is none, row and column j are added into i for the
+    first nonzero A[i][j].  The adds touch only unpivoted rows and
+    columns, where minors are linear, so Sylvester's identity makes every
+    division exact."""
+    A = [row[:] for row in L.entries]
+    active = list(range(L.n))
+    pivots, rows = [], []
     while active:
-        piv = next((i for i in active if A[i][i] != 0), None)
-        if piv is not None:
-            d = A[piv][piv]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            rest = [i for i in active if i != piv]
-            for r in rest:
-                if A[r][piv] == 0:
-                    continue
-                f = A[r][piv] / d
-                for c in rest:
-                    A[r][c] -= f * A[piv][c]
-            for r in rest:
-                A[r][piv] = A[piv][r] = Fraction(0)
-            active = rest
-            continue
-        off = next(((i, j) for ai, i in enumerate(active)
-                    for j in active[ai + 1:] if A[i][j] != 0), None)
-        if off is None:
-            zero += len(active)
-            break
-        i, j = off
-        # zero diagonal: symmetric add of row/col j into i makes the
-        # diagonal entry 2*A[i][j] != 0 (the hyperbolic-block rule).
-        for c in active:
-            A[i][c] += A[j][c]
+        piv = next((i for i in active if A[i][i]), None)
+        if piv is None:
+            off = next(((i, j) for i in active for j in active if A[i][j]), None)
+            if off is None:
+                break
+            piv, j = off
+            for c in active:
+                A[piv][c] += A[j][c]
+            for r in active:
+                A[r][piv] += A[r][j]
+        p, prow = A[piv][piv], A[piv]
+        prev = pivots[-1] if pivots else 1
+        active.remove(piv)
         for r in active:
-            A[r][i] += A[r][j]
-    return Inertia(positive=pos, zero=zero, negative=neg)
+            row, f = A[r], A[r][piv]
+            for c in active:
+                row[c] = (row[c] * p - f * prow[c]) // prev
+        pivots.append(p)
+        rows.append(prow)
+    return pivots, rows
+
+
+def inertia(L: IntegralLattice) -> Inertia:
+    """Counts of positive/zero/negative eigenvalues: the signs of the
+    LDL^T diagonal p_t / p_(t-1) of `_eliminate`, plus its zero block."""
+    pivots, _ = _eliminate(L)
+    neg = sum(1 for a, b in zip([1] + pivots, pivots) if (a > 0) != (b > 0))
+    return Inertia(positive=len(pivots) - neg, zero=L.n - len(pivots), negative=neg)
 
 
 def is_positive_definite(L: IntegralLattice) -> bool:
@@ -364,33 +364,29 @@ def e8_matrix() -> IntegralLattice:
 
 
 def _fp_decompose(L: IntegralLattice):
-    """Rational Cholesky data: L = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2.
-    All d_i > 0 iff L is positive definite (Sylvester); else it raises."""
+    """Cholesky data L = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 from
+    `_eliminate`: d_i = p_i / p_(i-1), u_ij = row_i[j] / p_i.  L is
+    positive definite iff it has n pivots, all > 0 (Sylvester); else it raises."""
     n = L.n
-    q = [[Fraction(x) for x in row] for row in L.entries]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise LatticeError("short_vectors needs a positive definite matrix")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] = q[k][l] - q[k][i] * q[i][l]
-    return q
+    pivots, rows = _eliminate(L)
+    if len(pivots) < n or min(pivots, default=1) <= 0:
+        raise LatticeError("short_vectors needs a positive definite matrix")
+    d = [Fraction(p, prev) for p, prev in zip(pivots, [1] + pivots)]
+    u = [[0] * (i + 1) + [Fraction(row[j], p) for j in range(i + 1, n)]
+         for i, (p, row) in enumerate(zip(pivots, rows))]
+    return d, u
 
 
 def _int_range(d: Fraction, c: Fraction, T: Fraction) -> range:
-    """Integers x with d*(x + c)^2 <= T, found by float guess plus exact
-    correction."""
+    """Integers x with d*(x + c)^2 <= T, bracketed by an integer root."""
     if T < 0:
         return range(0)
-    r = float(T / d) ** 0.5
-    lo = math.floor(-float(c) - r) - 2
-    hi = math.ceil(-float(c) + r) + 2
-    while d * (Fraction(lo) + c) ** 2 > T and lo <= hi:
+    r = math.isqrt(math.floor(T / d)) + 1
+    lo = math.floor(-c) - r
+    hi = math.ceil(-c) + r
+    while d * (lo + c) ** 2 > T and lo <= hi:
         lo += 1
-    while d * (Fraction(hi) + c) ** 2 > T and hi >= lo:
+    while d * (hi + c) ** 2 > T and hi >= lo:
         hi -= 1
     return range(lo, hi + 1)
 
@@ -405,20 +401,20 @@ def short_vectors(L: IntegralLattice, bound: int) -> list[tuple[int, ...]]:
     n = L.n
     if n == 0:
         return []
-    q = _fp_decompose(L)
+    d, u = _fp_decompose(L)
     found: list[tuple[int, ...]] = []
     x = [0] * n
 
     def descend(i: int, T: Fraction):
-        c = sum((q[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        for xi in _int_range(q[i][i], c, T):
+        c = sum((u[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
+        for xi in _int_range(d[i], c, T):
             x[i] = xi
             if i == 0:
                 v = tuple(x)
                 if any(v):
                     found.append(v)
             else:
-                descend(i - 1, T - q[i][i] * (Fraction(xi) + c) ** 2)
+                descend(i - 1, T - d[i] * (xi + c) ** 2)
         x[i] = 0
 
     descend(n - 1, Fraction(bound))
@@ -467,9 +463,10 @@ def diagonalizable_over_Z(L: IntegralLattice):
     itself when k == 0) and the verdict is True iff k equals the rank.
     Requires a positive definite unimodular form.
     """
-    if not is_positive_definite(L):
+    pivots, _ = _eliminate(L)
+    if len(pivots) < L.n or min(pivots, default=1) <= 0:
         raise LatticeError("diagonalizability test needs a positive definite matrix")
-    if not is_unimodular(L):
+    if pivots and pivots[-1] != 1:
         raise LatticeError("diagonalizability test needs a unimodular matrix")
     ones = short_vectors(L, 1)
     k, n = len(ones), L.n

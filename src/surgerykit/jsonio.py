@@ -26,7 +26,10 @@ _I64_MAX = 2 ** 63 - 1
 
 
 def encode_int(v: int):
-    return v if _I64_MIN <= v <= _I64_MAX else str(v)
+    try:
+        return v if _I64_MIN <= v <= _I64_MAX else str(v)
+    except ValueError:  # past the interpreter's int/str digit limit
+        raise FormatError("result integer has too many digits to write") from None
 
 
 def decode_int(v, what: str = "integer") -> int:

@@ -152,6 +152,11 @@ def test_obstruction_verdicts(tmp_path, capsys):
     p3 = _write_matrix(tmp_path, IntegralLattice([[0]]), "z.json")
     code, rep = _run_json(capsys, ["obstruction", p3])
     assert code == 0 and rep["result"]["verdict"] == "NOT_APPLICABLE"
+    # I_2 after one slide, with entries far past the float range
+    N = 10 ** 400
+    p4 = _write_matrix(tmp_path, IntegralLattice([[1, N], [N, N * N + 1]]), "big.json")
+    code, rep = _run_json(capsys, ["obstruction", p4])
+    assert code == 0 and rep["result"]["verdict"] == "NOT_OBSTRUCTED"
 
 
 def test_obstruction_accepts_link_files(tmp_path, capsys):
@@ -232,6 +237,38 @@ def test_overlong_framing_is_exit_two(tmp_path, capsys):
     assert main(["invariants", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read") and "Traceback" not in err
+
+
+def test_overlong_result_is_exit_two(tmp_path, capsys):
+    # a result integer past Python's 4,300-digit int/str limit
+    link = _write_link(tmp_path, catalog.hopf_link((10 ** 2999, 10 ** 2999)))
+    N = 10 ** 2200 + 1
+    matrix = _write_matrix(tmp_path, IntegralLattice([[N, 1], [1, N]]))
+    for argv in (["invariants", link], ["invariants", link, "--json"], ["lattice", matrix]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: result integer has too many digits")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_one_inertia_and_determinant_per_report(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(f):
+        def wrapped(L):
+            calls.append(f.__name__)
+            return f(L)
+        return wrapped
+
+    monkeypatch.setattr(intlattice, "inertia", counting(intlattice.inertia))
+    monkeypatch.setattr(intlattice, "determinant", counting(intlattice.determinant))
+    L = intlattice.direct_sum(e8_matrix(), IntegralLattice.identity(2))
+    matrix = _write_matrix(tmp_path, L)
+    for command in ("lattice", "obstruction"):
+        calls.clear()
+        code, _ = _run_json(capsys, [command, matrix])
+        assert code == 0
+        assert sorted(calls) == ["determinant", "inertia"]
 
 
 def test_one_smith_form_per_report(tmp_path, capsys, monkeypatch):

@@ -139,13 +139,31 @@ def test_inertia_examples():
     assert i.signature == 0
     i = inertia(e8_matrix())
     assert (i.positive, i.zero, i.negative) == (8, 0, 0)
+    # all-zero diagonals: the hyperbolic rule, then the zero block
+    i = inertia(IntegralLattice([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]]))
+    assert (i.positive, i.zero, i.negative) == (2, 0, 2)
+    i = inertia(IntegralLattice([[0] * 3 for _ in range(3)]))
+    assert (i.positive, i.zero, i.negative) == (0, 3, 0)
+    i = inertia(IntegralLattice([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
+    assert (i.positive, i.zero, i.negative) == (1, 0, 2)
+    i = inertia(IntegralLattice([[0, 1, 1], [1, 0, 0], [1, 0, 0]]))
+    assert (i.positive, i.zero, i.negative) == (1, 1, 1)
 
 
 def test_inertia_randomized_against_charpoly():
     rng = random.Random(107)
-    for _ in range(150):
-        n = rng.randint(1, 5)
-        L = IntegralLattice(random_symmetric(rng, n, -5, 5))
+    for t in range(250):
+        # after 150 cases up to 5x5, 100 up to 8x8 with entries in [-2, 2];
+        # half of those have a zero diagonal, which reaches the hyperbolic
+        # rule and the zero block
+        big = t >= 150
+        b = 2 if big else 5
+        n = rng.randint(1, 8 if big else 5)
+        rows = random_symmetric(rng, n, -b, b)
+        if big and t % 2:
+            for k in range(n):
+                rows[k][k] = 0
+        L = IntegralLattice(rows)
         i = inertia(L)
         assert (i.positive, i.zero, i.negative) == _inertia_oracle(L.entries)
         assert i.positive + i.zero + i.negative == n
@@ -295,6 +313,9 @@ def test_short_vectors_identity():
     assert got == [(0, 1), (1, 0)]
     got = short_vectors(IntegralLattice.identity(2), 2)
     assert got == [(0, 1), (1, -1), (1, 0), (1, 1)]
+    # I_2 after one slide, with entries far past the float range
+    N = 10 ** 400
+    assert short_vectors(IntegralLattice([[1, N], [N, N * N + 1]]), 1) == [(1, 0), (N, -1)]
 
 
 def test_short_vectors_e8_roots():

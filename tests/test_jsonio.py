@@ -32,6 +32,13 @@ def test_big_ints_become_strings():
     assert decode_int(encode_int(-v)) == -v
 
 
+def test_encode_int_rejects_too_many_digits():
+    # past Python's 4,300-digit int/str limit
+    for v in (10 ** 5000, -10 ** 5000):
+        with pytest.raises(FormatError, match="too many digits to write"):
+            encode_int(v)
+
+
 def test_decode_int_rejects_garbage():
     # "\u00b2" and "\u0661\u0662" pass str.isdigit but are not ASCII decimals
     for bad in (True, 1.5, "x", "1.5", "--3", "", None, [1],
