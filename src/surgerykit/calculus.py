@@ -3,14 +3,20 @@ free-group-word triviality, unknotification of surgery links, and
 embedding certificates with their replay verifier, plus the lattice
 obstruction verdict.
 
-A move script is replayed against two parallel states -- the diagram and
-its linking matrix -- and the two are cross-checked after every move; a
-mismatch is a hard internal error, never a report entry.
+A move script is replayed in place against two parallel states -- the
+diagram and its linking matrix -- at a cost that follows the size of
+each move's change.  After every move the crossings and framings the
+diagram rewrite logged are checked against the entries the move's matrix
+rule changed, in O(change); one full linking matrix of the final diagram
+is checked at the end.  A mismatch is a hard internal error, never a
+report entry.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Union
 
 from . import catalog, intlattice, linkdiag
@@ -131,140 +137,172 @@ class MoveScript:
     moves: list[KirbyMove] = field(default_factory=list)
 
 
+class MatrixTrace(Sequence):
+    """The linking matrix after each move of a replay, as a view: entry t
+    is rebuilt on demand from the start matrix by the first t matrix
+    rules; the last entry is the final matrix itself."""
+
+    def __init__(self, start: IntegralLattice, ops: list, final: IntegralLattice):
+        self.start, self.ops, self.final = start, ops, final
+
+    def __len__(self) -> int:
+        return len(self.ops) + 1
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return list(self)[t]
+        t = range(len(self))[t]
+        return self.final if t == len(self.ops) else next(islice(self, t, None))
+
+    def __iter__(self):
+        A = [row[:] for row in self.start.entries]
+        yield self.start
+        for rule, args in self.ops:
+            rule(A, *args)
+            yield IntegralLattice._trusted([row[:] for row in A])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 @dataclass
 class ReplayResult:
     final: FramedLinkDiagram
-    matrix_trace: list[IntegralLattice]
+    matrix_trace: MatrixTrace
 
 
-def _index_of(d: FramedLinkDiagram, cid: int) -> int:
-    ids = d.component_ids()
-    try:
-        return ids.index(cid)
-    except ValueError:
-        raise MoveError("unknown component id %r" % (cid,)) from None
+class Replayer:
+    """One diagram and its linking matrix, rewritten in place move by move.
 
+    Each move rewrites the diagram through a `linkdiag.Editor` core and
+    the matrix rows through the move's own matrix rule, which touches
+    only the rows and columns the move changes.  After every move the two
+    are checked against each other in O(change): the crossings and
+    framings the diagram's log says changed must give exactly the entries
+    the rule changed.  `result` checks the whole final matrix once.
+    """
 
-def _apply_move(d: FramedLinkDiagram, L: IntegralLattice, move: KirbyMove):
-    """One move applied to the diagram, with the matrix updated by the
-    move's own matrix-level rule (not recomputed)."""
-    if isinstance(move, AddSplitUnknot):
-        d2, _ = linkdiag.add_split_unknot(d, move.framing)
-        return d2, intlattice.stabilize(L, move.framing)
+    def __init__(self, d: FramedLinkDiagram):
+        """Rewrites `d` itself."""
+        self.ed = linkdiag.Editor(d)
+        self.start = linkdiag.linking_matrix(d)
+        self.A = [row[:] for row in self.start.entries]
+        self.ops: list = []
 
-    if isinstance(move, Poke):
-        if move.sign not in (1, -1):
-            raise MoveError("poke sign must be +1 or -1")
+    def apply(self, t: int, move: KirbyMove) -> None:
+        comps = self.ed.d.components
+        before = [c.id for c in comps] if isinstance(move, BlowDownIndex) else None
         try:
-            d2, _, _ = linkdiag.add_poke(d, move.over, move.under, move.sign)
-        except DiagramError as e:
-            raise MoveError(str(e)) from None
-        return d2, L
+            rule, args = self._rewrite(move)
+        except (MoveError, DiagramError) as e:
+            raise MoveError("move %d (%s): %s" % (t, type(move).__name__, e)) from None
+        self.ops.append((rule, args))
+        name = before.__getitem__ if before else (lambda p: comps[p].id)
+        # both sides keyed by component ids: twice each linking number (a
+        # crossing sign sum), once each framing
+        want = intlattice._pair_sums((name(p), name(q), v if p == q else 2 * v)
+                                     for (p, q), v in rule(self.A, *args).items())
+        got = intlattice._pair_sums(self.ed.log)
+        self.ed.log.clear()
+        if got != want:
+            raise AssertionError(
+                "matrix-level and diagram-level updates disagree after move %d (%s): "
+                "the matrix rule changed %r, the diagram changed %r"
+                % (t, type(move).__name__, want, got))
 
-    if isinstance(move, SlideOverUnknot):
-        if move.s not in (1, -1):
-            raise MoveError("slide sign must be +1 or -1")
-        try:
-            ucomp = d.component(move.unknot)
-            d.component(move.component)
-        except DiagramError as e:
-            raise MoveError(str(e)) from None
-        if move.component == move.unknot:
-            raise MoveError("cannot slide a component over itself")
-        if ucomp.framing not in (1, -1):
-            raise MoveError("slide target unknot %d has framing %d, need +/-1"
-                            % (move.unknot, ucomp.framing))
-        if d.crossings_of_component(move.unknot):
-            raise MoveError("slide target unknot %d is not split" % move.unknot)
-        i = _index_of(d, move.component)
-        u = _index_of(d, move.unknot)
-        comp = d.component(move.component)
-        d2 = linkdiag.add_clasp(d, move.component, move.unknot,
-                                move.s * ucomp.framing)
-        d2.component(move.component).framing = comp.framing + ucomp.framing
-        return d2, intlattice.congruence_slide(L, i, u, move.s)
+    def _slide(self, i: int, j: int, s: int):
+        """Slide handle i over handle j: i gains s times a pushoff of j,
+        with the linking numbers of j read from the diagram; the pushoff
+        links j itself framing-many times."""
+        ed = self.ed
+        ci, cj = (ed.d.components[p].id for p in (i, j))
+        v = ed.linking(cj)
+        v[cj] = ed.comp(cj).framing
+        ed.set_framing(ci, ed.comp(ci).framing + 2 * s * v.get(ci, 0) + ed.comp(cj).framing)
+        for ct in sorted(v, key=ed.pos.get):
+            if ct != ci:
+                ed.clasp(ci, ct, 1 if s * v[ct] > 0 else -1, abs(v[ct]))
+        return intlattice._slide_rows, (i, j, s)
 
-    if isinstance(move, GadgetSwitch):
-        try:
+    def _rewrite(self, move: KirbyMove):
+        """The move applied to the diagram; returns its matrix rule.  A
+        DiagramError here is a failed precondition, raised before any
+        change."""
+        ed = self.ed
+        d = ed.d
+        if isinstance(move, AddSplitUnknot):
+            ed.split_unknot(move.framing)
+            return intlattice._stabilize_rows, (move.framing,)
+
+        if isinstance(move, Poke):
+            if move.sign not in (1, -1):
+                raise MoveError("poke sign must be +1 or -1")
+            ed.poke(move.over, move.under, move.sign)
+            return intlattice._add_rows, ((),)
+
+        if isinstance(move, SlideOverUnknot):
+            if move.s not in (1, -1):
+                raise MoveError("slide sign must be +1 or -1")
+            ucomp = ed.comp(move.unknot)
+            ed.comp(move.component)
+            if move.component == move.unknot:
+                raise MoveError("cannot slide a component over itself")
+            if ucomp.framing not in (1, -1):
+                raise MoveError("slide target unknot %d has framing %d, need +/-1"
+                                % (move.unknot, ucomp.framing))
+            if ed.xs_of[move.unknot]:
+                raise MoveError("slide target unknot %d is not split" % move.unknot)
+            return self._slide(ed.pos[move.component], ed.pos[move.unknot], move.s)
+
+        if isinstance(move, GadgetSwitch):
             owners = d._strand_owners(d.crossing(move.crossing))
-            d2, rec = linkdiag.insert_crossing_gadget(d, move.crossing, move.side,
-                                                      move.unknot)
-        except DiagramError as e:
-            raise MoveError(str(e)) from None
-        # the switch moves lk(x, y) by eps*a*b; the unknot links the over
-        # strand's component a times and the under strand's b times
-        a, b = rec.passage_signs
-        ix, iy = (_index_of(d, cid) for cid in owners)
-        iu = _index_of(d, rec.unknot)
-        A = [row[:] for row in L.entries]
-        if ix != iy:
-            A[ix][iy] = A[iy][ix] = A[ix][iy] + rec.epsilon * a * b
-        v = {ix: 0, iy: 0}
-        v[ix] += a
-        v[iy] += b
-        for t, vt in v.items():
-            A[iu][t] += vt
-            A[t][iu] += vt
-        for cid, delta in rec.framing_compensations.items():
-            t = _index_of(d, cid)
-            A[t][t] += delta
-        return d2, IntegralLattice(A)
+            rec = ed.gadget(move.crossing, move.side, move.unknot)
+            # the switch moves lk(x, y) by eps*a*b; the unknot links the over
+            # strand's component a times and the under strand's b times
+            a, b = rec.passage_signs
+            ix, iy = (ed.pos[cid] for cid in owners)
+            iu = ed.pos[rec.unknot]
+            entries = [(iu, ix, a), (iu, iy, b)]
+            entries += [(ed.pos[c], ed.pos[c], v) for c, v in rec.framing_compensations.items()]
+            if ix != iy:
+                entries.append((ix, iy, rec.epsilon * a * b))
+            return intlattice._add_rows, (entries,)
 
-    if isinstance(move, MatrixSlide):
-        ids = d.component_ids()
-        if not (0 <= move.i < len(ids) and 0 <= move.j < len(ids)):
-            raise MoveError("slide index out of range")
-        if move.i == move.j:
-            raise MoveError("cannot slide a component over itself")
-        if move.s not in (1, -1):
-            raise MoveError("slide sign must be +1 or -1")
-        ci, cj = ids[move.i], ids[move.j]
-        L2 = intlattice.congruence_slide(L, move.i, move.j, move.s)
-        d2 = d.copy()
-        d2.component(ci).framing = L2.entries[move.i][move.i]
-        for t, ct in enumerate(ids):
-            if t == move.i:
-                continue
-            delta = L2.entries[move.i][t] - L.entries[move.i][t]
-            sgn = 1 if delta > 0 else -1
-            for _ in range(abs(delta)):
-                d2 = linkdiag.add_clasp(d2, ci, ct, sgn)
-        return d2, L2
+        if isinstance(move, MatrixSlide):
+            n = len(self.A)
+            if not (0 <= move.i < n and 0 <= move.j < n):
+                raise MoveError("slide index out of range")
+            if move.i == move.j:
+                raise MoveError("cannot slide a component over itself")
+            if move.s not in (1, -1):
+                raise MoveError("slide sign must be +1 or -1")
+            return self._slide(move.i, move.j, move.s)
 
-    if isinstance(move, BlowDownIndex):
-        ids = d.component_ids()
-        if not 0 <= move.k < len(ids):
-            raise MoveError("blow-down index out of range")
-        cid = ids[move.k]
-        try:
-            d2 = linkdiag.blow_down_component(d, cid)
-            L2 = intlattice.blow_down(L, move.k)
-        except (DiagramError, intlattice.LatticeError) as e:
-            raise MoveError(str(e)) from None
-        return d2, L2
+        if isinstance(move, BlowDownIndex):
+            if not 0 <= move.k < len(self.A):
+                raise MoveError("blow-down index out of range")
+            ed.blow_down(d.components[move.k].id)
+            return intlattice._blow_down_rows, (move.k,)
 
-    raise MoveError("unknown move %r" % (move,))
+        raise MoveError("unknown move %r" % (move,))
+
+    def result(self) -> ReplayResult:
+        """The replay so far, after one full check of the final diagram."""
+        final = linkdiag.linking_matrix(self.ed.d)
+        if final.entries != self.A:
+            raise AssertionError("the final diagram's linking matrix %r differs from "
+                                 "the tracked matrix %r" % (final.entries, self.A))
+        return ReplayResult(final=self.ed.d,
+                            matrix_trace=MatrixTrace(self.start, self.ops, final))
 
 
 def replay(script: MoveScript) -> ReplayResult:
-    """Deterministic replay; after every move the incrementally tracked
-    matrix must equal the linking matrix recomputed from the diagram."""
-    d = script.initial.copy()
-    L = linkdiag.linking_matrix(d)
-    trace = [L]
+    """Deterministic replay on a copy of the initial diagram, checked
+    after every move and once in full at the end."""
+    rp = Replayer(script.initial.copy())
     for t, move in enumerate(script.moves):
-        try:
-            d, L = _apply_move(d, L, move)
-        except MoveError as e:
-            raise MoveError("move %d (%s): %s" % (t, type(move).__name__, e)) from None
-        recomputed = linkdiag.linking_matrix(d)
-        if recomputed != L:
-            raise AssertionError(
-                "internal error: matrix-level and diagram-level updates disagree "
-                "after move %d (%s): %r vs %r"
-                % (t, type(move).__name__, L.entries, recomputed.entries))
-        trace.append(L)
-    return ReplayResult(final=d, matrix_trace=trace)
+        rp.apply(t, move)
+    return rp.result()
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +331,11 @@ def unknotify(d: FramedLinkDiagram, component_order=None,
     """Make every component an unknot (or the whole link an unlink, with
     `unlink=True`) by switching the descending switch set, each switch
     paid for by a +/-1-framed gadget unknot."""
-    linkdiag.require_valid(d)
     switches = linkdiag.descending_switch_set(d, component_order,
                                               self_only=not unlink)
-    cur = d
-    gadgets: list[GadgetRecord] = []
-    for xid in sorted(switches):
-        side = _gadget_side_for(cur, xid)
-        cur, rec = linkdiag.insert_crossing_gadget(cur, xid, side)
-        gadgets.append(rec)
-    return UnknotifyResult(diagram=cur, gadgets=gadgets, p=len(gadgets))
+    ed = linkdiag.Editor(d.copy())
+    gadgets = [ed.gadget(xid, _gadget_side_for(ed.d, xid)) for xid in sorted(switches)]
+    return UnknotifyResult(diagram=ed.d, gadgets=gadgets, p=len(gadgets))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +369,6 @@ def build_embedding_certificate(d: FramedLinkDiagram,
     switches and framing-fix slides, and the sublink that replays to the
     target's linking data.
     """
-    linkdiag.require_valid(d)
     switches = linkdiag.descending_switch_set(d, self_only=True)
     if switches:
         if not auto_unknotify:
@@ -366,19 +398,18 @@ def build_embedding_certificate(d: FramedLinkDiagram,
         framings += [1, -1]
     initial = catalog.unlink(framings)
 
-    state, L = initial, IntegralLattice.diagonal(framings)
+    rp = Replayer(initial.copy())
     moves: list[KirbyMove] = []
 
     def emit(mv: KirbyMove) -> None:
-        nonlocal state, L
-        state, L = _apply_move(state, L, mv)
+        rp.apply(len(moves), mv)
         moves.append(mv)
 
     u = k                                      # next unused unknot of initial
     for a, b, lam in pairs:
         sigma = -_sign_or_plus(lam)            # poke crossing sign
         for _ in range(abs(lam)):
-            c_main = state.fresh_crossing_ids(1)[0]
+            c_main = rp.ed.xids.peek()         # the id the poke gives its first crossing
             emit(Poke(over=a, under=b, sign=sigma))
             emit(GadgetSwitch(crossing=c_main, unknot=u, side=linkdiag.SIDE_BEFORE))
             u += 1
@@ -456,9 +487,9 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
         return VerificationReport(checks)
     target_ids = cert.target.component_ids()
     mapped = [cert.sublink.get(cid) for cid in target_ids]
-    final_ids = final.component_ids()
+    where = {cid: t for t, cid in enumerate(final.component_ids())}
     ok_map = (None not in mapped and len(set(mapped)) == len(mapped)
-              and all(x in final_ids for x in mapped))
+              and all(x in where for x in mapped))
     checks.append(CheckResult(
         "sublink designates distinct final components", ok_map,
         "" if ok_map else "sublink map %r does not inject target components "
@@ -467,18 +498,16 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
         return VerificationReport(checks)
 
     try:
-        Lt = linkdiag.linking_matrix(cert.target)
+        Lt = linkdiag._linking_rows(cert.target)
     except DiagramError as e:
         checks.append(CheckResult("target diagram valid", False, str(e)))
         return VerificationReport(checks)
-    idx = {cid: final_ids.index(cid) for cid in mapped}
-    Lf = result.matrix_trace[-1]
-    sub = [[Lf.entries[idx[mapped[a]]][idx[mapped[b]]]
-            for b in range(len(mapped))] for a in range(len(mapped))]
-    same = sub == Lt.entries
+    Lf = result.matrix_trace[-1].entries
+    sub = [[Lf[where[a]][where[b]] for b in mapped] for a in mapped]
+    same = sub == Lt
     checks.append(CheckResult(
         "sublink linking matrix equals target", same,
-        "" if same else "sublink matrix %r, target matrix %r" % (sub, Lt.entries)))
+        "" if same else "sublink matrix %r, target matrix %r" % (sub, Lt)))
     return VerificationReport(checks)
 
 

@@ -3,19 +3,19 @@
 from __future__ import annotations
 
 from .linkdiag import (Arc, Component, Crossing, FramedLinkDiagram, add_clasp,
-                       add_split_unknot, require_valid)
+                       require_valid)
 
 
 def unknot(framing: int = 0) -> FramedLinkDiagram:
-    d, _ = add_split_unknot(FramedLinkDiagram(), framing)
-    return d
+    return unlink([framing])
 
 
 def unlink(framings) -> FramedLinkDiagram:
-    d = FramedLinkDiagram()
-    for f in framings:
-        d, _ = add_split_unknot(d, f)
-    return d
+    """Component k is a zero-crossing loop on arc k with the k-th framing."""
+    fs = list(framings)
+    return FramedLinkDiagram(
+        components=[Component(k, f, basepoint=k) for k, f in enumerate(fs)],
+        arcs={k: Arc(owner=k, successor=k) for k in range(len(fs))})
 
 
 def hopf_link(framings=(0, 0), sign: int = 1) -> FramedLinkDiagram:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit status: 0 success (and PASS for `verify`), 1 verification failure,
-2 malformed input or usage error.  Every command is deterministic for a
+2 malformed input, usage error or unwritable output file, 3 internal
+error (a fault of the program).  Every command is deterministic for a
 fixed input; `--json` switches the report to machine-readable form.
 """
 
@@ -350,6 +351,10 @@ def main(argv=None) -> int:
     except (linkdiag.DiagramError, intlattice.LatticeError, calculus.MoveError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except Exception as e:  # a fault of the program, not of the input
+        print("internal error: %s: %s" % (type(e).__name__, " ".join(str(e).split())),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -40,13 +40,21 @@ class IntegralLattice:
 
     @classmethod
     def identity(cls, n: int) -> "IntegralLattice":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.diagonal([1] * n)
 
     @classmethod
     def diagonal(cls, diag) -> "IntegralLattice":
-        diag = list(diag)
+        diag = [int(x) for x in diag]
         n = len(diag)
-        return cls([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._trusted([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def _trusted(cls, rows) -> "IntegralLattice":
+        """Wrap integer rows that the library built symmetric itself:
+        nothing is checked or copied."""
+        L = cls.__new__(cls)
+        L.entries = rows
+        return L
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntegralLattice) and self.entries == other.entries
@@ -300,52 +308,94 @@ def is_unimodular(L: IntegralLattice) -> bool:
 
 # ---------------------------------------------------------------------------
 # congruence moves mirroring Kirby moves
+#
+# Each move has an in-place core on the rows A that returns the entries
+# it changed, {(p, q): delta} with p <= q, in the positions before the
+# move; a removed row and column count as changed to zero.
+
+
+def _pair_sums(entries) -> dict[tuple[int, int], int]:
+    """Sum (p, q, v) over unordered pairs {p, q}, dropping zero sums."""
+    out: dict[tuple[int, int], int] = {}
+    for p, q, v in entries:
+        key = (p, q) if p <= q else (q, p)
+        out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
+
+
+def _add_rows(A, entries) -> dict[tuple[int, int], int]:
+    """Add each (p, q, delta) to A[p][q] and to A[q][p]."""
+    changed = _pair_sums(entries)
+    for (p, q), v in changed.items():
+        A[p][q] += v
+        if p != q:
+            A[q][p] += v
+    return changed
+
+
+def _slide_rows(A, i, j, s):
+    entries = [(i, t, s * x) for t, x in enumerate(A[j]) if x and t != i]
+    return _add_rows(A, entries + [(i, i, 2 * s * A[i][j] + s * s * A[j][j])])
+
+
+def _stabilize_rows(A, eps):
+    n = len(A)
+    for row in A:
+        row.append(0)
+    A.append([0] * n + [eps])
+    return {(n, n): eps}
+
+
+def _blow_down_rows(A, k):
+    eps = A[k][k]
+    v = [(t, x) for t, x in enumerate(A[k]) if x and t != k]
+    changed = _add_rows(A, [(p, q, -eps * x * y) for a, (p, x) in enumerate(v)
+                            for q, y in v[a:]])
+    changed.update({(min(k, t), max(k, t)): -x for t, x in v})
+    changed[k, k] = -eps
+    del A[k]
+    for row in A:
+        del row[k]
+    return changed
+
+
+def _moved(L: IntegralLattice, move, *args) -> IntegralLattice:
+    A = [row[:] for row in L.entries]
+    move(A, *args)
+    return IntegralLattice._trusted(A)
 
 
 def congruence_slide(L: IntegralLattice, i: int, j: int, s: int) -> IntegralLattice:
     """Handle slide as a basis change: E^T L E with E = I + s*e_j e_i^T
-    (column i gains s times column j)."""
+    (row and column i gain s times row and column j)."""
     if i == j:
         raise LatticeError("slide needs two distinct indices")
-    n = L.n
-    if not (0 <= i < n and 0 <= j < n):
+    if not (0 <= i < L.n and 0 <= j < L.n):
         raise LatticeError("slide index out of range")
-    A = [row[:] for row in L.entries]
-    for r in range(n):
-        A[r][i] += s * A[r][j]
-    for c in range(n):
-        A[i][c] += s * A[j][c]
-    return IntegralLattice(A)
+    return _moved(L, _slide_rows, i, j, s)
 
 
 def stabilize(L: IntegralLattice, eps: int) -> IntegralLattice:
     """Block sum with the rank-one form <eps>."""
-    n = L.n
-    A = [row[:] + [0] for row in L.entries]
-    A.append([0] * n + [int(eps)])
-    return IntegralLattice(A)
+    return _moved(L, _stabilize_rows, int(eps))
 
 
 def blow_down(L: IntegralLattice, k: int) -> IntegralLattice:
     """Remove a +/-1 diagonal entry and push its rank-one correction into
     the rest; the cokernel is unchanged."""
-    n = L.n
-    if not 0 <= k < n:
+    if not 0 <= k < L.n:
         raise LatticeError("blow-down index out of range")
     eps = L.entries[k][k]
     if eps not in (1, -1):
         raise LatticeError("blow-down pivot must be +1 or -1, got %d" % eps)
-    idx = [i for i in range(n) if i != k]
-    A = [[L.entries[i][j] - eps * L.entries[i][k] * L.entries[k][j] for j in idx]
-         for i in idx]
-    return IntegralLattice(A)
+    return _moved(L, _blow_down_rows, k)
 
 
 def direct_sum(L1: IntegralLattice, L2: IntegralLattice) -> IntegralLattice:
     n1, n2 = L1.n, L2.n
     A = [row[:] + [0] * n2 for row in L1.entries]
     A.extend([0] * n1 + row[:] for row in L2.entries)
-    return IntegralLattice(A)
+    return IntegralLattice._trusted(A)
 
 
 def e8_matrix() -> IntegralLattice:
@@ -356,7 +406,7 @@ def e8_matrix() -> IntegralLattice:
     A = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
     for i, j in edges:
         A[i][j] = A[j][i] = 1
-    return IntegralLattice(A)
+    return IntegralLattice._trusted(A)
 
 
 # ---------------------------------------------------------------------------
@@ -480,4 +530,4 @@ def diagonalizable_over_Z(L: IntegralLattice):
     basis = [[W[i][j] for i in range(n)] for j in range(k, n)]
     lb = images(basis)
     A = [[sum(a * b for a, b in zip(bi, lbj)) for lbj in lb] for bi in basis]
-    return k == n, k, IntegralLattice(A)
+    return k == n, k, IntegralLattice._trusted(A)

@@ -223,5 +223,8 @@ def load_path(path: str):
 
 
 def save_path(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps(obj))
+    except OSError as e:
+        raise FormatError("cannot write %s: %s" % (path, e)) from None

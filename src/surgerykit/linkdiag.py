@@ -20,6 +20,7 @@ Conventions fixed here and pinned by the tests:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .intlattice import IntegralLattice
@@ -136,32 +137,7 @@ class FramedLinkDiagram:
     # -- id allocation (smallest unused, deterministic) ------------------
 
     def fresh_component_id(self) -> int:
-        return _smallest_unused({c.id for c in self.components})
-
-    def fresh_arc_ids(self, k: int) -> list[int]:
-        used = set(self.arcs)
-        out = []
-        for _ in range(k):
-            a = _smallest_unused(used)
-            used.add(a)
-            out.append(a)
-        return out
-
-    def fresh_crossing_ids(self, k: int) -> list[int]:
-        used = set(self.crossings)
-        out = []
-        for _ in range(k):
-            x = _smallest_unused(used)
-            used.add(x)
-            out.append(x)
-        return out
-
-
-def _smallest_unused(used) -> int:
-    i = 0
-    while i in used:
-        i += 1
-    return i
+        return _Ids({c.id for c in self.components}).take()
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +268,11 @@ def linking_matrix(d: FramedLinkDiagram) -> IntegralLattice:
     n^2) for n components, after the O(crossings + arcs) validation.
     """
     require_valid(d)
+    return IntegralLattice._trusted(_linking_rows(d))
+
+
+def _linking_rows(d: FramedLinkDiagram) -> list[list[int]]:
+    """The rows of linking_matrix(d) for a diagram already validated."""
     ids = d.component_ids()
     n = len(ids)
     pos = {cid: a for a, cid in enumerate(ids)}
@@ -313,26 +294,333 @@ def linking_matrix(d: FramedLinkDiagram) -> IntegralLattice:
                 raise DiagramError("components %d and %d share an odd number of crossings"
                                    % (ids[a], ids[b]))
             rows[a][b] = rows[b][a] = rows[a][b] // 2
-    return IntegralLattice(rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
-# elementary rewrites
+# in-place rewrites
+
+
+class _Ids:
+    """Smallest-unused ids over `live`, the dict or set of the ids in use.
+    Every id below `low` is in use except the freed ones, which wait on a
+    heap; an id taken counts as used from then on, and an id given back
+    must also leave `live`."""
+
+    def __init__(self, live):
+        self.live, self.low, self.freed = live, 0, []
+
+    def peek(self) -> int:
+        """The id the next take() hands out."""
+        if self.freed:
+            return self.freed[0]
+        while self.low in self.live:
+            self.low += 1
+        return self.low
+
+    def take(self) -> int:
+        i = self.peek()
+        if self.freed:
+            heapq.heappop(self.freed)
+        else:
+            self.low += 1
+        return i
+
+    def give(self, i: int) -> None:
+        if i < self.low:
+            heapq.heappush(self.freed, i)
+
+
+class Editor:
+    """A diagram rewritten in place, with the indexes its rewrites read.
+
+    The indexes (component -> position, arcs and crossings per component,
+    in-arc -> crossing, free ids) are built once in O(arcs + crossings);
+    each rewrite then costs O(its change).  Every crossing added or
+    removed between components i != j is logged as (i, j, +/-sign), and
+    every framing change of component c, including a component's arrival
+    or removal, as (c, c, delta).  The public rewrites copy, then run one
+    of these cores.
+    """
+
+    def __init__(self, d: FramedLinkDiagram):
+        self.d = d
+        self.pos = {c.id: t for t, c in enumerate(d.components)}
+        self.arcs_of: dict[int, set[int]] = {c.id: set() for c in d.components}
+        self.xs_of: dict[int, set[int]] = {c.id: set() for c in d.components}
+        self.in_x: dict[int, int] = {}
+        for aid, arc in d.arcs.items():
+            self.arcs_of.setdefault(arc.owner, set()).add(aid)
+        for xid, c in d.crossings.items():
+            for a in (c.over_in, c.under_in):
+                self.in_x[a] = xid
+                if a in d.arcs:
+                    self.xs_of.setdefault(d.arcs[a].owner, set()).add(xid)
+        self.arc_ids, self.xids, self.cids = _Ids(d.arcs), _Ids(d.crossings), _Ids(self.pos)
+        self.log: list[tuple[int, int, int]] = []
+
+    def _log(self, c: Crossing, way: int) -> None:
+        i, j = self.d._strand_owners(c)
+        if i != j:
+            self.log.append((i, j, way * c.sign))
+
+    def comp(self, cid: int) -> Component:
+        try:
+            return self.d.components[self.pos[cid]]
+        except KeyError:
+            raise DiagramError("unknown component id %r" % (cid,)) from None
+
+    def put(self, xid: int, c: Crossing) -> None:
+        self.d.crossings[xid] = c
+        self.in_x[c.over_in] = self.in_x[c.under_in] = xid
+        for cid in self.d._strand_owners(c):
+            self.xs_of[cid].add(xid)
+        self._log(c, 1)
+
+    def drop(self, xid: int) -> Crossing:
+        c = self.d.crossings.pop(xid)
+        self._log(c, -1)
+        for a in (c.over_in, c.under_in):
+            self.in_x.pop(a, None)
+            self.xs_of[self.d.arcs[a].owner].discard(xid)
+        self.xids.give(xid)
+        return c
+
+    def switch(self, xid: int) -> None:
+        """Exchange over/under roles at one crossing and negate its sign."""
+        c = self.d.crossing(xid)
+        self._log(c, -1)
+        c.over_in, c.under_in = c.under_in, c.over_in
+        c.over_out, c.under_out = c.under_out, c.over_out
+        c.sign = -c.sign
+        self._log(c, 1)
+
+    def new_arc(self, owner: int) -> int:
+        aid = self.arc_ids.take()
+        self.d.arcs[aid] = Arc(owner, aid)
+        self.arcs_of[owner].add(aid)
+        return aid
+
+    def drop_arc(self, aid: int) -> None:
+        self.arcs_of[self.d.arcs.pop(aid).owner].discard(aid)
+        self.arc_ids.give(aid)
+
+    def set_framing(self, cid: int, framing: int) -> None:
+        comp = self.comp(cid)
+        self.log.append((cid, cid, framing - comp.framing))
+        comp.framing = framing
+
+    def add_component(self, framing: int) -> int:
+        cid = self.cids.take()
+        self.pos[cid] = len(self.d.components)
+        self.d.components.append(Component(cid, framing))
+        self.arcs_of[cid], self.xs_of[cid] = set(), set()
+        self.log.append((cid, cid, framing))
+        return cid
+
+    def split_unknot(self, framing: int) -> int:
+        """Disjoint zero-crossing unknot with the given framing."""
+        cid = self.add_component(framing)
+        self.d.components[-1].basepoint = self.new_arc(cid)
+        return cid
+
+    def linking(self, cid: int) -> dict[int, int]:
+        """The nonzero lk(cid, j), read from the crossings of `cid`."""
+        twice: dict[int, int] = {}
+        for xid in self.xs_of[cid]:
+            c = self.d.crossings[xid]
+            i, j = self.d._strand_owners(c)
+            if i != j:
+                other = j if i == cid else i
+                twice[other] = twice.get(other, 0) + c.sign
+        odd = [j for j, s in twice.items() if s % 2]
+        if odd:
+            raise DiagramError("components %d and %d share an odd number of crossings"
+                               % (cid, min(odd, key=self.pos.get)))
+        return {j: s // 2 for j, s in twice.items() if s}
+
+    # -- arc surgery -------------------------------------------------------
+
+    def anchor(self, cid: int) -> int:
+        comp = self.comp(cid)
+        if comp.basepoint is None:
+            if self.arcs_of[cid]:
+                return min(self.arcs_of[cid])
+            comp.basepoint = self.new_arc(cid)
+        return comp.basepoint
+
+    def repoint(self, old: int, new: int) -> None:
+        """The crossing entered along arc `old` is entered along `new`."""
+        xid = self.in_x.pop(old, None)
+        if xid is not None:
+            c = self.d.crossings[xid]
+            if c.over_in == old:
+                c.over_in = new
+            if c.under_in == old:
+                c.under_in = new
+            self.in_x[new] = xid
+
+    def subdivide(self, aid: int, count: int) -> tuple[list[int], list[int]]:
+        """Split arc `aid` to make room for `count` new crossing passages.
+
+        Returns (entries, exits): entries[k] / exits[k] are the in- and
+        out-arcs of the k-th new passage, in order along the strand.  The
+        original arc keeps its id as the first segment.
+        """
+        arc = self.d.arc(aid)
+        loop = arc.successor == aid and aid not in self.in_x
+        chain = [aid] + [self.new_arc(arc.owner) for _ in range(count - loop)]
+        if loop:
+            chain.append(aid)
+        else:
+            self.d.arcs[chain[-1]].successor = arc.successor
+            self.repoint(aid, chain[-1])
+        for k in range(count):
+            self.d.arcs[chain[k]].successor = chain[k + 1]
+        return chain[:count], chain[1:]
+
+    def splice_out(self, in_arc: int, out_arc: int) -> None:
+        """Merge the passage (in_arc -> crossing -> out_arc) after the
+        crossing is removed; the surviving segment keeps the id of in_arc."""
+        if in_arc == out_arc:
+            return
+        arcs = self.d.arcs
+        succ = arcs[out_arc].successor
+        arcs[in_arc].successor = succ if succ != out_arc else in_arc
+        self.repoint(out_arc, in_arc)
+        comp = self.comp(arcs[out_arc].owner)
+        if comp.basepoint == out_arc:
+            comp.basepoint = in_arc
+        self.drop_arc(out_arc)
+
+    def excise(self, cid: int) -> None:
+        """Remove component `cid` and its crossings, splicing the other
+        strand through each of them."""
+        for xid in sorted(self.xs_of[cid]):
+            over, under = self.d._strand_owners(self.d.crossings[xid])
+            c = self.drop(xid)
+            if over != cid:
+                self.splice_out(c.over_in, c.over_out)
+            if under != cid:
+                self.splice_out(c.under_in, c.under_out)
+        for aid in list(self.arcs_of[cid]):
+            self.drop_arc(aid)
+        del self.arcs_of[cid], self.xs_of[cid]
+        comps = self.d.components
+        k = self.pos.pop(cid)
+        self.log.append((cid, cid, -comps.pop(k).framing))
+        for t in range(k, len(comps)):
+            self.pos[comps[t].id] = t
+        self.cids.give(cid)
+
+    # -- clasps, pokes, the gadget and blow-downs -------------------------
+
+    def _crossing_pair(self, i: int, j: int, sign: int, what: str):
+        """Room for two new crossings between components i and j: the
+        (entries, exits) of the two new passages on i and on j, and the
+        two fresh crossing ids."""
+        if i == j:
+            raise DiagramError("%s needs two distinct components" % what)
+        if sign not in (1, -1):
+            raise DiagramError("%s sign must be +1 or -1" % what)
+        self.comp(i)
+        self.comp(j)
+        p, q = self.anchor(i), self.anchor(j)
+        return self.subdivide(p, 2), self.subdivide(q, 2), self.xids.take(), self.xids.take()
+
+    def clasp(self, i: int, j: int, sign: int, count: int = 1) -> None:
+        """`count` clasps of two same-sign crossings: lk(i, j) += count*sign."""
+        for _ in range(count):
+            (pi, po), (qi, qo), c1, c2 = self._crossing_pair(i, j, sign, "clasp")
+            self.put(c1, Crossing(pi[0], po[0], qi[0], qo[0], sign))
+            self.put(c2, Crossing(qi[1], qo[1], pi[1], po[1], sign))
+
+    def poke(self, over: int, under: int, sign: int) -> tuple[int, int]:
+        (pi, po), (qi, qo), c1, c2 = self._crossing_pair(over, under, sign, "poke")
+        self.put(c1, Crossing(pi[0], po[0], qi[0], qo[0], sign))
+        self.put(c2, Crossing(pi[1], po[1], qi[1], qo[1], -sign))
+        return c1, c2
+
+    def gadget(self, xid: int, side: str, unknot: int | None = None) -> GadgetRecord:
+        """See insert_crossing_gadget."""
+        d = self.d
+        c = d.crossing(xid)
+        s = c.sign
+        x, y, a, b = _side_arcs(c, side)
+        if x == y:
+            raise DiagramError("side %r of crossing %d selects one arc twice "
+                               "(kink); use 'before' or 'after'" % (side, xid))
+        eps = -s * a * b
+        comp_x = d.arcs[x].owner
+        comp_y = d.arcs[y].owner
+
+        if unknot is None:
+            ucid = self.add_component(eps)
+        else:
+            ucomp = self.comp(unknot)
+            if unknot in (comp_x, comp_y):
+                raise DiagramError("gadget unknot %d is one of the encircled components" % unknot)
+            if ucomp.framing != eps:
+                raise DiagramError("gadget unknot %d has framing %d, need %d"
+                                   % (unknot, ucomp.framing, eps))
+            if self.xs_of[unknot]:
+                raise DiagramError("gadget unknot %d is not split" % unknot)
+            for aid in list(self.arcs_of[unknot]):
+                self.drop_arc(aid)
+            ucomp.basepoint = None
+            ucid = unknot
+
+        self.switch(xid)
+        (ex, xx), (ey, yy) = self.subdivide(x, 2), self.subdivide(y, 2)
+        u = [self.new_arc(ucid) for _ in range(4)]
+        for k in range(4):
+            d.arcs[u[k]].successor = u[(k + 1) % 4]
+        cx1, cx2, cy1, cy2 = (self.xids.take() for _ in range(4))
+        # along the unknot: cx1, cy1, cy2, cx2; each strand goes over the
+        # unknot at its first passage and under at its second.
+        self.put(cx1, Crossing(ex[0], xx[0], u[3], u[0], a))
+        self.put(cy1, Crossing(ey[0], yy[0], u[0], u[1], b))
+        self.put(cy2, Crossing(u[1], u[2], ey[1], yy[1], b))
+        self.put(cx2, Crossing(u[2], u[3], ex[1], xx[1], a))
+        self.comp(ucid).basepoint = u[0]
+
+        v = {comp_x: a}
+        v[comp_y] = v.get(comp_y, 0) + b
+        comps: dict[int, int] = {}
+        for t, vt in v.items():
+            delta = eps * vt * vt
+            if delta:
+                self.set_framing(t, self.comp(t).framing + delta)
+                comps[t] = delta
+        return GadgetRecord(unknot=ucid, crossing=xid, epsilon=eps,
+                            passage_signs=(a, b), framing_compensations=comps)
+
+    def blow_down(self, cid: int) -> None:
+        """See blow_down_component."""
+        eps = self.comp(cid).framing
+        if eps not in (1, -1):
+            raise DiagramError("blow-down needs framing +1 or -1, component %d has %d"
+                               % (cid, eps))
+        v = self.linking(cid)
+        self.excise(cid)
+        js = sorted(v, key=self.pos.get)
+        for j in js:
+            self.set_framing(j, self.comp(j).framing - eps * v[j] * v[j])
+        for a, i in enumerate(js):
+            for j in js[a + 1:]:
+                delta = -eps * v[i] * v[j]
+                self.clasp(i, j, 1 if delta > 0 else -1, abs(delta))
+
+
+# ---------------------------------------------------------------------------
+# copying rewrites
 
 
 def switch_crossing(d: FramedLinkDiagram, xid: int) -> FramedLinkDiagram:
     """Exchange over/under roles at one crossing and negate its sign."""
-    d.crossing(xid)
-    out = d.copy()
-    _switch_in_place(out, xid)
-    return out
-
-
-def _switch_in_place(d: FramedLinkDiagram, xid: int) -> None:
-    c = d.crossing(xid)
-    c.over_in, c.under_in = c.under_in, c.over_in
-    c.over_out, c.under_out = c.under_out, c.over_out
-    c.sign = -c.sign
+    ed = Editor(d.copy())
+    ed.switch(xid)
+    return ed.d
 
 
 def reverse_component(d: FramedLinkDiagram, cid: int) -> FramedLinkDiagram:
@@ -361,118 +649,15 @@ def reverse_component(d: FramedLinkDiagram, cid: int) -> FramedLinkDiagram:
 
 def add_split_unknot(d: FramedLinkDiagram, framing: int) -> tuple[FramedLinkDiagram, int]:
     """Disjoint zero-crossing unknot with the given framing."""
-    out = d.copy()
-    cid = out.fresh_component_id()
-    (aid,) = out.fresh_arc_ids(1)
-    out.arcs[aid] = Arc(owner=cid, successor=aid)
-    out.components.append(Component(cid, framing, basepoint=aid))
-    return out, cid
-
-
-# ---------------------------------------------------------------------------
-# arc surgery helpers
-
-
-def _anchor_arc(d: FramedLinkDiagram, cid: int) -> int:
-    comp = d.component(cid)
-    if comp.basepoint is not None:
-        return comp.basepoint
-    mine = d.arcs_of_component(cid)
-    if mine:
-        return min(mine)
-    (aid,) = d.fresh_arc_ids(1)
-    d.arcs[aid] = Arc(owner=cid, successor=aid)
-    comp.basepoint = aid
-    return aid
-
-
-def _replace_in_ref(d: FramedLinkDiagram, old: int, new: int) -> None:
-    for c in d.crossings.values():
-        if c.over_in == old:
-            c.over_in = new
-        if c.under_in == old:
-            c.under_in = new
-
-
-def _subdivide(d: FramedLinkDiagram, aid: int, count: int) -> tuple[list[int], list[int]]:
-    """Split arc `aid` to make room for `count` new crossing passages.
-
-    Returns (entries, exits): entries[k] / exits[k] are the in- and
-    out-arcs of the k-th new passage, in order along the strand.  The
-    original arc keeps its id as the first segment.
-    """
-    arc = d.arc(aid)
-    loop = arc.successor == aid and not any(aid in c.arc_ids() for c in d.crossings.values())
-    if loop:
-        fresh = d.fresh_arc_ids(count - 1)
-        chain = [aid] + fresh
-        for k, a in enumerate(fresh):
-            d.arcs[a] = Arc(owner=arc.owner, successor=0)
-        for k in range(count):
-            d.arcs[chain[k]].successor = chain[(k + 1) % count]
-        entries = chain
-        exits = chain[1:] + [aid]
-    else:
-        fresh = d.fresh_arc_ids(count)
-        old_succ = arc.successor
-        chain = [aid] + fresh
-        for a in fresh:
-            d.arcs[a] = Arc(owner=arc.owner, successor=0)
-        for k in range(count):
-            d.arcs[chain[k]].successor = chain[k + 1]
-        d.arcs[chain[count]].successor = old_succ
-        _replace_in_ref(d, aid, chain[count])
-        entries = chain[:count]
-        exits = chain[1:]
-    return entries, exits
-
-
-def _splice_out(d: FramedLinkDiagram, in_arc: int, out_arc: int) -> None:
-    """Merge the passage (in_arc -> crossing -> out_arc) after the crossing
-    is removed; the surviving segment keeps the id of in_arc."""
-    if in_arc == out_arc:
-        return
-    succ = d.arcs[out_arc].successor
-    d.arcs[in_arc].successor = succ if succ != out_arc else in_arc
-    _replace_in_ref(d, out_arc, in_arc)
-    for comp in d.components:
-        if comp.basepoint == out_arc:
-            comp.basepoint = in_arc
-    del d.arcs[out_arc]
-
-
-# ---------------------------------------------------------------------------
-# clasps and pokes (linking adjusters / R2 isotopy)
-
-
-def _crossing_pair(d: FramedLinkDiagram, i: int, j: int, sign: int, what: str):
-    """Copy `d` with room for two new crossings between components i and j.
-
-    Returns the copy, the (entries, exits) of the two new passages on i
-    and on j, and the two fresh crossing ids."""
-    if i == j:
-        raise DiagramError("%s needs two distinct components" % what)
-    if sign not in (1, -1):
-        raise DiagramError("%s sign must be +1 or -1" % what)
-    d.component(i)
-    d.component(j)
-    out = d.copy()
-    p = _anchor_arc(out, i)
-    q = _anchor_arc(out, j)
-    pp = _subdivide(out, p, 2)
-    qq = _subdivide(out, q, 2)
-    c1, c2 = out.fresh_crossing_ids(2)
-    return out, pp, qq, c1, c2
+    ed = Editor(d.copy())
+    return ed.d, ed.split_unknot(framing)
 
 
 def add_clasp(d: FramedLinkDiagram, i: int, j: int, sign: int) -> FramedLinkDiagram:
     """Two same-sign crossings between components i and j: lk(i,j) += sign."""
-    out, (pi, po), (qi, qo), c1, c2 = _crossing_pair(d, i, j, sign, "clasp")
-    out.crossings[c1] = Crossing(over_in=pi[0], over_out=po[0],
-                                 under_in=qi[0], under_out=qo[0], sign=sign)
-    out.crossings[c2] = Crossing(over_in=qi[1], over_out=qo[1],
-                                 under_in=pi[1], under_out=po[1], sign=sign)
-    return out
+    ed = Editor(d.copy())
+    ed.clasp(i, j, sign)
+    return ed.d
 
 
 def add_poke(d: FramedLinkDiagram, over: int, under: int,
@@ -482,12 +667,8 @@ def add_poke(d: FramedLinkDiagram, over: int, under: int,
 
     Returns (diagram, id of the sign-`sign` crossing, id of its mate).
     """
-    out, (pi, po), (qi, qo), c1, c2 = _crossing_pair(d, over, under, sign, "poke")
-    out.crossings[c1] = Crossing(over_in=pi[0], over_out=po[0],
-                                 under_in=qi[0], under_out=qo[0], sign=sign)
-    out.crossings[c2] = Crossing(over_in=pi[1], over_out=po[1],
-                                 under_in=qi[1], under_out=qo[1], sign=-sign)
-    return out, c1, c2
+    ed = Editor(d.copy())
+    return (ed.d, *ed.poke(over, under, sign))
 
 
 def add_kink(d: FramedLinkDiagram, cid: int, sign: int,
@@ -496,18 +677,11 @@ def add_kink(d: FramedLinkDiagram, cid: int, sign: int,
     does not move)."""
     if sign not in (1, -1):
         raise DiagramError("kink sign must be +1 or -1")
-    d.component(cid)
-    out = d.copy()
-    p = _anchor_arc(out, cid)
-    (ent, ext) = _subdivide(out, p, 2)
-    (xid,) = out.fresh_crossing_ids(1)
-    if first_over:
-        out.crossings[xid] = Crossing(over_in=ent[0], over_out=ext[0],
-                                      under_in=ent[1], under_out=ext[1], sign=sign)
-    else:
-        out.crossings[xid] = Crossing(over_in=ent[1], over_out=ext[1],
-                                      under_in=ent[0], under_out=ext[0], sign=sign)
-    return out
+    ed = Editor(d.copy())
+    (ent, ext) = ed.subdivide(ed.anchor(cid), 2)
+    o, u = (0, 1) if first_over else (1, 0)
+    ed.put(ed.xids.take(), Crossing(ent[o], ext[o], ent[u], ext[u], sign))
+    return ed.d
 
 
 # ---------------------------------------------------------------------------
@@ -542,69 +716,8 @@ def insert_crossing_gadget(d: FramedLinkDiagram, xid: int, side: str,
     its arcs are replaced by the gadget's and its id is kept.  The input
     diagram is not modified.
     """
-    d = d.copy()
-    c = d.crossing(xid)
-    s = c.sign
-    x, y, a, b = _side_arcs(c, side)
-    if x == y:
-        raise DiagramError("side %r of crossing %d selects one arc twice "
-                           "(kink); use 'before' or 'after'" % (side, xid))
-    eps = -s * a * b
-    comp_x = d.arcs[x].owner
-    comp_y = d.arcs[y].owner
-
-    if unknot is None:
-        ucid = d.fresh_component_id()
-        d.components.append(Component(ucid, eps, basepoint=None))
-    else:
-        ucomp = d.component(unknot)
-        if unknot in (comp_x, comp_y):
-            raise DiagramError("gadget unknot %d is one of the encircled components" % unknot)
-        if ucomp.framing != eps:
-            raise DiagramError("gadget unknot %d has framing %d, need %d"
-                               % (unknot, ucomp.framing, eps))
-        if d.crossings_of_component(unknot):
-            raise DiagramError("gadget unknot %d is not split" % unknot)
-        for aid in d.arcs_of_component(unknot):
-            del d.arcs[aid]
-        ucomp.basepoint = None
-        ucid = unknot
-
-    _switch_in_place(d, xid)
-
-    (ex, xx) = _subdivide(d, x, 2)
-    (ey, yy) = _subdivide(d, y, 2)
-    u0, u1, u2, u3 = d.fresh_arc_ids(4)
-    for u in (u0, u1, u2, u3):
-        d.arcs[u] = Arc(owner=ucid, successor=0)
-    d.arcs[u0].successor = u1
-    d.arcs[u1].successor = u2
-    d.arcs[u2].successor = u3
-    d.arcs[u3].successor = u0
-    cx1, cx2, cy1, cy2 = d.fresh_crossing_ids(4)
-    # along the unknot: cx1, cy1, cy2, cx2; each strand goes over the
-    # unknot at its first passage and under at its second.
-    d.crossings[cx1] = Crossing(over_in=ex[0], over_out=xx[0],
-                                under_in=u3, under_out=u0, sign=a)
-    d.crossings[cy1] = Crossing(over_in=ey[0], over_out=yy[0],
-                                under_in=u0, under_out=u1, sign=b)
-    d.crossings[cy2] = Crossing(over_in=u1, over_out=u2,
-                                under_in=ey[1], under_out=yy[1], sign=b)
-    d.crossings[cx2] = Crossing(over_in=u2, over_out=u3,
-                                under_in=ex[1], under_out=xx[1], sign=a)
-    d.component(ucid).basepoint = u0
-
-    v: dict[int, int] = {}
-    v[comp_x] = v.get(comp_x, 0) + a
-    v[comp_y] = v.get(comp_y, 0) + b
-    comps: dict[int, int] = {}
-    for t, vt in v.items():
-        delta = eps * vt * vt
-        if delta:
-            d.component(t).framing += delta
-            comps[t] = delta
-    return d, GadgetRecord(unknot=ucid, crossing=xid, epsilon=eps,
-                           passage_signs=(a, b), framing_compensations=comps)
+    ed = Editor(d.copy())
+    return ed.d, ed.gadget(xid, side, unknot)
 
 
 def blow_down_gadget(d: FramedLinkDiagram, rec: GadgetRecord) -> FramedLinkDiagram:
@@ -614,33 +727,22 @@ def blow_down_gadget(d: FramedLinkDiagram, rec: GadgetRecord) -> FramedLinkDiagr
     if rec.epsilon not in (1, -1) or comp.framing != rec.epsilon:
         raise DiagramError("gadget unknot %d has framing %d, record says %d"
                            % (rec.unknot, comp.framing, rec.epsilon))
-    xids = d.crossings_of_component(rec.unknot)
-    out = d.copy()
-    if xids:
-        if len(xids) != 4:
-            raise DiagramError("component %d has %d crossings, not the 4-crossing "
-                               "gadget shape" % (rec.unknot, len(xids)))
-        for xid in sorted(xids):
-            c = out.crossings[xid]
-            over_owner = out.arcs[c.over_in].owner
-            under_owner = out.arcs[c.under_in].owner
-            if (over_owner == rec.unknot) == (under_owner == rec.unknot):
-                raise DiagramError("crossing %d is not a single passage of the "
-                                   "gadget unknot" % xid)
-            if over_owner == rec.unknot:
-                strand = (c.under_in, c.under_out)
-            else:
-                strand = (c.over_in, c.over_out)
-            del out.crossings[xid]
-            _splice_out(out, *strand)
-    for aid in out.arcs_of_component(rec.unknot):
-        del out.arcs[aid]
-    out.components = [c for c in out.components if c.id != rec.unknot]
+    ed = Editor(d.copy())
+    xids = sorted(ed.xs_of[rec.unknot])
+    if xids and len(xids) != 4:
+        raise DiagramError("component %d has %d crossings, not the 4-crossing "
+                           "gadget shape" % (rec.unknot, len(xids)))
+    for xid in xids:
+        over, under = d._strand_owners(d.crossings[xid])
+        if (over == rec.unknot) == (under == rec.unknot):
+            raise DiagramError("crossing %d is not a single passage of the "
+                               "gadget unknot" % xid)
+    ed.excise(rec.unknot)
     if rec.crossing is not None:
-        _switch_in_place(out, rec.crossing)
+        ed.switch(rec.crossing)
     for t, delta in rec.framing_compensations.items():
-        out.component(t).framing -= delta
-    return out
+        ed.comp(t).framing -= delta
+    return ed.d
 
 
 def blow_down_component(d: FramedLinkDiagram, cid: int) -> FramedLinkDiagram:
@@ -651,35 +753,9 @@ def blow_down_component(d: FramedLinkDiagram, cid: int) -> FramedLinkDiagram:
     numbers is realized by clasps.  (Framings and linking numbers are what
     the downstream semantics read; the local picture is not isotoped.)
     """
-    comp = d.component(cid)
-    eps = comp.framing
-    if eps not in (1, -1):
-        raise DiagramError("blow-down needs framing +1 or -1, component %d has %d"
-                           % (cid, eps))
-    others = [c.id for c in d.components if c.id != cid]
-    v = {j: linking_number(d, cid, j) for j in others}
-    out = d.copy()
-    for xid in sorted(out.crossings_of_component(cid)):
-        c = out.crossings[xid]
-        over_owner = out.arcs[c.over_in].owner
-        under_owner = out.arcs[c.under_in].owner
-        del out.crossings[xid]
-        if over_owner != cid:
-            _splice_out(out, c.over_in, c.over_out)
-        if under_owner != cid:
-            _splice_out(out, c.under_in, c.under_out)
-    for aid in out.arcs_of_component(cid):
-        del out.arcs[aid]
-    out.components = [c for c in out.components if c.id != cid]
-    for j in others:
-        out.component(j).framing -= eps * v[j] * v[j]
-    for a_idx, i in enumerate(others):
-        for j in others[a_idx + 1:]:
-            delta = -eps * v[i] * v[j]
-            sgn = 1 if delta > 0 else -1
-            for _ in range(abs(delta)):
-                out = add_clasp(out, i, j, sgn)
-    return out
+    ed = Editor(d.copy())
+    ed.blow_down(cid)
+    return ed.d
 
 
 # ---------------------------------------------------------------------------

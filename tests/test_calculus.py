@@ -4,10 +4,11 @@ import random
 import pytest
 
 from conftest import gadget_sides, random_diagram
-from surgerykit import catalog, jsonio, linkdiag
+from surgerykit import catalog, intlattice, jsonio, linkdiag
 from surgerykit.calculus import (AddSplitUnknot, BlowDownIndex, GadgetSwitch,
                                  MatrixSlide, MoveError, MoveScript, Poke,
-                                 SlideOverUnknot, build_embedding_certificate,
+                                 Replayer, SlideOverUnknot,
+                                 build_embedding_certificate,
                                  donaldson_obstruction, reduce_free_word,
                                  replay, unknotify, verify_certificate,
                                  word_from_intersections)
@@ -205,6 +206,183 @@ def test_replay_random_matrix_scripts_preserve_homology():
             state = replay(script)
         h1 = homology_from_linking(state.matrix_trace[-1])
         assert (h0.rank, h0.torsion) == (h1.rank, h1.torsion)
+
+
+# -- the per-move check and the in-place engine ------------------------------
+
+def _gadget_script():
+    # two +1 unknots and a -1 unknot; poke, switch the poke crossing through
+    # the -1 unknot, blow that unknot down
+    d = catalog.unlink([1, 1, -1])
+    c_main = linkdiag.add_poke(d, 0, 1, 1)[1]
+    return d, [Poke(over=0, under=1, sign=1),
+               GadgetSwitch(crossing=c_main, unknot=2, side=linkdiag.SIDE_BEFORE),
+               BlowDownIndex(k=2)]
+
+
+def _one_move_scripts():
+    """(initial, moves) per move type, with that move last."""
+    d, gadget = _gadget_script()
+    return {
+        "AddSplitUnknot": (catalog.unlink([1]), [AddSplitUnknot(framing=2)]),
+        "Poke": (catalog.unlink([1, 1]), [Poke(over=0, under=1, sign=-1)]),
+        "SlideOverUnknot": (catalog.unlink([0]), [AddSplitUnknot(framing=1),
+                                                  SlideOverUnknot(component=0, unknot=1, s=1)]),
+        "GadgetSwitch": (d, gadget[:2]),
+        "MatrixSlide": (catalog.hopf_link((2, 3)), [AddSplitUnknot(framing=1),
+                                                    MatrixSlide(i=0, j=1, s=1)]),
+        "BlowDownIndex": (d, gadget),
+    }
+
+
+# the matrix rule of each move type, and when it runs for that move
+RULES = {
+    "AddSplitUnknot": ("_stabilize_rows", lambda *args: True),
+    "Poke": ("_add_rows", lambda entries: not entries),
+    "SlideOverUnknot": ("_slide_rows", lambda *args: True),
+    "GadgetSwitch": ("_add_rows", lambda entries: bool(entries)),
+    "MatrixSlide": ("_slide_rows", lambda *args: True),
+    "BlowDownIndex": ("_blow_down_rows", lambda *args: True),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RULES))
+def test_wrong_matrix_rule_is_caught_at_its_move(kind, monkeypatch):
+    d, moves = _one_move_scripts()[kind]
+    replay(MoveScript(initial=d, moves=moves))
+    name, runs_for = RULES[kind]
+    rule = getattr(intlattice, name)
+
+    def off_by_one(A, *args):
+        changed = rule(A, *args)
+        if runs_for(*args):
+            A[0][0] += 1
+            changed[0, 0] = changed.get((0, 0), 0) + 1
+        return changed
+
+    monkeypatch.setattr(intlattice, name, off_by_one)
+    with pytest.raises(AssertionError, match=r"after move %d \(%s\)" % (len(moves) - 1, kind)):
+        replay(MoveScript(initial=d, moves=moves))
+
+
+@pytest.mark.parametrize("kind", ["Poke", "SlideOverUnknot", "GadgetSwitch",
+                                  "MatrixSlide", "BlowDownIndex"])
+def test_crossing_missing_from_the_log_is_caught_at_its_move(kind, monkeypatch):
+    d, moves = _one_move_scripts()[kind]
+    rp = Replayer(d.copy())
+    for t, move in enumerate(moves[:-1]):
+        rp.apply(t, move)
+    put, unlogged = linkdiag.Editor.put, []
+
+    def put_first_unlogged(self, xid, c):
+        n = len(self.log)
+        put(self, xid, c)
+        if not unlogged:
+            unlogged.append(xid)
+            del self.log[n:]
+
+    monkeypatch.setattr(linkdiag.Editor, "put", put_first_unlogged)
+    t = len(moves) - 1
+    with pytest.raises(AssertionError, match=r"after move %d \(%s\)" % (t, kind)):
+        rp.apply(t, moves[-1])
+    assert unlogged
+
+
+def _reference_step(d, move):
+    """One move by copying rewrites, with the matrix recomputed in full."""
+    if isinstance(move, AddSplitUnknot):
+        d = linkdiag.add_split_unknot(d, move.framing)[0]
+    elif isinstance(move, Poke):
+        d = linkdiag.add_poke(d, move.over, move.under, move.sign)[0]
+    elif isinstance(move, SlideOverUnknot):
+        f = d.component(move.unknot).framing
+        d = linkdiag.add_clasp(d, move.component, move.unknot, move.s * f)
+        d.component(move.component).framing += f
+    elif isinstance(move, GadgetSwitch):
+        d = linkdiag.insert_crossing_gadget(d, move.crossing, move.side, move.unknot)[0]
+    elif isinstance(move, MatrixSlide):
+        ids, L = d.component_ids(), linking_matrix(d).entries
+        L2 = intlattice.congruence_slide(IntegralLattice(L), move.i, move.j, move.s).entries
+        d = d.copy()
+        d.component(ids[move.i]).framing = L2[move.i][move.i]
+        for t, ct in enumerate(ids):
+            delta = L2[move.i][t] - L[move.i][t]
+            if t != move.i and delta:
+                for _ in range(abs(delta)):
+                    d = linkdiag.add_clasp(d, ids[move.i], ct, 1 if delta > 0 else -1)
+    else:
+        d = linkdiag.blow_down_component(d, d.component_ids()[move.k])
+    return d, linking_matrix(d)
+
+
+def _random_moves(rng, d):
+    """A valid move or two for the state `d`, or [] when the pick does not apply."""
+    ids = d.component_ids()
+    kind = rng.choice(["stab", "poke", "slide_over", "gadget", "slide", "down"])
+    if kind == "stab":
+        return [AddSplitUnknot(framing=rng.randint(-2, 2))]
+    if kind == "poke" and len(ids) >= 2:
+        over, under = rng.sample(ids, 2)
+        return [Poke(over=over, under=under, sign=rng.choice((1, -1)))]
+    if kind == "slide_over" and ids:
+        u = d.fresh_component_id()
+        return [AddSplitUnknot(framing=rng.choice((1, -1))),
+                SlideOverUnknot(component=rng.choice(ids), unknot=u, s=rng.choice((1, -1)))]
+    if kind == "gadget" and d.crossings:
+        xid = rng.choice(sorted(d.crossings))
+        sides = gadget_sides(d, xid)
+        if not sides:
+            return []
+        side = rng.choice(sides)
+        eps = linkdiag.insert_crossing_gadget(d, xid, side)[1].epsilon
+        return [AddSplitUnknot(framing=eps),
+                GadgetSwitch(crossing=xid, unknot=d.fresh_component_id(), side=side)]
+    if kind == "slide" and len(ids) >= 2:
+        if max(abs(x) for row in linking_matrix(d).entries for x in row) <= 6:
+            i, j = rng.sample(range(len(ids)), 2)
+            return [MatrixSlide(i=i, j=j, s=rng.choice((1, -1)))]
+    if kind == "down":
+        units = [k for k, c in enumerate(d.components) if c.framing in (1, -1)]
+        if units:
+            return [BlowDownIndex(k=rng.choice(units))]
+    return []
+
+
+def test_in_place_replay_matches_copying_reference():
+    # the final diagram and every trace entry equal those of a reference
+    # that copies and computes the whole linking matrix after every move
+    rng = random.Random(307)
+    kinds = {}
+    for _ in range(120):
+        d = random_diagram(rng, 3, 6)
+        ref, mats, moves = d, [linking_matrix(d)], []
+        while len(moves) < 6:
+            for move in _random_moves(rng, ref):
+                ref, L = _reference_step(ref, move)
+                mats.append(L)
+                moves.append(move)
+                kinds[type(move).__name__] = kinds.get(type(move).__name__, 0) + 1
+        res = replay(MoveScript(initial=d, moves=moves))
+        assert res.final == ref
+        assert len(res.matrix_trace) == len(mats)
+        assert res.matrix_trace == mats
+        assert [res.matrix_trace[t] for t in range(len(mats))] == mats
+        assert res.matrix_trace[1:] == mats[1:] and res.matrix_trace[::-2] == mats[::-2]
+    assert len(kinds) == 6 and min(kinds.values()) >= 50, kinds
+
+
+def test_alternating_slides_copy_the_diagram_once(monkeypatch):
+    copies = []
+    copy = FramedLinkDiagram.copy
+    monkeypatch.setattr(FramedLinkDiagram, "copy",
+                        lambda self: copies.append(len(self.crossings)) or copy(self))
+    moves = [MatrixSlide(i=t % 2, j=1 - t % 2, s=1) for t in range(10)]
+    res = replay(MoveScript(initial=catalog.unlink([1, -1]), moves=moves))
+    L = IntegralLattice.diagonal([1, -1])
+    for mv in moves:
+        L = intlattice.congruence_slide(L, mv.i, mv.j, mv.s)
+    assert res.matrix_trace[-1] == L
+    assert copies == [0]
 
 
 # -- unknotify ---------------------------------------------------------------

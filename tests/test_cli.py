@@ -126,6 +126,28 @@ def test_verify_tampered_certificate_exits_one(tmp_path, capsys):
     assert rep["result"]["verdict"] == "FAIL"
 
 
+def test_wrong_matrix_rule_is_internal_error_exit_three(tmp_path, capsys, monkeypatch):
+    # a replay whose matrix rule disagrees with the diagram is a fault of
+    # the program: exit 3 with one line on stderr, not the verify-FAIL 1
+    path = _write_link(tmp_path, catalog.hopf_link((4, 4)))
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify-embedding", path, "-o", cert_path]) == 0
+    capsys.readouterr()
+    rule = intlattice._slide_rows
+
+    def off_by_one(A, i, j, s):
+        changed = rule(A, i, j, s)
+        A[i][i] += 1
+        changed[i, i] = changed.get((i, i), 0) + 1
+        return changed
+
+    monkeypatch.setattr(intlattice, "_slide_rows", off_by_one)
+    assert main(["verify", cert_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: AssertionError: ")
+    assert "(SlideOverUnknot)" in err and err.count("\n") == 1
+
+
 def test_verify_round_trip_random_links(tmp_path, capsys):
     rng = random.Random(401)
     for t in range(8):
@@ -194,6 +216,15 @@ def test_word_rejects_garbage():
 
 def test_missing_file_is_exit_two(tmp_path):
     assert main(["invariants", str(tmp_path / "nope.json")]) == 2
+
+
+def test_unwritable_output_is_exit_two(tmp_path, capsys):
+    path = _write_link(tmp_path, catalog.hopf_link((1, 1)))
+    for cmd in ("unknotify", "certify-embedding"):
+        out = str(tmp_path / "missing" / "out.json")
+        assert main([cmd, path, "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write %s" % out) and err.count("\n") == 1
 
 
 def test_malformed_link_is_exit_two(tmp_path):
