@@ -379,7 +379,7 @@ def build_embedding_certificate(d: FramedLinkDiagram,
         d = unknotify(d).diagram
 
     target_ids = d.component_ids()
-    A = linkdiag.linking_matrix(d).entries
+    A = linkdiag._linking_rows(d)   # d is valid: checked above, or built by unknotify
     k = len(target_ids)
     sublink = {cid: t for t, cid in enumerate(target_ids)}
 

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from .linkdiag import (Arc, Component, Crossing, FramedLinkDiagram, add_clasp,
-                       require_valid)
+from .linkdiag import Arc, Component, Crossing, Editor, FramedLinkDiagram, require_valid
 
 
 def unknot(framing: int = 0) -> FramedLinkDiagram:
@@ -18,18 +17,24 @@ def unlink(framings) -> FramedLinkDiagram:
         arcs={k: Arc(owner=k, successor=k) for k in range(len(fs))})
 
 
+def _clasped(framings, pairs, sign: int = 1) -> FramedLinkDiagram:
+    """The unlink on `framings` with one clasp of `sign` per pair (i, j),
+    in order, all made in place by one Editor."""
+    ed = Editor(unlink(framings))
+    for i, j in pairs:
+        ed.clasp(i, j, sign)
+    return ed.d
+
+
 def hopf_link(framings=(0, 0), sign: int = 1) -> FramedLinkDiagram:
     """Two unknots clasped once; lk = sign."""
-    d = unlink(framings)
-    return add_clasp(d, 0, 1, sign)
+    return _clasped(framings, [(0, 1)], sign)
 
 
 def chain_link(framings) -> FramedLinkDiagram:
     """Open chain of unknots: consecutive components clasp with lk = +1."""
-    d = unlink(framings)
-    for i in range(len(list(framings)) - 1):
-        d = add_clasp(d, i, i + 1, 1)
-    return d
+    fs = list(framings)
+    return _clasped(fs, [(i, i + 1) for i in range(len(fs) - 1)])
 
 
 def trefoil(framing: int = 0) -> FramedLinkDiagram:
@@ -55,8 +60,6 @@ def e8_link() -> FramedLinkDiagram:
     """Plumbing link on the E8 tree, all framings 2: surgery gives the
     Poincare homology sphere.  Node order matches
     intlattice.e8_matrix."""
-    d = unlink([2] * 8)
-    for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]:
-        d = add_clasp(d, i, j, 1)
+    d = _clasped([2] * 8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)])
     require_valid(d)
     return d

@@ -110,11 +110,8 @@ def cmd_lattice(args) -> int:
 
 def cmd_unknotify(args) -> int:
     d = _load_link(args.link)
-    try:
-        res = calculus.unknotify(d, component_order=_parse_order(args.order),
-                                 unlink=args.unlink)
-    except linkdiag.DiagramError as e:
-        raise FormatError(str(e))
+    res = calculus.unknotify(d, component_order=_parse_order(args.order),
+                             unlink=args.unlink)
     obj = jsonio.diagram_to_obj(res.diagram)
     if args.output:
         jsonio.save_path(args.output, obj)
@@ -140,11 +137,8 @@ def cmd_unknotify(args) -> int:
 
 def cmd_certify_embedding(args) -> int:
     d = _load_link(args.link)
-    try:
-        cert = calculus.build_embedding_certificate(
-            d, auto_unknotify=args.auto_unknotify, pad_positive=args.pad_positive)
-    except linkdiag.DiagramError as e:
-        raise FormatError(str(e))
+    cert = calculus.build_embedding_certificate(
+        d, auto_unknotify=args.auto_unknotify, pad_positive=args.pad_positive)
     obj = jsonio.certificate_to_obj(cert)
     if args.output:
         jsonio.save_path(args.output, obj)
@@ -215,7 +209,7 @@ def cmd_word(args) -> int:
     except FormatError:
         try:
             obj = json.loads(args.intersections)
-        except json.JSONDecodeError:
+        except ValueError:  # bad JSON, or an integer past the digit limit
             raise FormatError("expected a JSON file or inline JSON list of "
                               "[disc, sign] pairs")
     if not isinstance(obj, list):

@@ -78,24 +78,31 @@ def diagram_to_obj(d: FramedLinkDiagram) -> dict:
     return {"components": comps, "arcs": arcs, "crossings": crossings}
 
 
+def _link_list(obj: dict, key: str) -> list:
+    recs = obj.get(key, [])
+    if not isinstance(recs, list):
+        raise FormatError("link %s must be a list" % key)
+    return recs
+
+
 def diagram_from_obj(obj) -> FramedLinkDiagram:
     _check_keys(obj, ("components", "arcs", "crossings"), ("components",), "link")
     d = FramedLinkDiagram()
-    for rec in obj.get("components", []):
+    for rec in _link_list(obj, "components"):
         _check_keys(rec, ("id", "framing", "basepoint"), ("id", "framing"), "component")
         d.components.append(Component(
             id=decode_int(rec["id"], "component id"),
             framing=decode_int(rec["framing"], "framing"),
             basepoint=decode_int(rec["basepoint"], "basepoint")
             if "basepoint" in rec else None))
-    for rec in obj.get("arcs", []):
+    for rec in _link_list(obj, "arcs"):
         _check_keys(rec, ("id", "component", "next"), ("id", "component", "next"), "arc")
         aid = decode_int(rec["id"], "arc id")
         if aid in d.arcs:
             raise FormatError("duplicate arc id %d" % aid)
         d.arcs[aid] = Arc(owner=decode_int(rec["component"], "arc component"),
                           successor=decode_int(rec["next"], "arc successor"))
-    for rec in obj.get("crossings", []):
+    for rec in _link_list(obj, "crossings"):
         _check_keys(rec, ("id", "over_in", "over_out", "under_in", "under_out", "sign"),
                     ("id", "over_in", "over_out", "under_in", "under_out", "sign"),
                     "crossing")

@@ -114,25 +114,8 @@ class FramedLinkDiagram:
         except KeyError:
             raise DiagramError("unknown arc id %r" % (aid,)) from None
 
-    def arcs_of_component(self, cid: int) -> list[int]:
-        return [a for a, v in self.arcs.items() if v.owner == cid]
-
-    def crossings_of_component(self, cid: int) -> list[int]:
-        out = []
-        for x, c in self.crossings.items():
-            owners = self._strand_owners(c)
-            if cid in owners:
-                out.append(x)
-        return out
-
     def _strand_owners(self, c: Crossing) -> tuple[int, int]:
         return (self.arcs[c.over_in].owner, self.arcs[c.under_in].owner)
-
-    def zero_crossing_loops(self) -> set[int]:
-        busy = set()
-        for c in self.crossings.values():
-            busy.update(self._strand_owners(c))
-        return {c.id for c in self.components} - busy
 
     # -- id allocation (smallest unused, deterministic) ------------------
 
@@ -170,8 +153,8 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
     for xid, c in d.crossings.items():
         if c.sign not in (1, -1):
             bad.append("crossing %d has sign %r, expected +1 or -1" % (xid, c.sign))
-        # strand owners are read from the in-arcs, as in zero_crossing_loops;
-        # a missing in-arc names no owner
+        # strand owners are read from the in-arcs; a missing in-arc names
+        # no owner
         for a in (c.over_in, c.under_in):
             if a in arcs:
                 busy.add(arcs[a].owner)
@@ -631,8 +614,7 @@ def reverse_component(d: FramedLinkDiagram, cid: int) -> FramedLinkDiagram:
     """
     d.component(cid)
     out = d.copy()
-    mine = out.arcs_of_component(cid)
-    old_succ = {a: out.arcs[a].successor for a in mine}
+    old_succ = {a: v.successor for a, v in out.arcs.items() if v.owner == cid}
     for a, s in old_succ.items():
         out.arcs[s].successor = a
     for c in out.crossings.values():
@@ -762,78 +744,45 @@ def blow_down_component(d: FramedLinkDiagram, cid: int) -> FramedLinkDiagram:
 # descending traversal
 
 
-def _in_crossing_map(d: FramedLinkDiagram) -> dict[int, tuple[int, str]]:
-    m: dict[int, tuple[int, str]] = {}
-    for xid, c in d.crossings.items():
-        m[c.over_in] = (xid, "over")
-        m[c.under_in] = (xid, "under")
-    return m
-
-
-def component_cycle(d: FramedLinkDiagram, cid: int) -> list[int]:
-    comp = d.component(cid)
-    mine = d.arcs_of_component(cid)
-    if not mine:
-        return []
-    if comp.basepoint is None:
-        raise DiagramError("component %d has crossings but no basepoint" % cid
-                           if d.crossings_of_component(cid)
-                           else "component %d has no basepoint" % cid)
-    cycle = [comp.basepoint]
-    cur = comp.basepoint
-    for _ in range(len(d.arcs)):
-        cur = d.arcs[cur].successor
-        if cur == comp.basepoint:
-            return cycle
-        cycle.append(cur)
-    raise DiagramError("component %d successor chain does not close" % cid)
-
-
-def _walk_encounters(d: FramedLinkDiagram, order: list[int]):
-    """Yield (crossing id, role, component, first_time) in traversal order."""
-    seen: set[int] = set()
-    inmap = _in_crossing_map(d)
-    loops = d.zero_crossing_loops()
-    for cid in order:
-        if cid in loops:
-            continue
-        for aid in component_cycle(d, cid):
-            hit = inmap.get(aid)
-            if hit is None:
-                continue
-            xid, role = hit
-            first = xid not in seen
-            seen.add(xid)
-            yield xid, role, cid, first
-
-
-def _check_order(d: FramedLinkDiagram, component_order) -> list[int]:
-    ids = d.component_ids()
-    if component_order is None:
-        return ids
-    order = list(component_order)
-    if sorted(order) != sorted(ids):
-        raise DiagramError("component order %r is not a permutation of %r" % (order, ids))
-    return order
-
-
 def descending_switch_set(d: FramedLinkDiagram, component_order=None,
                           self_only: bool = False) -> set[int]:
     """Crossings to switch so that the basepoint traversal meets every
     crossing on its over-strand first (hence an unlink; with
     `self_only`, only self-crossings count and each component becomes
-    individually unknotted)."""
+    individually unknotted).
+
+    One walk of each component's successor cycle that meets a crossing,
+    in `component_order`: O(arcs + crossings).
+    """
     require_valid(d)
-    order = _check_order(d, component_order)
+    ids = d.component_ids()
+    order = ids if component_order is None else list(component_order)
+    if sorted(order) != sorted(ids):
+        raise DiagramError("component order %r is not a permutation of %r" % (order, ids))
+    arcs = d.arcs
+    in_x: dict[int, int] = {}
+    for xid, c in d.crossings.items():
+        in_x[c.over_in] = in_x[c.under_in] = xid
+    busy = {arcs[a].owner for a in in_x}
+    basepoint = {c.id: c.basepoint for c in d.components}
+    seen: set[int] = set()
     out: set[int] = set()
-    for xid, role, cid, first in _walk_encounters(d, order):
-        if not first or role == "over":
+    for cid in order:
+        if cid not in busy:
             continue
-        if self_only:
-            c = d.crossings[xid]
-            if d._strand_owners(c) != (cid, cid):
-                continue
-        out.add(xid)
+        start = aid = basepoint[cid]
+        if start is None:
+            raise DiagramError("component %d has crossings but no basepoint" % cid)
+        while True:
+            xid = in_x.get(aid)
+            if xid is not None and xid not in seen:
+                seen.add(xid)
+                c = d.crossings[xid]
+                if c.under_in == aid and (not self_only or arcs[c.over_in].owner == cid):
+                    out.add(xid)
+            aid = arcs[aid].successor
+            if aid == start:
+                break
     return out
 
 

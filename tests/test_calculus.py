@@ -485,6 +485,19 @@ def test_certificate_requires_descending_or_auto():
     assert verify_certificate(cert).passed
 
 
+def test_certificate_builder_validates_its_target_once(monkeypatch):
+    hopf, trefoil = catalog.hopf_link(), catalog.trefoil(2)
+    seen = []
+    validate = linkdiag.validate_diagram
+    monkeypatch.setattr(linkdiag, "validate_diagram",
+                        lambda d: seen.append(len(d.components)) or validate(d))
+    build_embedding_certificate(hopf)
+    assert seen == [2, 7]            # the target, then the initial unlink
+    seen.clear()
+    build_embedding_certificate(trefoil, auto_unknotify=True)
+    assert seen == [1, 1, 3]         # the target twice (the check, unknotify), the unlink
+
+
 def test_tampered_certificate_fails():
     cert = build_embedding_certificate(catalog.hopf_link((4, 4)))
     cert.target.component(0).framing += 1

@@ -210,6 +210,7 @@ def test_word_rejects_garbage():
     assert main(["word", "{"]) == 2
     assert main(["word", "[[0]]"]) == 2
     assert main(["word", "[[0, 2]]"]) == 2
+    assert main(["word", "[[%s, 1]]" % ("1" * 5000)]) == 2  # past the digit limit
 
 
 # -- exit codes and help -----------------------------------------------------
@@ -227,12 +228,31 @@ def test_unwritable_output_is_exit_two(tmp_path, capsys):
         assert err.startswith("error: cannot write %s" % out) and err.count("\n") == 1
 
 
-def test_malformed_link_is_exit_two(tmp_path):
+def test_malformed_link_is_exit_two(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"components": [{"id": 0, "framing": 0, "junk": 1}]}')
     assert main(["invariants", str(p)]) == 2
     p.write_bytes(b'{"components": "\xff"}')  # not UTF-8
     assert main(["invariants", str(p)]) == 2
+    capsys.readouterr()
+    # a link field that is not a list
+    one = '[{"id": 0, "framing": 0, "basepoint": 0}]'
+    for body, key in (('{"components": 1}', "components"),
+                      ('{"components": %s, "arcs": null}' % one, "arcs"),
+                      ('{"components": %s, "crossings": true}' % one, "crossings")):
+        p.write_text(body)
+        for cmd in ("invariants", "obstruction", "unknotify", "certify-embedding"):
+            assert main([cmd, str(p)]) == 2
+            assert capsys.readouterr().err == "error: link %s must be a list\n" % key
+    cert = tmp_path / "cert.json"
+    assert main(["certify-embedding", _write_link(tmp_path, catalog.hopf_link()),
+                 "-o", str(cert)]) == 0
+    obj = jsonio.load_path(str(cert))
+    obj["target"]["arcs"] = 7
+    jsonio.save_path(str(cert), obj)
+    capsys.readouterr()
+    assert main(["verify", str(cert)]) == 2
+    assert capsys.readouterr().err == "error: link arcs must be a list\n"
 
 
 def test_crossing_naming_missing_arc_is_exit_two(tmp_path, capsys):

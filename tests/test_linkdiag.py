@@ -197,7 +197,8 @@ def test_many_split_unknots_are_zero_crossing_loops():
     d = FramedLinkDiagram()
     for k in range(4):
         d, _ = add_split_unknot(d, k)
-    assert d.zero_crossing_loops() == {0, 1, 2, 3}
+    assert d.component_ids() == [0, 1, 2, 3] and not d.crossings
+    assert sorted((v.owner, v.successor) for v in d.arcs.values()) == [(k, k) for k in range(4)]
 
 
 # -- gadget ------------------------------------------------------------------
@@ -226,7 +227,9 @@ def test_gadget_unknot_shape():
     d2, rec = insert_crossing_gadget(d, 1, linkdiag.SIDE_BEFORE)
     assert d2.component(rec.unknot).framing == rec.epsilon
     assert rec.epsilon in (1, -1)
-    assert len(d2.crossings_of_component(rec.unknot)) == 4
+    owners = [(d2.arcs[c.over_in].owner, d2.arcs[c.under_in].owner)
+              for c in d2.crossings.values()]
+    assert sum(rec.unknot in pair for pair in owners) == 4
 
 
 def test_gadget_round_trip_randomized():
@@ -325,11 +328,80 @@ def test_bad_order_errors():
         descending_switch_set(catalog.hopf_link(), [0, 0])
 
 
+def _reference_switch_set(d, order, self_only):
+    """The traversal as first written: an in-arc -> (crossing, role) map,
+    then every component that meets a crossing walked from its basepoint,
+    in `order`, keeping each crossing met first on its under strand."""
+    roles = {}
+    for xid, c in d.crossings.items():
+        roles[c.over_in] = (xid, "over")
+        roles[c.under_in] = (xid, "under")
+    owners = {xid: (d.arcs[c.over_in].owner, d.arcs[c.under_in].owner)
+              for xid, c in d.crossings.items()}
+    busy = {cid for pair in owners.values() for cid in pair}
+    seen, out = set(), set()
+    for cid in order:
+        if cid not in busy:
+            continue
+        start = d.component(cid).basepoint
+        if start is None:
+            return "component %d has crossings but no basepoint" % cid
+        cycle = [start]
+        while d.arcs[cycle[-1]].successor != start:
+            cycle.append(d.arcs[cycle[-1]].successor)
+        for aid in cycle:
+            xid, role = roles.get(aid, (None, None))
+            if xid is None or xid in seen:
+                continue
+            seen.add(xid)
+            if role == "under" and (not self_only or owners[xid] == (cid, cid)):
+                out.add(xid)
+    return out
+
+
+def test_descending_switch_set_matches_reference_traversal():
+    rng = random.Random(23)
+    compared = errors = 0
+    for _ in range(300):
+        d = random_diagram(rng, max_components=6, max_crossings=30)
+        shuffled = d.component_ids()
+        rng.shuffle(shuffled)
+        # the same diagram with some basepoints removed
+        e = d.copy()
+        for comp in rng.sample(e.components, rng.randint(1, len(e.components))):
+            comp.basepoint = None
+        for order in (None, shuffled):
+            for self_only in (False, True):
+                want = _reference_switch_set(d, order or d.component_ids(), self_only)
+                assert descending_switch_set(d, order, self_only=self_only) == want
+                compared += 1
+                want = _reference_switch_set(e, order or e.component_ids(), self_only)
+                if isinstance(want, str):
+                    with pytest.raises(DiagramError) as err:
+                        descending_switch_set(e, order, self_only=self_only)
+                    assert str(err.value) == want
+                    errors += 1
+                else:
+                    assert descending_switch_set(e, order, self_only=self_only) == want
+    assert compared == 1200 and errors >= 1000, errors
+
+
 # -- clasps and pokes --------------------------------------------------------
 
 def test_clasp_changes_linking_by_sign():
     d = catalog.unlink([0, 0])
     assert linking_number(add_clasp(d, 0, 1, -1), 0, 1) == -1
+
+
+def test_chain_link_clasps_in_place(monkeypatch):
+    copies = []
+    copy = FramedLinkDiagram.copy
+    monkeypatch.setattr(FramedLinkDiagram, "copy",
+                        lambda self: copies.append(len(self.crossings)) or copy(self))
+    d = catalog.chain_link([0] * 50)
+    assert copies == []
+    assert linking_matrix(d).entries == [[int(abs(a - b) == 1) for b in range(50)]
+                                         for a in range(50)]
 
 
 def test_poke_preserves_linking():
