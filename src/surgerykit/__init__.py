@@ -11,9 +11,8 @@ from .intlattice import (AbelianGroupPresentation, Inertia, IntegralLattice,
                          diagonalizable_over_Z, direct_sum, e8_matrix,
                          homology_from_linking, inertia, short_vectors,
                          smith_normal_form, stabilize)
-from .linkdiag import (FramedLinkDiagram, GadgetRecord, add_split_unknot,
-                       blow_down_gadget, descending_switch_set,
-                       insert_crossing_gadget, linking_matrix, linking_number,
-                       reverse_component, switch_crossing, validate_diagram)
+from .linkdiag import (Editor, FramedLinkDiagram, GadgetRecord,
+                       descending_switch_set, linking_matrix, linking_number,
+                       reverse_component, validate_diagram)
 
 __version__ = "0.1.0"

@@ -209,7 +209,7 @@ def cmd_word(args) -> int:
     except FormatError:
         try:
             obj = json.loads(args.intersections)
-        except ValueError:  # bad JSON, or an integer past the digit limit
+        except (ValueError, RecursionError):  # bad JSON, too deep, or too many digits
             raise FormatError("expected a JSON file or inline JSON list of "
                               "[disc, sign] pairs")
     if not isinstance(obj, list):

@@ -225,7 +225,7 @@ def load_path(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as e:  # ValueError: bad JSON, UTF-8 or digits
+    except (OSError, ValueError, RecursionError) as e:  # bad JSON, UTF-8, digits, depth
         raise FormatError("cannot read %s: %s" % (path, e)) from None
 
 

@@ -39,6 +39,21 @@ SIDE_RIGHT = "right"     # over_out + under_in   (antiparallel passages)
 SIDES = (SIDE_BEFORE, SIDE_AFTER, SIDE_LEFT, SIDE_RIGHT)
 
 
+def _side_arcs(c: Crossing, side: str) -> tuple[int, int, int, int]:
+    """Arcs encircled on `side` plus the passage signs (a for the over
+    strand's arc, b for the under strand's).  A passage counts +1 when the
+    arc is directed into the crossing."""
+    if side == SIDE_BEFORE:
+        return c.over_in, c.under_in, 1, 1
+    if side == SIDE_AFTER:
+        return c.over_out, c.under_out, -1, -1
+    if side == SIDE_LEFT:
+        return c.over_in, c.under_out, 1, -1
+    if side == SIDE_RIGHT:
+        return c.over_out, c.under_in, -1, 1
+    raise DiagramError("unknown side selector %r (expected one of %r)" % (side, SIDES))
+
+
 @dataclass
 class Component:
     id: int
@@ -116,11 +131,6 @@ class FramedLinkDiagram:
 
     def _strand_owners(self, c: Crossing) -> tuple[int, int]:
         return (self.arcs[c.over_in].owner, self.arcs[c.under_in].owner)
-
-    # -- id allocation (smallest unused, deterministic) ------------------
-
-    def fresh_component_id(self) -> int:
-        return _Ids({c.id for c in self.components}).take()
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +332,8 @@ class Editor:
     each rewrite then costs O(its change).  Every crossing added or
     removed between components i != j is logged as (i, j, +/-sign), and
     every framing change of component c, including a component's arrival
-    or removal, as (c, c, delta).  The public rewrites copy, then run one
-    of these cores.
+    or removal, as (c, c, delta).  A rewrite whose precondition fails
+    raises before its first change.  To keep a diagram, edit a copy.
     """
 
     def __init__(self, d: FramedLinkDiagram):
@@ -496,7 +506,16 @@ class Editor:
             self.pos[comps[t].id] = t
         self.cids.give(cid)
 
-    # -- clasps, pokes, the gadget and blow-downs -------------------------
+    # -- kinks, clasps, pokes, the gadget and blow-downs -------------------
+
+    def kink(self, cid: int, sign: int, first_over: bool = True) -> None:
+        """Reidemeister-1 kink on one component (framing is stored data and
+        does not move)."""
+        if sign not in (1, -1):
+            raise DiagramError("kink sign must be +1 or -1")
+        ent, ext = self.subdivide(self.anchor(cid), 2)
+        o, u = (0, 1) if first_over else (1, 0)
+        self.put(self.xids.take(), Crossing(ent[o], ext[o], ent[u], ext[u], sign))
 
     def _crossing_pair(self, i: int, j: int, sign: int, what: str):
         """Room for two new crossings between components i and j: the
@@ -519,13 +538,24 @@ class Editor:
             self.put(c2, Crossing(qi[1], qo[1], pi[1], po[1], sign))
 
     def poke(self, over: int, under: int, sign: int) -> tuple[int, int]:
+        """Reidemeister-2 poke of `over` across `under`, linking numbers
+        unchanged; returns the ids of the new sign and -sign crossings."""
         (pi, po), (qi, qo), c1, c2 = self._crossing_pair(over, under, sign, "poke")
         self.put(c1, Crossing(pi[0], po[0], qi[0], qo[0], sign))
         self.put(c2, Crossing(pi[1], po[1], qi[1], qo[1], -sign))
         return c1, c2
 
     def gadget(self, xid: int, side: str, unknot: int | None = None) -> GadgetRecord:
-        """See insert_crossing_gadget."""
+        """Switch crossing `xid` and wire an unknot around the two adjacent
+        strands on `side`, so that blowing the unknot down restores the
+        original linking matrix exactly.
+
+        With `unknot=None` the unknot is a fresh component.  Otherwise
+        `unknot` names an existing split zero-crossing component, other than
+        the two encircled ones, whose framing already equals the required
+        epsilon = -s*a*b (s the crossing sign, a and b the passage signs);
+        its arcs are replaced by the gadget's and its id is kept.
+        """
         d = self.d
         c = d.crossing(xid)
         s = c.sign
@@ -578,8 +608,38 @@ class Editor:
         return GadgetRecord(unknot=ucid, crossing=xid, epsilon=eps,
                             passage_signs=(a, b), framing_compensations=comps)
 
+    def blow_down_gadget(self, rec: GadgetRecord) -> None:
+        """Kirby blow-down of a gadget unknot: re-switch the recorded
+        crossing, splice the unknot out, undo the framing compensations."""
+        d, u = self.d, rec.unknot
+        comp = self.comp(u)
+        if rec.epsilon not in (1, -1) or comp.framing != rec.epsilon:
+            raise DiagramError("gadget unknot %d has framing %d, record says %d"
+                               % (u, comp.framing, rec.epsilon))
+        xids = self.xs_of[u]
+        if xids and len(xids) != 4:
+            raise DiagramError("component %d has %d crossings, not the 4-crossing "
+                               "gadget shape" % (u, len(xids)))
+        for xid in sorted(xids):
+            over, under = d._strand_owners(d.crossings[xid])
+            if (over == u) == (under == u):
+                raise DiagramError("crossing %d is not a single passage of the "
+                                   "gadget unknot" % xid)
+        if rec.crossing in xids or u in rec.framing_compensations:
+            raise DiagramError("gadget record of unknot %d names a crossing or a "
+                               "component that the blow-down removes" % u)
+        for t in rec.framing_compensations:
+            self.comp(t)  # raises for an unknown component, before any change
+        if rec.crossing is not None:
+            self.switch(rec.crossing)
+        self.excise(u)
+        for t, delta in rec.framing_compensations.items():
+            self.set_framing(t, self.comp(t).framing - delta)
+
     def blow_down(self, cid: int) -> None:
-        """See blow_down_component."""
+        """Raw Kirby blow-down of any +/-1-framed component: it is spliced
+        away and the induced rank-one change of linking numbers is realized
+        by clasps (the local picture is not isotoped)."""
         eps = self.comp(cid).framing
         if eps not in (1, -1):
             raise DiagramError("blow-down needs framing +1 or -1, component %d has %d"
@@ -597,13 +657,6 @@ class Editor:
 
 # ---------------------------------------------------------------------------
 # copying rewrites
-
-
-def switch_crossing(d: FramedLinkDiagram, xid: int) -> FramedLinkDiagram:
-    """Exchange over/under roles at one crossing and negate its sign."""
-    ed = Editor(d.copy())
-    ed.switch(xid)
-    return ed.d
 
 
 def reverse_component(d: FramedLinkDiagram, cid: int) -> FramedLinkDiagram:
@@ -627,117 +680,6 @@ def reverse_component(d: FramedLinkDiagram, cid: int) -> FramedLinkDiagram:
         if over_mine != under_mine:
             c.sign = -c.sign
     return out
-
-
-def add_split_unknot(d: FramedLinkDiagram, framing: int) -> tuple[FramedLinkDiagram, int]:
-    """Disjoint zero-crossing unknot with the given framing."""
-    ed = Editor(d.copy())
-    return ed.d, ed.split_unknot(framing)
-
-
-def add_clasp(d: FramedLinkDiagram, i: int, j: int, sign: int) -> FramedLinkDiagram:
-    """Two same-sign crossings between components i and j: lk(i,j) += sign."""
-    ed = Editor(d.copy())
-    ed.clasp(i, j, sign)
-    return ed.d
-
-
-def add_poke(d: FramedLinkDiagram, over: int, under: int,
-             sign: int) -> tuple[FramedLinkDiagram, int, int]:
-    """Reidemeister-2 poke of `over` across `under`: two canceling
-    crossings (signs +sign, -sign).  Linking numbers are unchanged.
-
-    Returns (diagram, id of the sign-`sign` crossing, id of its mate).
-    """
-    ed = Editor(d.copy())
-    return (ed.d, *ed.poke(over, under, sign))
-
-
-def add_kink(d: FramedLinkDiagram, cid: int, sign: int,
-             first_over: bool = True) -> FramedLinkDiagram:
-    """Reidemeister-1 kink on one component (framing is stored data and
-    does not move)."""
-    if sign not in (1, -1):
-        raise DiagramError("kink sign must be +1 or -1")
-    ed = Editor(d.copy())
-    (ent, ext) = ed.subdivide(ed.anchor(cid), 2)
-    o, u = (0, 1) if first_over else (1, 0)
-    ed.put(ed.xids.take(), Crossing(ent[o], ext[o], ent[u], ext[u], sign))
-    return ed.d
-
-
-# ---------------------------------------------------------------------------
-# the crossing-change gadget
-
-
-def _side_arcs(c: Crossing, side: str) -> tuple[int, int, int, int]:
-    """Arcs encircled on `side` plus the passage signs (a for the over
-    strand's arc, b for the under strand's).  A passage counts +1 when the
-    arc is directed into the crossing."""
-    if side == SIDE_BEFORE:
-        return c.over_in, c.under_in, 1, 1
-    if side == SIDE_AFTER:
-        return c.over_out, c.under_out, -1, -1
-    if side == SIDE_LEFT:
-        return c.over_in, c.under_out, 1, -1
-    if side == SIDE_RIGHT:
-        return c.over_out, c.under_in, -1, 1
-    raise DiagramError("unknown side selector %r (expected one of %r)" % (side, SIDES))
-
-
-def insert_crossing_gadget(d: FramedLinkDiagram, xid: int, side: str,
-                           unknot: int | None = None) -> tuple[FramedLinkDiagram, GadgetRecord]:
-    """Switch crossing `xid` and wire an unknot around the two adjacent
-    strands on `side`, so that blowing the unknot down restores the
-    original linking matrix exactly.
-
-    With `unknot=None` the unknot is a fresh component.  Otherwise
-    `unknot` names an existing split zero-crossing component, other than
-    the two encircled ones, whose framing already equals the required
-    epsilon = -s*a*b (s the crossing sign, a and b the passage signs);
-    its arcs are replaced by the gadget's and its id is kept.  The input
-    diagram is not modified.
-    """
-    ed = Editor(d.copy())
-    return ed.d, ed.gadget(xid, side, unknot)
-
-
-def blow_down_gadget(d: FramedLinkDiagram, rec: GadgetRecord) -> FramedLinkDiagram:
-    """Kirby blow-down of a gadget unknot: splice it out, re-switch the
-    recorded crossing, undo the framing compensations."""
-    comp = d.component(rec.unknot)
-    if rec.epsilon not in (1, -1) or comp.framing != rec.epsilon:
-        raise DiagramError("gadget unknot %d has framing %d, record says %d"
-                           % (rec.unknot, comp.framing, rec.epsilon))
-    ed = Editor(d.copy())
-    xids = sorted(ed.xs_of[rec.unknot])
-    if xids and len(xids) != 4:
-        raise DiagramError("component %d has %d crossings, not the 4-crossing "
-                           "gadget shape" % (rec.unknot, len(xids)))
-    for xid in xids:
-        over, under = d._strand_owners(d.crossings[xid])
-        if (over == rec.unknot) == (under == rec.unknot):
-            raise DiagramError("crossing %d is not a single passage of the "
-                               "gadget unknot" % xid)
-    ed.excise(rec.unknot)
-    if rec.crossing is not None:
-        ed.switch(rec.crossing)
-    for t, delta in rec.framing_compensations.items():
-        ed.comp(t).framing -= delta
-    return ed.d
-
-
-def blow_down_component(d: FramedLinkDiagram, cid: int) -> FramedLinkDiagram:
-    """Raw Kirby blow-down of any +/-1-framed component.
-
-    The result is a diagram presenting the blown-down linking data: the
-    component is spliced away and the induced rank-one change of linking
-    numbers is realized by clasps.  (Framings and linking numbers are what
-    the downstream semantics read; the local picture is not isotoped.)
-    """
-    ed = Editor(d.copy())
-    ed.blow_down(cid)
-    return ed.d
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +727,3 @@ def descending_switch_set(d: FramedLinkDiagram, component_order=None,
                 break
     return out
 
-
-def is_descending(d: FramedLinkDiagram, component_order=None,
-                  self_only: bool = False) -> bool:
-    return not descending_switch_set(d, component_order, self_only=self_only)

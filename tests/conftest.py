@@ -7,11 +7,13 @@ from surgerykit.linkdiag import DiagramError, FramedLinkDiagram
 def random_diagram(rng: random.Random, max_components: int = 3,
                    max_crossings: int = 8) -> FramedLinkDiagram:
     """Random valid diagram grown by kinks, clasps, pokes and crossing
-    switches.  Framings are arbitrary small integers."""
+    switches, all made in place by one Editor.  Framings are arbitrary
+    small integers."""
     k = rng.randint(1, max_components)
-    d = FramedLinkDiagram()
+    ed = linkdiag.Editor(FramedLinkDiagram())
     for _ in range(k):
-        d, _ = linkdiag.add_split_unknot(d, rng.randint(-3, 3))
+        ed.split_unknot(rng.randint(-3, 3))
+    d = ed.d
     ids = d.component_ids()
     target = rng.randint(0, max_crossings)
     while len(d.crossings) < target:
@@ -19,17 +21,16 @@ def random_diagram(rng: random.Random, max_components: int = 3,
         choices = ["kink"] if room < 2 else ["kink", "kink", "clasp", "poke"]
         move = rng.choice(choices)
         if move == "kink":
-            d = linkdiag.add_kink(d, rng.choice(ids), rng.choice((1, -1)),
-                                  first_over=rng.random() < 0.5)
+            ed.kink(rng.choice(ids), rng.choice((1, -1)), first_over=rng.random() < 0.5)
         elif len(ids) >= 2:
             i, j = rng.sample(ids, 2)
             if move == "clasp":
-                d = linkdiag.add_clasp(d, i, j, rng.choice((1, -1)))
+                ed.clasp(i, j, rng.choice((1, -1)))
             else:
-                d, _, _ = linkdiag.add_poke(d, i, j, rng.choice((1, -1)))
+                ed.poke(i, j, rng.choice((1, -1)))
     for xid in list(d.crossings):
         if rng.random() < 0.3:
-            d = linkdiag.switch_crossing(d, xid)
+            ed.switch(xid)
     assert not linkdiag.validate_diagram(d)
     return d
 

@@ -22,8 +22,7 @@ from surgerykit.intlattice import (IntegralLattice, determinant,
                                    diagonalizable_over_Z, e8_matrix,
                                    homology_from_linking, inertia,
                                    is_positive_definite, smith_normal_form)
-from surgerykit.linkdiag import (blow_down_gadget, insert_crossing_gadget,
-                                 linking_matrix)
+from surgerykit.linkdiag import Editor, linking_matrix
 
 
 @contextmanager
@@ -82,10 +81,11 @@ def test_acceptance_3_gadget_soundness():
             L = linking_matrix(d)
             for xid in d.crossings:
                 for side in gadget_sides(d, xid):
-                    d2, rec = insert_crossing_gadget(d, xid, side)
-                    assert not linkdiag.validate_diagram(d2)
-                    back = blow_down_gadget(d2, rec)
-                    assert linking_matrix(back).entries == L.entries
+                    ed = Editor(d.copy())
+                    rec = ed.gadget(xid, side)
+                    assert not linkdiag.validate_diagram(ed.d)
+                    ed.blow_down_gadget(rec)
+                    assert linking_matrix(ed.d).entries == L.entries
                     cases += 1
             diagrams += 1
         assert cases >= 200
@@ -231,15 +231,15 @@ def test_acceptance_8_unknotify():
                                            max_crossings=8))
         for d in fixtures:
             res = unknotify(d)
-            assert linkdiag.is_descending(res.diagram, self_only=True)
+            assert linkdiag.descending_switch_set(res.diagram, self_only=True) == set()
             original = {c.id for c in d.components}
             for c in res.diagram.components:
                 if c.id not in original:
                     assert c.framing in (1, -1)
-            cur = res.diagram
+            ed = Editor(res.diagram)
             for rec in reversed(res.gadgets):
-                cur = blow_down_gadget(cur, rec)
-            assert linking_matrix(cur).entries == linking_matrix(d).entries
+                ed.blow_down_gadget(rec)
+            assert linking_matrix(ed.d).entries == linking_matrix(d).entries
 
 
 def test_acceptance_9_free_group_lemma():

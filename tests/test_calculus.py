@@ -15,7 +15,7 @@ from surgerykit.calculus import (AddSplitUnknot, BlowDownIndex, GadgetSwitch,
 from surgerykit.intlattice import (IntegralLattice, direct_sum, e8_matrix,
                                    homology_from_linking)
 from surgerykit.linkdiag import (Arc, Component, Crossing, DiagramError,
-                                 FramedLinkDiagram, linking_matrix)
+                                 Editor, FramedLinkDiagram, linking_matrix)
 
 
 # -- free words --------------------------------------------------------------
@@ -108,9 +108,10 @@ def test_replay_poke_keeps_matrix():
 def test_replay_gadget_switch_then_blow_down():
     # poke two unknots, gadget-switch the poke crossing, blow the gadget
     # unknot back down: the matrix returns to the start
-    d = catalog.unlink([1, 1])
-    d, g = linkdiag.add_split_unknot(d, -1)
-    d2, c_main, _ = linkdiag.add_poke(d, 0, 1, 1)
+    ed = Editor(catalog.unlink([1, 1]))
+    g = ed.split_unknot(-1)
+    d = ed.d
+    c_main, _ = Editor(d.copy()).poke(0, 1, 1)
     script = MoveScript(initial=d, moves=[
         Poke(over=0, under=1, sign=1),
         GadgetSwitch(crossing=c_main, unknot=g, side=linkdiag.SIDE_BEFORE),
@@ -134,8 +135,10 @@ def test_replay_gadget_switch_every_side_and_self_crossing():
         for xid in sorted(d.crossings):
             owners = d._strand_owners(d.crossing(xid))
             for side in gadget_sides(d, xid):
-                eps = linkdiag.insert_crossing_gadget(d, xid, side)[1].epsilon
-                u = d.fresh_component_id()
+                # a gadget with a fresh unknot takes the id and framing
+                # that AddSplitUnknot will give
+                rec = Editor(d.copy()).gadget(xid, side)
+                eps, u = rec.epsilon, rec.unknot
                 res = replay(MoveScript(initial=d, moves=[
                     AddSplitUnknot(framing=eps), GadgetSwitch(crossing=xid, unknot=u,
                                                               side=side)]))
@@ -214,7 +217,7 @@ def _gadget_script():
     # two +1 unknots and a -1 unknot; poke, switch the poke crossing through
     # the -1 unknot, blow that unknot down
     d = catalog.unlink([1, 1, -1])
-    c_main = linkdiag.add_poke(d, 0, 1, 1)[1]
+    c_main = Editor(d.copy()).poke(0, 1, 1)[0]
     return d, [Poke(over=0, under=1, sign=1),
                GadgetSwitch(crossing=c_main, unknot=2, side=linkdiag.SIDE_BEFORE),
                BlowDownIndex(k=2)]
@@ -289,30 +292,37 @@ def test_crossing_missing_from_the_log_is_caught_at_its_move(kind, monkeypatch):
 
 
 def _reference_step(d, move):
-    """One move by copying rewrites, with the matrix recomputed in full."""
+    """One move on a copy of `d`, with the matrix recomputed in full."""
+    ed = Editor(d.copy())
+    d = ed.d
     if isinstance(move, AddSplitUnknot):
-        d = linkdiag.add_split_unknot(d, move.framing)[0]
+        ed.split_unknot(move.framing)
     elif isinstance(move, Poke):
-        d = linkdiag.add_poke(d, move.over, move.under, move.sign)[0]
+        ed.poke(move.over, move.under, move.sign)
     elif isinstance(move, SlideOverUnknot):
         f = d.component(move.unknot).framing
-        d = linkdiag.add_clasp(d, move.component, move.unknot, move.s * f)
+        ed.clasp(move.component, move.unknot, move.s * f)
         d.component(move.component).framing += f
     elif isinstance(move, GadgetSwitch):
-        d = linkdiag.insert_crossing_gadget(d, move.crossing, move.side, move.unknot)[0]
+        ed.gadget(move.crossing, move.side, move.unknot)
     elif isinstance(move, MatrixSlide):
         ids, L = d.component_ids(), linking_matrix(d).entries
         L2 = intlattice.congruence_slide(IntegralLattice(L), move.i, move.j, move.s).entries
-        d = d.copy()
         d.component(ids[move.i]).framing = L2[move.i][move.i]
         for t, ct in enumerate(ids):
             delta = L2[move.i][t] - L[move.i][t]
             if t != move.i and delta:
                 for _ in range(abs(delta)):
-                    d = linkdiag.add_clasp(d, ids[move.i], ct, 1 if delta > 0 else -1)
+                    ed.clasp(ids[move.i], ct, 1 if delta > 0 else -1)
     else:
-        d = linkdiag.blow_down_component(d, d.component_ids()[move.k])
+        ed.blow_down(d.component_ids()[move.k])
     return d, linking_matrix(d)
+
+
+def _fresh_id(d):
+    """The smallest component id `d` does not use."""
+    ids = set(d.component_ids())
+    return min(set(range(len(ids) + 1)) - ids)
 
 
 def _random_moves(rng, d):
@@ -325,7 +335,7 @@ def _random_moves(rng, d):
         over, under = rng.sample(ids, 2)
         return [Poke(over=over, under=under, sign=rng.choice((1, -1)))]
     if kind == "slide_over" and ids:
-        u = d.fresh_component_id()
+        u = _fresh_id(d)
         return [AddSplitUnknot(framing=rng.choice((1, -1))),
                 SlideOverUnknot(component=rng.choice(ids), unknot=u, s=rng.choice((1, -1)))]
     if kind == "gadget" and d.crossings:
@@ -334,9 +344,9 @@ def _random_moves(rng, d):
         if not sides:
             return []
         side = rng.choice(sides)
-        eps = linkdiag.insert_crossing_gadget(d, xid, side)[1].epsilon
-        return [AddSplitUnknot(framing=eps),
-                GadgetSwitch(crossing=xid, unknot=d.fresh_component_id(), side=side)]
+        rec = Editor(d.copy()).gadget(xid, side)
+        return [AddSplitUnknot(framing=rec.epsilon),
+                GadgetSwitch(crossing=xid, unknot=rec.unknot, side=side)]
     if kind == "slide" and len(ids) >= 2:
         if max(abs(x) for row in linking_matrix(d).entries for x in row) <= 6:
             i, j = rng.sample(range(len(ids)), 2)
@@ -391,11 +401,11 @@ def test_unknotify_trefoil():
     d = catalog.trefoil(-1)
     res = unknotify(d)
     assert res.p == 1
-    assert linkdiag.is_descending(res.diagram, self_only=True)
-    cur = res.diagram
+    assert linkdiag.descending_switch_set(res.diagram, self_only=True) == set()
+    ed = Editor(res.diagram)
     for rec in reversed(res.gadgets):
-        cur = linkdiag.blow_down_gadget(cur, rec)
-    assert linking_matrix(cur) == linking_matrix(d)
+        ed.blow_down_gadget(rec)
+    assert linking_matrix(ed.d) == linking_matrix(d)
 
 
 def test_unknotify_descending_input_is_noop():
@@ -418,13 +428,13 @@ def test_unknotify_random_round_trip():
     while done < 20:
         d = random_diagram(rng)
         res = unknotify(d)
-        assert linkdiag.is_descending(res.diagram, self_only=True)
+        assert linkdiag.descending_switch_set(res.diagram, self_only=True) == set()
         for rec in res.gadgets:
             assert res.diagram.component(rec.unknot).framing in (1, -1)
-        cur = res.diagram
+        ed = Editor(res.diagram)
         for rec in reversed(res.gadgets):
-            cur = linkdiag.blow_down_gadget(cur, rec)
-        assert linking_matrix(cur) == linking_matrix(d)
+            ed.blow_down_gadget(rec)
+        assert linking_matrix(ed.d) == linking_matrix(d)
         done += 1
 
 

@@ -70,7 +70,7 @@ def test_unknotify_writes_descending_link(tmp_path, capsys):
     assert code == 0
     assert rep["result"]["p"] == 1
     d2 = jsonio.diagram_from_obj(jsonio.load_path(out))
-    assert linkdiag.is_descending(d2, self_only=True)
+    assert linkdiag.descending_switch_set(d2, self_only=True) == set()
 
 
 def test_unknotify_respects_order(tmp_path, capsys):
@@ -211,6 +211,7 @@ def test_word_rejects_garbage():
     assert main(["word", "[[0]]"]) == 2
     assert main(["word", "[[0, 2]]"]) == 2
     assert main(["word", "[[%s, 1]]" % ("1" * 5000)]) == 2  # past the digit limit
+    assert main(["word", "[" * 5000 + "]" * 5000]) == 2  # past the nesting limit
 
 
 # -- exit codes and help -----------------------------------------------------
@@ -253,6 +254,13 @@ def test_malformed_link_is_exit_two(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(cert)]) == 2
     assert capsys.readouterr().err == "error: link arcs must be a list\n"
+    # nesting past the parser's recursion limit
+    p.write_text("[" * 5000 + "]" * 5000)
+    for cmd in ("invariants", "lattice", "obstruction", "unknotify", "certify-embedding",
+                "verify"):
+        assert main([cmd, str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read %s: maximum recursion depth" % p), err
 
 
 def test_crossing_naming_missing_arc_is_exit_two(tmp_path, capsys):

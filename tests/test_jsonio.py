@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -60,6 +61,53 @@ def test_diagram_round_trip_randomized():
     for _ in range(25):
         d = random_diagram(rng)
         assert diagram_from_obj(diagram_to_obj(d)) == d
+
+
+# sha256 of dumps(diagram_to_obj(random_diagram(random.Random(seed), ...))),
+# recorded when random_diagram still copied the diagram at every step: the
+# seeded inputs of every test built on random_diagram are pinned by these
+SEEDED_DIAGRAMS = {
+    (3, 8): {
+        0: "4828d6677a0f7bb41da70e036959edbfb1f5debe1295571fa46d4c1b878304ba",
+        1: "c9b6c99f64f8707df7f9a2ad56254d35d606705df3c71c97d29948e0acfa52f3",
+        2: "aab78335b5cb609d23b1df069a0893293099f5b395cfa716d9c52601a23c08d8",
+        3: "e7875fae3902348b3bf250da86d5e863c8be204e7bd193c935e3367f5f0c625c",
+        4: "ebf72ddd762bbb03d6903d3d0a0e10147502c70868055beb55e93ea35e24e734",
+        5: "6c76e3eba4585464601d12632d2ff83f5ca4e40b50c1ef106653e0045dd3ab76",
+        6: "edd89088bd6e2721d942428409e7738224cae4a1082501844fc24f53cce45eed",
+        7: "2549a8dc3fe4dcb6096e363b1f162b3557fa56c8da4941835dca3a9910fb4919",
+    },
+    (7, 40): {
+        0: "1bfe4103d967e1fff0803ace14f718b0bbcbbf20cb3afeb7492f35e27a32aea7",
+        1: "9131cca2bfc0ebd2d1340d3e18f18b6a2466e0d7d2b9b7d7ccda82a7c97e7f9e",
+        2: "ea4cb8152dc8e116cfc3715cb05b968be90848e55d0d3aaf28af14f93f9dce66",
+        3: "2359126bfd010f94c7e628614cd21707bd1932b3af78a99a00218fe48059deba",
+        4: "f5be1d5cefb3ed6acd9e1f51effbe150a51b0b7f8769b318812f444bac0a0ee9",
+        5: "b5bc5f508614f0602558bda112e0a8096ef773b5539ab304ddfa2e5a12a469d8",
+        6: "e2337714c849a15bfd0261ada0390c290640d546035ca388e28b10065bba6c8f",
+        7: "a2526343869acc11b31709acaad0505dcddd61faa76c96e08cbbda5852212af3",
+    },
+}
+# one digest over seeds 0-299, seed s with 1 + s % 7 components and at
+# most s % 41 crossings
+SEEDED_DIAGRAMS_300 = "ba9da3d36d6b9848531f883db0ecbc5c2c751b67b02512873b438a27a04b3c9b"
+
+
+def _digest(texts):
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+    return h.hexdigest()
+
+
+def test_seeded_random_diagrams_are_pinned():
+    for (components, crossings), digests in SEEDED_DIAGRAMS.items():
+        for seed, digest in digests.items():
+            d = random_diagram(random.Random(seed), components, crossings)
+            assert _digest([dumps(diagram_to_obj(d))]) == digest, (components, crossings, seed)
+    texts = (dumps(diagram_to_obj(random_diagram(random.Random(s), 1 + s % 7, s % 41)))
+             for s in range(300))
+    assert _digest(texts) == SEEDED_DIAGRAMS_300
 
 
 def test_diagram_rejects_unknown_keys():

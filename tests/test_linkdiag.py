@@ -3,14 +3,20 @@ import random
 import pytest
 
 from conftest import gadget_sides, random_diagram
-from surgerykit import catalog, linkdiag
+from surgerykit import catalog, intlattice, linkdiag
 from surgerykit.linkdiag import (Arc, Component, Crossing, DiagramError,
-                                 FramedLinkDiagram, add_clasp, add_kink,
-                                 add_poke, add_split_unknot, blow_down_gadget,
-                                 descending_switch_set, insert_crossing_gadget,
-                                 is_descending, linking_matrix, linking_number,
-                                 reverse_component, switch_crossing,
+                                 Editor, FramedLinkDiagram, GadgetRecord,
+                                 descending_switch_set, linking_matrix,
+                                 linking_number, reverse_component,
                                  validate_diagram)
+
+
+def _switched(d, xids):
+    """A copy of `d` with the crossings `xids` switched."""
+    ed = Editor(d.copy())
+    for xid in xids:
+        ed.switch(xid)
+    return ed.d
 
 
 # -- validation --------------------------------------------------------------
@@ -128,18 +134,21 @@ def test_linking_matrix_odd_pair_error():
 def test_switch_drops_hopf_linking():
     h = catalog.hopf_link()
     xid = min(h.crossings)
-    assert linking_number(switch_crossing(h, xid), 0, 1) == 0
+    assert linking_number(_switched(h, [xid]), 0, 1) == 0
 
 
 def test_switch_is_involution():
     d = catalog.trefoil(3)
-    d2 = switch_crossing(switch_crossing(d, 1), 1)
-    assert d2 == d
+    ed = Editor(d.copy())
+    ed.switch(1)
+    assert ed.d != d
+    ed.switch(1)
+    assert ed.d == d
 
 
 def test_switch_self_crossing_keeps_matrix():
     d = catalog.trefoil(-1)
-    assert linking_matrix(switch_crossing(d, 0)) == linking_matrix(d)
+    assert linking_matrix(_switched(d, [0])) == linking_matrix(d)
 
 
 def test_switch_changes_linking_by_sign():
@@ -150,7 +159,7 @@ def test_switch_changes_linking_by_sign():
             i, j = d._strand_owners(c)
             if i == j:
                 continue
-            d2 = switch_crossing(d, xid)
+            d2 = _switched(d, [xid])
             assert linking_number(d2, i, j) == linking_number(d, i, j) - c.sign
             assert [x.framing for x in d2.components] == [x.framing for x in d.components]
             break
@@ -187,16 +196,19 @@ def test_reverse_conjugates_matrix():
 # -- split unknots -----------------------------------------------------------
 
 def test_add_split_unknot():
-    d, cid = add_split_unknot(FramedLinkDiagram(), -1)
-    assert linking_matrix(d).entries == [[-1]]
-    d2, _ = add_split_unknot(catalog.hopf_link((0, 0)), 1)
-    assert linking_matrix(d2).entries == [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    ed = Editor(FramedLinkDiagram())
+    assert ed.split_unknot(-1) == 0
+    assert linking_matrix(ed.d).entries == [[-1]]
+    ed = Editor(catalog.hopf_link((0, 0)))
+    assert ed.split_unknot(1) == 2
+    assert linking_matrix(ed.d).entries == [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
 
 
 def test_many_split_unknots_are_zero_crossing_loops():
-    d = FramedLinkDiagram()
+    ed = Editor(FramedLinkDiagram())
     for k in range(4):
-        d, _ = add_split_unknot(d, k)
+        ed.split_unknot(k)
+    d = ed.d
     assert d.component_ids() == [0, 1, 2, 3] and not d.crossings
     assert sorted((v.owner, v.successor) for v in d.arcs.values()) == [(k, k) for k in range(4)]
 
@@ -204,8 +216,9 @@ def test_many_split_unknots_are_zero_crossing_loops():
 # -- gadget ------------------------------------------------------------------
 
 def test_self_crossing_antiparallel_side_has_no_compensation():
-    d = catalog.trefoil(0)
-    d2, rec = insert_crossing_gadget(d, 0, linkdiag.SIDE_LEFT)
+    ed = Editor(catalog.trefoil(0))
+    rec = ed.gadget(0, linkdiag.SIDE_LEFT)
+    d2 = ed.d
     a, b = rec.passage_signs
     assert a == -b
     assert rec.framing_compensations == {}
@@ -213,18 +226,19 @@ def test_self_crossing_antiparallel_side_has_no_compensation():
 
 
 def test_hopf_gadget_compensations():
-    h = catalog.hopf_link((0, 0))
-    xid = min(h.crossings)  # sign +1
-    d2, rec = insert_crossing_gadget(h, xid, linkdiag.SIDE_BEFORE)
+    ed = Editor(catalog.hopf_link((0, 0)))
+    xid = min(ed.d.crossings)  # sign +1
+    rec = ed.gadget(xid, linkdiag.SIDE_BEFORE)
     assert rec.epsilon == -1
     assert rec.framing_compensations == {0: -1, 1: -1}
-    d3 = blow_down_gadget(d2, rec)
-    assert linking_matrix(d3).entries == [[0, 1], [1, 0]]
+    ed.blow_down_gadget(rec)
+    assert linking_matrix(ed.d).entries == [[0, 1], [1, 0]]
 
 
 def test_gadget_unknot_shape():
-    d = catalog.trefoil(0)
-    d2, rec = insert_crossing_gadget(d, 1, linkdiag.SIDE_BEFORE)
+    ed = Editor(catalog.trefoil(0))
+    rec = ed.gadget(1, linkdiag.SIDE_BEFORE)
+    d2 = ed.d
     assert d2.component(rec.unknot).framing == rec.epsilon
     assert rec.epsilon in (1, -1)
     owners = [(d2.arcs[c.over_in].owner, d2.arcs[c.under_in].owner)
@@ -242,61 +256,195 @@ def test_gadget_round_trip_randomized():
         L = linking_matrix(d)
         for xid in d.crossings:
             for side in gadget_sides(d, xid):
-                d2, rec = insert_crossing_gadget(d, xid, side)
-                assert not validate_diagram(d2)
-                d3 = blow_down_gadget(d2, rec)
-                assert not validate_diagram(d3)
-                assert linking_matrix(d3) == L
+                ed = Editor(d.copy())
+                rec = ed.gadget(xid, side)
+                assert not validate_diagram(ed.d)
+                ed.blow_down_gadget(rec)
+                assert not validate_diagram(ed.d)
+                assert linking_matrix(ed.d) == L
         done += 1
 
 
 def test_blow_down_split_unknot():
-    from surgerykit.linkdiag import GadgetRecord
-    d, cid = add_split_unknot(catalog.hopf_link((0, 0)), 1)
+    ed = Editor(catalog.hopf_link((0, 0)))
+    cid = ed.split_unknot(1)
     rec = GadgetRecord(unknot=cid, crossing=None, epsilon=1,
                        passage_signs=(1, 1), framing_compensations={})
-    d2 = blow_down_gadget(d, rec)
-    assert linking_matrix(d2).entries == [[0, 1], [1, 0]]
+    ed.blow_down_gadget(rec)
+    assert linking_matrix(ed.d).entries == [[0, 1], [1, 0]]
 
 
 def test_blow_down_wrong_record_errors():
-    from surgerykit.linkdiag import GadgetRecord
-    d = catalog.hopf_link((0, 0))
     rec = GadgetRecord(unknot=0, crossing=None, epsilon=1,
                        passage_signs=(1, 1), framing_compensations={})
+    ed = Editor(catalog.hopf_link((0, 0)))
     with pytest.raises(DiagramError):
-        blow_down_gadget(d, rec)  # framing 0, not gadget shaped
+        ed.blow_down_gadget(rec)  # framing 0, not gadget shaped
 
 
 def test_degenerate_side_on_kink_errors():
-    d = add_kink(catalog.unknot(0), 0, 1)
-    xid = next(iter(d.crossings))
+    ed = Editor(catalog.unknot(0))
+    ed.kink(0, 1)
+    xid = next(iter(ed.d.crossings))
+    c = ed.d.crossings[xid]
     with pytest.raises(DiagramError):
-        insert_crossing_gadget(d, xid, linkdiag.SIDE_LEFT if
-                               d.crossings[xid].over_in == d.crossings[xid].under_out
-                               else linkdiag.SIDE_RIGHT)
+        ed.gadget(xid, linkdiag.SIDE_LEFT if c.over_in == c.under_out else linkdiag.SIDE_RIGHT)
+
+
+# -- failed preconditions ----------------------------------------------------
+
+def _editor(d, kinks=0, unknots=()):
+    """An Editor on `d` after `kinks` kinks on component 0 and one split
+    unknot per framing in `unknots`."""
+    ed = Editor(d)
+    for _ in range(kinks):
+        ed.kink(0, 1)
+    for framing in unknots:
+        ed.split_unknot(framing)
+    return ed
+
+
+def _hopf_gadget():
+    """The Hopf link with a gadget on crossing 0: the unknot is component 2
+    on crossings 2-5, with the record _gadget_record()."""
+    ed = Editor(catalog.hopf_link((0, 0)))
+    ed.gadget(0, linkdiag.SIDE_BEFORE)
+    return ed
+
+
+def _gadget_record(**change):
+    rec = dict(unknot=2, crossing=0, epsilon=-1, passage_signs=(1, 1),
+               framing_compensations={0: -1, 1: -1})
+    return GadgetRecord(**{**rec, **change})
+
+
+def _odd_pairs(framing):
+    """Three components of two arcs each; every pair shares one crossing."""
+    d = FramedLinkDiagram(
+        components=[Component(k, framing, basepoint=2 * k) for k in range(3)],
+        arcs={0: Arc(0, 1), 1: Arc(0, 0), 2: Arc(1, 3), 3: Arc(1, 2),
+              4: Arc(2, 5), 5: Arc(2, 4)},
+        crossings={0: Crossing(0, 1, 2, 3, 1), 1: Crossing(3, 2, 4, 5, 1),
+                   2: Crossing(5, 4, 1, 0, 1)})
+    return Editor(d)
+
+
+# (editor, the rewrite whose precondition fails on it, the error it raises)
+FAILED_PRECONDITIONS = {
+    "switch unknown crossing": (lambda: _editor(catalog.hopf_link()),
+                                lambda ed: ed.switch(9), "unknown crossing id 9"),
+    "kink sign": (lambda: _editor(catalog.unknot(0)),
+                  lambda ed: ed.kink(0, 2), "kink sign must be"),
+    "kink unknown component": (lambda: _editor(catalog.unknot(0)),
+                               lambda ed: ed.kink(5, 1), "unknown component id 5"),
+    "clasp one component": (lambda: _editor(catalog.hopf_link()),
+                            lambda ed: ed.clasp(0, 0, 1), "two distinct components"),
+    "clasp sign": (lambda: _editor(catalog.hopf_link()),
+                   lambda ed: ed.clasp(0, 1, 0), "clasp sign must be"),
+    "clasp unknown component": (lambda: _editor(catalog.hopf_link()),
+                                lambda ed: ed.clasp(0, 5, 1, 3), "unknown component id 5"),
+    "poke one component": (lambda: _editor(catalog.hopf_link()),
+                           lambda ed: ed.poke(1, 1, 1), "two distinct components"),
+    "poke sign": (lambda: _editor(catalog.hopf_link()),
+                  lambda ed: ed.poke(0, 1, 2), "poke sign must be"),
+    "poke unknown component": (lambda: _editor(catalog.hopf_link()),
+                               lambda ed: ed.poke(5, 0, -1), "unknown component id 5"),
+    "gadget unknown crossing": (lambda: _editor(catalog.hopf_link()),
+                                lambda ed: ed.gadget(9, "before"), "unknown crossing id 9"),
+    "gadget unknown side": (lambda: _editor(catalog.hopf_link()),
+                            lambda ed: ed.gadget(0, "up"), "unknown side selector"),
+    "gadget degenerate side": (lambda: _editor(catalog.unknot(0), kinks=1),
+                               lambda ed: ed.gadget(0, "left"), "selects one arc twice"),
+    "gadget unknown unknot": (lambda: _editor(catalog.hopf_link()),
+                              lambda ed: ed.gadget(0, "before", 5), "unknown component id 5"),
+    "gadget encircled unknot": (lambda: _editor(catalog.hopf_link()),
+                                lambda ed: ed.gadget(0, "before", 1), "encircled"),
+    "gadget unknot framing": (lambda: _editor(catalog.hopf_link(), unknots=[5]),
+                              lambda ed: ed.gadget(0, "before", 2), "has framing 5, need -1"),
+    "gadget unknot not split": (lambda: _editor(catalog.chain_link([0, 0, -1])),
+                                lambda ed: ed.gadget(0, "before", 2), "is not split"),
+    "blow_down unknown component": (lambda: _editor(catalog.hopf_link()),
+                                    lambda ed: ed.blow_down(5), "unknown component id 5"),
+    "blow_down framing": (lambda: _editor(catalog.hopf_link((2, 1))),
+                          lambda ed: ed.blow_down(0), "needs framing"),
+    "blow_down odd pair": (lambda: _odd_pairs(1),
+                           lambda ed: ed.blow_down(0), "odd number of crossings"),
+    "blow_down_gadget unknown unknot": (
+        _hopf_gadget, lambda ed: ed.blow_down_gadget(_gadget_record(unknot=5)),
+        "unknown component id 5"),
+    "blow_down_gadget epsilon": (
+        _hopf_gadget, lambda ed: ed.blow_down_gadget(_gadget_record(epsilon=1)),
+        "has framing -1, record says 1"),
+    "blow_down_gadget shape": (
+        lambda: _editor(catalog.hopf_link((1, 0))),
+        lambda ed: ed.blow_down_gadget(_gadget_record(unknot=0, epsilon=1)),
+        "not the 4-crossing gadget shape"),
+    "blow_down_gadget self-crossings": (
+        lambda: _editor(catalog.unknot(1), kinks=4),
+        lambda ed: ed.blow_down_gadget(_gadget_record(unknot=0, epsilon=1, crossing=None)),
+        "not a single passage"),
+    "blow_down_gadget missing crossing": (
+        _hopf_gadget, lambda ed: ed.blow_down_gadget(_gadget_record(crossing=9)),
+        "unknown crossing id 9"),
+    "blow_down_gadget crossing of the unknot": (
+        _hopf_gadget, lambda ed: ed.blow_down_gadget(_gadget_record(crossing=3)),
+        "blow-down removes"),
+    "blow_down_gadget missing compensation target": (
+        _hopf_gadget,
+        lambda ed: ed.blow_down_gadget(_gadget_record(framing_compensations={0: -1, 7: -1})),
+        "unknown component id 7"),
+    "blow_down_gadget compensation of the unknot": (
+        _hopf_gadget,
+        lambda ed: ed.blow_down_gadget(_gadget_record(framing_compensations={2: -1})),
+        "blow-down removes"),
+}
+
+
+def _state(ed):
+    return (ed.d.copy(), list(ed.log), dict(ed.pos),
+            {c: set(a) for c, a in ed.arcs_of.items()},
+            {c: set(x) for c, x in ed.xs_of.items()}, dict(ed.in_x))
+
+
+@pytest.mark.parametrize("case", sorted(FAILED_PRECONDITIONS))
+def test_failed_precondition_changes_nothing(case):
+    make, rewrite, message = FAILED_PRECONDITIONS[case]
+    ed = make()
+    before = _state(ed)
+    with pytest.raises(DiagramError, match=message):
+        rewrite(ed)
+    assert _state(ed) == before
+
+
+def test_blow_down_gadget_record_and_log():
+    ed = _hopf_gadget()
+    assert ed.gadget(1, linkdiag.SIDE_BEFORE) == _gadget_record(unknot=3, crossing=1)
+    ed.blow_down_gadget(_gadget_record(unknot=3, crossing=1))
+    ed.blow_down_gadget(_gadget_record())
+    assert ed.d == catalog.hopf_link((0, 0))
+    # every crossing and framing change was logged, so the log nets to zero
+    assert intlattice._pair_sums(ed.log) == {}
 
 
 # -- descending traversal ----------------------------------------------------
 
 def test_kink_first_over_is_descending():
-    d = add_kink(catalog.unknot(0), 0, 1, first_over=True)
-    assert descending_switch_set(d) == set()
+    ed = Editor(catalog.unknot(0))
+    ed.kink(0, 1, first_over=True)
+    assert descending_switch_set(ed.d) == set()
 
 
 def test_kink_first_under_needs_switch():
-    d = add_kink(catalog.unknot(0), 0, 1, first_over=False)
-    assert descending_switch_set(d) == set(d.crossings)
+    ed = Editor(catalog.unknot(0))
+    ed.kink(0, 1, first_over=False)
+    assert descending_switch_set(ed.d) == set(ed.d.crossings)
 
 
 def test_trefoil_descending_set():
     d = catalog.trefoil()
     s = descending_switch_set(d)
     assert s == {1}
-    d2 = d
-    for xid in s:
-        d2 = switch_crossing(d2, xid)
-    assert is_descending(d2)
+    assert descending_switch_set(_switched(d, s)) == set()
 
 
 def test_switching_descending_set_descends():
@@ -305,15 +453,11 @@ def test_switching_descending_set_descends():
         d = random_diagram(rng)
         order = d.component_ids()
         rng.shuffle(order)
-        d2 = d
-        for xid in descending_switch_set(d, order):
-            d2 = switch_crossing(d2, xid)
-        assert is_descending(d2, order)
+        d2 = _switched(d, descending_switch_set(d, order))
+        assert descending_switch_set(d2, order) == set()
         # restricted variant: every component individually descending
-        d3 = d
-        for xid in descending_switch_set(d, order, self_only=True):
-            d3 = switch_crossing(d3, xid)
-        assert is_descending(d3, order, self_only=True)
+        d3 = _switched(d, descending_switch_set(d, order, self_only=True))
+        assert descending_switch_set(d3, order, self_only=True) == set()
 
 
 def test_missing_basepoint_errors():
@@ -389,8 +533,9 @@ def test_descending_switch_set_matches_reference_traversal():
 # -- clasps and pokes --------------------------------------------------------
 
 def test_clasp_changes_linking_by_sign():
-    d = catalog.unlink([0, 0])
-    assert linking_number(add_clasp(d, 0, 1, -1), 0, 1) == -1
+    ed = Editor(catalog.unlink([0, 0]))
+    ed.clasp(0, 1, -1)
+    assert linking_number(ed.d, 0, 1) == -1
 
 
 def test_chain_link_clasps_in_place(monkeypatch):
@@ -406,7 +551,9 @@ def test_chain_link_clasps_in_place(monkeypatch):
 
 def test_poke_preserves_linking():
     d = catalog.hopf_link((2, 3))
-    d2, c_main, c_mate = add_poke(d, 0, 1, -1)
+    ed = Editor(d.copy())
+    c_main, c_mate = ed.poke(0, 1, -1)
+    d2 = ed.d
     assert not validate_diagram(d2)
     assert linking_matrix(d2) == linking_matrix(d)
     assert d2.crossings[c_main].sign == -1
