@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -204,9 +205,9 @@ def cmd_obstruction(args) -> int:
 
 
 def cmd_word(args) -> int:
-    try:
+    if os.path.exists(args.intersections):
         obj = jsonio.load_path(args.intersections)
-    except FormatError:
+    else:
         try:
             obj = json.loads(args.intersections)
         except (ValueError, RecursionError):  # bad JSON, too deep, or too many digits

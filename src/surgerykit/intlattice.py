@@ -1,7 +1,9 @@
 """Exact integer symmetric-bilinear-form engine, over unbounded integers
-and exact rationals only.  Inertia, the checks of the diagonalizability
-test and the Fincke-Pohst data read one fraction-free symmetric
-elimination; the determinant of any square matrix is Bareiss.
+and exact rationals only.  Inertia and the checks of the
+diagonalizability test read one fraction-free symmetric elimination;
+the determinant of any square matrix is Bareiss.  Short vectors are
+enumerated by Fincke-Pohst on an exact integral LLL reduction of the
+form, and that reduction is also their positive-definiteness check.
 """
 
 from __future__ import annotations
@@ -257,16 +259,15 @@ def determinant(L) -> int:
 
 def _eliminate(L: IntegralLattice):
     """Fraction-free (Bareiss) symmetric elimination.  Returns the pivots
-    p_t, leading principal minors of a congruent form, and each pivot's
-    row as it stood when taken.  The pivot is the first remaining index
-    with a nonzero diagonal entry (index order, on a positive definite
-    form); if there is none, row and column j are added into i for the
-    first nonzero A[i][j].  The adds touch only unpivoted rows and
-    columns, where minors are linear, so Sylvester's identity makes every
-    division exact."""
+    p_t, leading principal minors of a congruent form.  The pivot is the
+    first remaining index with a nonzero diagonal entry (index order, on
+    a positive definite form); if there is none, row and column j are
+    added into i for the first nonzero A[i][j].  The adds touch only
+    unpivoted rows and columns, where minors are linear, so Sylvester's
+    identity makes every division exact."""
     A = [row[:] for row in L.entries]
     active = list(range(L.n))
-    pivots, rows = [], []
+    pivots = []
     while active:
         piv = next((i for i in active if A[i][i]), None)
         if piv is None:
@@ -286,14 +287,13 @@ def _eliminate(L: IntegralLattice):
             for c in active:
                 row[c] = (row[c] * p - f * prow[c]) // prev
         pivots.append(p)
-        rows.append(prow)
-    return pivots, rows
+    return pivots
 
 
 def inertia(L: IntegralLattice) -> Inertia:
     """Counts of positive/zero/negative eigenvalues: the signs of the
     LDL^T diagonal p_t / p_(t-1) of `_eliminate`, plus its zero block."""
-    pivots, _ = _eliminate(L)
+    pivots = _eliminate(L)
     neg = sum(1 for a, b in zip([1] + pivots, pivots) if (a > 0) != (b > 0))
     return Inertia(positive=len(pivots) - neg, zero=L.n - len(pivots), negative=neg)
 
@@ -413,18 +413,65 @@ def e8_matrix() -> IntegralLattice:
 # short vectors (Fincke-Pohst)
 
 
-def _fp_decompose(L: IntegralLattice):
-    """Cholesky data L = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 from
-    `_eliminate`: d_i = p_i / p_(i-1), u_ij = row_i[j] / p_i.  L is
-    positive definite iff it has n pivots, all > 0 (Sylvester); else it raises."""
-    n = L.n
-    pivots, rows = _eliminate(L)
-    if len(pivots) < n or min(pivots, default=1) <= 0:
-        raise LatticeError("short_vectors needs a positive definite matrix")
-    d = [Fraction(p, prev) for p, prev in zip(pivots, [1] + pivots)]
-    u = [[0] * (i + 1) + [Fraction(row[j], p) for j in range(i + 1, n)]
-         for i, (p, row) in enumerate(zip(pivots, rows))]
-    return d, u
+def _lll(G):
+    """Exact integral LLL with delta = 3/4 on a Gram matrix G (Cohen,
+    GTM 138, Alg. 2.6.7).  Returns (H, d, lam): the rows of the
+    unimodular H are the reduced basis in the input coordinates, d[t] is
+    the Gram determinant of its first t vectors (d[0] = 1), and
+    lam[k][j] = d[j+1] * mu_kj for j < k, all integers.
+
+    When index k is first reached, d[k+1] is the (k+1)-th leading
+    principal minor of G, so it must be > 0 (Sylvester): a form that is
+    not positive definite raises there, before any swap can loop."""
+    n = len(G)
+    H = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def red(k, l):  # size-reduce vector k against vector l < k
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            H[k] = [a - q * b for a, b in zip(H[k], H[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k):  # exchange vectors k - 1 and k
+        H[k - 1], H[k] = H[k], H[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        m = lam[k][k - 1]
+        B = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (B * t + m * lam[i][k]) // d[k + 1]
+        d[k] = B
+
+    k, kmax = 0, -1
+    while k < n:
+        if k > kmax:  # vector k is still e_k: incremental Gram-Schmidt
+            kmax = k
+            for j in range(k + 1):
+                u = sum(a * b for a, b in zip(G[k], H[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
+            if d[k + 1] <= 0:
+                raise LatticeError("short_vectors needs a positive definite matrix")
+        if k:
+            red(k, k - 1)
+            if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+                swap(k)
+                k = max(1, k - 1)
+                continue
+        for l in range(k - 2, -1, -1):
+            red(k, l)
+        k += 1
+    return H, d, lam
 
 
 def _int_range(d: Fraction, c: Fraction, T: Fraction) -> range:
@@ -445,13 +492,19 @@ def short_vectors(L: IntegralLattice, bound: int) -> list[tuple[int, ...]]:
     """All nonzero v with v^T L v <= bound, one representative per +/-v
     pair (first nonzero coordinate positive), in lexicographic order.
 
-    Fincke-Pohst backtracking over the exact rational Cholesky
-    decomposition; deterministic by construction.
+    The basis is LLL-reduced first, which also checks that L is positive
+    definite.  Fincke-Pohst backtracking then runs on the reduced form,
+    over its exact rational Cholesky data L = sum_i d_i (y_i + sum_{j>i}
+    mu_ji y_j)^2 read from the LLL, and each y found maps back to x = yH.
     """
     n = L.n
     if n == 0:
         return []
-    d, u = _fp_decompose(L)
+    H, dets, lam = _lll(L.entries)
+    d = [Fraction(p, prev) for p, prev in zip(dets[1:], dets)]
+    u = [[0] * (i + 1) + [Fraction(lam[j][i], dets[i + 1]) for j in range(i + 1, n)]
+         for i in range(n)]
+    cols = list(zip(*H))
     found: list[tuple[int, ...]] = []
     x = [0] * n
 
@@ -460,9 +513,9 @@ def short_vectors(L: IntegralLattice, bound: int) -> list[tuple[int, ...]]:
         for xi in _int_range(d[i], c, T):
             x[i] = xi
             if i == 0:
-                v = tuple(x)
-                if any(v):
-                    found.append(v)
+                if any(x):
+                    found.append(tuple(sum(y * h for y, h in zip(x, col))
+                                       for col in cols))
             else:
                 descend(i - 1, T - d[i] * (xi + c) ** 2)
         x[i] = 0
@@ -513,7 +566,7 @@ def diagonalizable_over_Z(L: IntegralLattice):
     itself when k == 0) and the verdict is True iff k equals the rank.
     Requires a positive definite unimodular form.
     """
-    pivots, _ = _eliminate(L)
+    pivots = _eliminate(L)
     if len(pivots) < L.n or min(pivots, default=1) <= 0:
         raise LatticeError("diagonalizability test needs a positive definite matrix")
     if pivots and pivots[-1] != 1:

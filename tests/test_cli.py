@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from conftest import random_diagram
 from surgerykit import catalog, intlattice, jsonio, linkdiag
 from surgerykit.cli import main
@@ -212,6 +214,21 @@ def test_word_rejects_garbage():
     assert main(["word", "[[0, 2]]"]) == 2
     assert main(["word", "[[%s, 1]]" % ("1" * 5000)]) == 2  # past the digit limit
     assert main(["word", "[" * 5000 + "]" * 5000]) == 2  # past the nesting limit
+
+
+@pytest.mark.parametrize("name, content", [
+    ("bad.json", b"[[0, 1], "),
+    ("latin1.json", b"[[0, 1]] \xff"),
+    ("nested.json", b"[" * 5000 + b"]" * 5000),
+], ids=["truncated", "not_utf8", "too_deep"])
+def test_word_reports_an_unreadable_file(tmp_path, capsys, name, content):
+    # a file that exists but cannot be read is reported as such, not
+    # reparsed as inline JSON
+    p = tmp_path / name
+    p.write_bytes(content)
+    assert main(["word", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read %s: " % p)
 
 
 # -- exit codes and help -----------------------------------------------------

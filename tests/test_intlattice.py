@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -290,6 +292,16 @@ def _invert_fraction(rows):
     return [row[n:] for row in A]
 
 
+def _canonical(vs):
+    """One representative per +/-v pair (first nonzero coordinate
+    positive), sorted: the output convention of `short_vectors`."""
+    out = set()
+    for v in vs:
+        first = next(t for t in v if t)
+        out.add(tuple(v) if first > 0 else tuple(-t for t in v))
+    return sorted(out)
+
+
 def _short_vectors_box(L, bound):
     """Brute force: for pos. definite A and v^T A v <= T one has
     v_i^2 <= T * (A^-1)_ii, so a finite box contains every solution."""
@@ -300,12 +312,8 @@ def _short_vectors_box(L, bound):
         while Fraction((m + 1) ** 2) <= Fraction(bound) * inv[i][i]:
             m += 1
         lims.append(m)
-    out = set()
-    for v in itertools.product(*[range(-m, m + 1) for m in lims]):
-        if any(v) and L.evaluate(v) <= bound:
-            first = next(t for t in v if t)
-            out.add(v if first > 0 else tuple(-t for t in v))
-    return sorted(out)
+    return _canonical(v for v in itertools.product(*[range(-m, m + 1) for m in lims])
+                      if any(v) and L.evaluate(v) <= bound)
 
 
 def test_short_vectors_identity():
@@ -344,6 +352,94 @@ def test_short_vectors_randomized_against_box():
         bound = rng.randint(1, 4)
         assert short_vectors(L, bound) == _short_vectors_box(L, bound)
         done += 1
+
+
+def _base_form(e8, k):
+    L = IntegralLattice.identity(k)
+    return direct_sum(e8_matrix(), L) if e8 else L
+
+
+@pytest.mark.parametrize("e8, k", [(True, 0), (True, 1), (True, 2), (True, 4),
+                                   (False, 4), (False, 7), (False, 10)])
+def test_short_vectors_on_heavily_scrambled_forms(e8, k):
+    # E^T A E after 40-160 slides, with E tracked alongside: its short
+    # vectors are exactly the images E^-1 v of those of the base A, found
+    # on the base and mapped, so the oracle does not depend on the order
+    # in which any enumeration visits them
+    base = _base_form(e8, k)
+    n = base.n
+    want = {b: short_vectors(base, b) for b in (1, 2)}
+    assert len(want[1]) == k
+    if e8:
+        assert sum(1 for v in want[2] if any(v[:8])) == 120  # the E8 roots
+    rng = random.Random("scramble:%s:%d" % (e8, k))
+    for slides in (40, 80, 160):
+        L = base
+        E = [[int(i == j) for j in range(n)] for i in range(n)]
+        Einv = [row[:] for row in E]
+        for _ in range(slides):
+            i, j = rng.sample(range(n), 2)
+            s = rng.choice((-1, 1))
+            L = congruence_slide(L, i, j, s)
+            for row in E:  # E <- E (I + s e_j e_i^T)
+                row[i] += s * row[j]
+            Einv[j] = [a - s * b for a, b in zip(Einv[j], Einv[i])]
+        Et = [list(col) for col in zip(*E)]
+        assert L.entries == _mul(_mul(Et, base.entries), E)
+        for b in (1, 2):
+            images = [[x[0] for x in _mul(Einv, [[t] for t in v])] for v in want[b]]
+            assert short_vectors(L, b) == _canonical(images)
+
+
+def _slid_with_leading_block(diag, slides, seed):
+    # slides inside the leading 2 x 2 block, and of index 2 over it: the
+    # first two leading minors stay those of diag, and so does the last
+    rng = random.Random(seed)
+    L = IntegralLattice.diagonal(diag)
+    for _ in range(slides):
+        i, j = rng.choice([(0, 1), (1, 0), (2, 0), (2, 1)])
+        L = congruence_slide(L, i, j, rng.choice((-1, 1)))
+    return L
+
+
+def _leading_minors(L):
+    return [determinant([row[:t] for row in L.entries[:t]]) for t in range(1, L.n + 1)]
+
+
+NOT_DEFINITE = {
+    "indefinite": IntegralLattice([[0, 1], [1, 0]]),
+    "indefinite_positive_corner": IntegralLattice([[1, 2], [2, 1]]),
+    "negative_definite": IntegralLattice([[-2, 1], [1, -2]]),
+    "negative_one": IntegralLattice([[-1]]),
+    "zero": IntegralLattice([[0]]),
+    "semidefinite": IntegralLattice([[1, 1], [1, 1]]),
+    "late_negative_minor": _slid_with_leading_block([1, 1, -1], 60, 1),
+    "late_zero_minor": _slid_with_leading_block([1, 2, 0], 60, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_DEFINITE))
+def test_non_definite_forms_are_rejected_at_once(name):
+    L = NOT_DEFINITE[name]
+    if name.startswith("late_"):
+        minors = _leading_minors(L)
+        assert minors[0] > 0 and minors[1] > 0 and minors[2] <= 0
+        assert max(abs(x) for row in L.entries for x in row) > 100
+    start = time.perf_counter()
+    with pytest.raises(LatticeError, match="^short_vectors needs a positive definite matrix$"):
+        short_vectors(L, 2)
+    with pytest.raises(LatticeError, match="^diagonalizability test needs a positive definite matrix$"):
+        diagonalizable_over_Z(L)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_non_unimodular_form_is_rejected():
+    # positive definite but det 3: short_vectors runs, the
+    # diagonalizability test refuses
+    L = IntegralLattice([[2, 1], [1, 2]])
+    assert short_vectors(L, 2) == [(0, 1), (1, -1), (1, 0)]
+    with pytest.raises(LatticeError, match="^diagonalizability test needs a unimodular matrix$"):
+        diagonalizable_over_Z(L)
 
 
 # -- diagonalizability over Z ------------------------------------------------
@@ -416,3 +512,25 @@ def test_diagonalizable_rejects_bad_input():
         diagonalizable_over_Z(IntegralLattice([[-1]]))
     with pytest.raises(LatticeError):
         diagonalizable_over_Z(IntegralLattice([[2]]))
+
+
+def test_residual_forms_are_pinned():
+    # (verdict, k, residual) on 40 seeded scrambles of E8 + I_k and I_k:
+    # the residual is the Gram matrix of a kernel basis computed from the
+    # norm-one vectors in their returned order, so this digest pins that
+    # order as well as the verdicts.  It was recorded with the unreduced
+    # Fincke-Pohst search that LLL reduction replaced.
+    rng = random.Random(1013)
+    out = []
+    for trial in range(40):
+        e8 = trial % 2 == 1
+        k = rng.randint(0, 4) if e8 else rng.randint(2, 8)
+        L = _base_form(e8, k)
+        n = L.n
+        for _ in range(rng.randint(10, 30)):
+            i, j = rng.sample(range(n), 2)
+            L = congruence_slide(L, i, j, rng.choice((-1, 1)))
+        ok, count, res = diagonalizable_over_Z(L)
+        out.append((ok, count, res.entries))
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "ceb88ea33fb600d7e23e9118d68d7f42fb969323c0d261dcb1bcdd2ed4a12a3c"
