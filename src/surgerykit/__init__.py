@@ -12,7 +12,7 @@ from .intlattice import (AbelianGroupPresentation, Inertia, IntegralLattice,
                          homology_from_linking, inertia, short_vectors,
                          smith_normal_form, stabilize)
 from .linkdiag import (Editor, FramedLinkDiagram, GadgetRecord,
-                       descending_switch_set, linking_matrix, linking_number,
+                       descending_switch_set, linking_matrix,
                        reverse_component, validate_diagram)
 
 __version__ = "0.1.0"

@@ -369,14 +369,15 @@ def build_embedding_certificate(d: FramedLinkDiagram,
     switches and framing-fix slides, and the sublink that replays to the
     target's linking data.
     """
-    switches = linkdiag.descending_switch_set(d, self_only=True)
-    if switches:
-        if not auto_unknotify:
+    if auto_unknotify:
+        d = unknotify(d).diagram
+    else:
+        switches = linkdiag.descending_switch_set(d, self_only=True)
+        if switches:
             raise DiagramError(
                 "components are not presented as descending unknots "
                 "(crossings %r need switching); pass auto_unknotify=True"
                 % (sorted(switches),))
-        d = unknotify(d).diagram
 
     target_ids = d.component_ids()
     A = linkdiag._linking_rows(d)   # d is valid: checked above, or built by unknotify
@@ -473,6 +474,13 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
     if not unlink:
         return VerificationReport(checks)
 
+    # the builder emits only these; any other move changes the 4-manifold
+    # the script witnesses, so it fails before anything is replayed
+    for t, mv in enumerate(cert.moves):
+        if not isinstance(mv, (Poke, GadgetSwitch, SlideOverUnknot)):
+            checks.append(CheckResult("script replays", False, "move %d (%s) is not a "
+                                      "certificate move" % (t, type(mv).__name__)))
+            return VerificationReport(checks)
     try:
         result = replay(cert.script)
     except MoveError as e:
@@ -532,8 +540,8 @@ def donaldson_obstruction(L: IntegralLattice) -> ObstructionReport:
     OBSTRUCTED iff the form is positive definite, unimodular, and not
     diagonalizable over the integers.
     """
-    posdef = intlattice.is_positive_definite(L)
-    unimod = intlattice.is_unimodular(L)
+    inert = intlattice.inertia(L)
+    posdef, unimod = inert.positive == L.n, abs(inert.det) == 1
     if not (posdef and unimod):
         return ObstructionReport(positive_definite=posdef, unimodular=unimod,
                                  diagonalizable=None, verdict="NOT_APPLICABLE")

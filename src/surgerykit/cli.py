@@ -41,21 +41,20 @@ def _load_matrix_or_link(path: str) -> IntegralLattice:
 
 def _lattice_report(L: IntegralLattice) -> dict:
     inert = intlattice.inertia(L)
-    det = intlattice.determinant(L)
     diag = intlattice.snf_diagonal(L)
     hom = intlattice.homology_from_diagonal(diag)
     out = {
         "n": L.n,
-        "det": jsonio.encode_int(det),
+        "det": jsonio.encode_int(inert.det),
         "inertia": {"positive": inert.positive, "zero": inert.zero,
                     "negative": inert.negative},
         "snf_diagonal": [jsonio.encode_int(x) for x in diag],
         "homology": {"rank": hom.rank,
                      "torsion": [jsonio.encode_int(t) for t in hom.torsion],
                      "pretty": str(hom)},
-        "unimodular": abs(det) == 1,
+        "unimodular": abs(inert.det) == 1,
     }
-    if inert.positive == L.n and abs(det) == 1:
+    if inert.positive == L.n and abs(inert.det) == 1:
         ok, count, residual = intlattice.diagonalizable_over_Z(L)
         out["diagonalizable_over_Z"] = ok
         out["diagonal_part"] = count

@@ -1,9 +1,9 @@
 """Exact integer symmetric-bilinear-form engine, over unbounded integers
-and exact rationals only.  Inertia and the checks of the
-diagonalizability test read one fraction-free symmetric elimination;
-the determinant of any square matrix is Bareiss.  Short vectors are
-enumerated by Fincke-Pohst on an exact integral LLL reduction of the
-form, and that reduction is also their positive-definiteness check.
+and exact rationals only.  One fraction-free symmetric elimination gives
+the inertia and the determinant, which the diagonalizability test reads
+for its checks.  Short vectors are enumerated by Fincke-Pohst on an
+exact integral LLL reduction of the form, and that reduction is also
+their positive-definiteness check.
 """
 
 from __future__ import annotations
@@ -75,9 +75,12 @@ class IntegralLattice:
 
 @dataclass
 class Inertia:
+    """Eigenvalue sign counts of a symmetric form, and its determinant."""
+
     positive: int
     zero: int
     negative: int
+    det: int
 
     @property
     def signature(self) -> int:
@@ -229,42 +232,21 @@ def homology_from_linking(L: IntegralLattice) -> AbelianGroupPresentation:
 
 
 # ---------------------------------------------------------------------------
-# determinant and inertia
+# inertia and determinant
 
 
-def determinant(L) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    rows = L.entries if isinstance(L, IntegralLattice) else L
-    A = [[int(x) for x in row] for row in rows]
-    n = len(A)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
+def inertia(L: IntegralLattice) -> Inertia:
+    """Counts of positive/zero/negative eigenvalues, and the determinant,
+    from one fraction-free (Bareiss) symmetric elimination.
 
-
-def _eliminate(L: IntegralLattice):
-    """Fraction-free (Bareiss) symmetric elimination.  Returns the pivots
-    p_t, leading principal minors of a congruent form.  The pivot is the
-    first remaining index with a nonzero diagonal entry (index order, on
-    a positive definite form); if there is none, row and column j are
-    added into i for the first nonzero A[i][j].  The adds touch only
-    unpivoted rows and columns, where minors are linear, so Sylvester's
-    identity makes every division exact."""
+    Its pivots p_t are leading principal minors of a congruent form, so
+    the LDL^T diagonal is p_t / p_(t-1): its signs give the inertia, and
+    the last pivot is the determinant (0 when a zero block is left).  The
+    pivot is the first remaining index with a nonzero diagonal entry
+    (index order, on a positive definite form); if there is none, row and
+    column j are added into i for the first nonzero A[i][j].  The adds
+    touch only unpivoted rows and columns, where minors are linear, so
+    Sylvester's identity makes every division exact."""
     A = [row[:] for row in L.entries]
     active = list(range(L.n))
     pivots = []
@@ -287,23 +269,14 @@ def _eliminate(L: IntegralLattice):
             for c in active:
                 row[c] = (row[c] * p - f * prow[c]) // prev
         pivots.append(p)
-    return pivots
-
-
-def inertia(L: IntegralLattice) -> Inertia:
-    """Counts of positive/zero/negative eigenvalues: the signs of the
-    LDL^T diagonal p_t / p_(t-1) of `_eliminate`, plus its zero block."""
-    pivots = _eliminate(L)
     neg = sum(1 for a, b in zip([1] + pivots, pivots) if (a > 0) != (b > 0))
-    return Inertia(positive=len(pivots) - neg, zero=L.n - len(pivots), negative=neg)
+    return Inertia(positive=len(pivots) - neg, zero=L.n - len(pivots), negative=neg,
+                   det=0 if active else (pivots[-1] if pivots else 1))
 
 
-def is_positive_definite(L: IntegralLattice) -> bool:
-    return inertia(L).positive == L.n
-
-
-def is_unimodular(L: IntegralLattice) -> bool:
-    return abs(determinant(L)) == 1
+def determinant(L) -> int:
+    """The determinant of a symmetric integer form, read from `inertia`."""
+    return inertia(L if isinstance(L, IntegralLattice) else IntegralLattice(L)).det
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +539,10 @@ def diagonalizable_over_Z(L: IntegralLattice):
     itself when k == 0) and the verdict is True iff k equals the rank.
     Requires a positive definite unimodular form.
     """
-    pivots = _eliminate(L)
-    if len(pivots) < L.n or min(pivots, default=1) <= 0:
+    inert = inertia(L)
+    if inert.positive < L.n:
         raise LatticeError("diagonalizability test needs a positive definite matrix")
-    if pivots and pivots[-1] != 1:
+    if inert.det != 1:
         raise LatticeError("diagonalizability test needs a unimodular matrix")
     ones = short_vectors(L, 1)
     k, n = len(ones), L.n

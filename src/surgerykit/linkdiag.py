@@ -236,24 +236,6 @@ def require_valid(d: FramedLinkDiagram) -> None:
 # linking numbers
 
 
-def linking_number(d: FramedLinkDiagram, i: int, j: int) -> int:
-    if i == j:
-        raise DiagramError("linking_number needs two distinct components; "
-                           "the self-pairing is the framing")
-    d.component(i)
-    d.component(j)
-    total = 0
-    count = 0
-    for c in d.crossings.values():
-        owners = d._strand_owners(c)
-        if set(owners) == {i, j}:
-            total += c.sign
-            count += 1
-    if count % 2:
-        raise DiagramError("components %d and %d share an odd number of crossings" % (i, j))
-    return total // 2
-
-
 def linking_matrix(d: FramedLinkDiagram) -> IntegralLattice:
     """Framings on the diagonal, pairwise linking numbers off it.
 

@@ -10,6 +10,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+import sympy
+
 from conftest import gadget_sides, random_diagram, random_symmetric
 from surgerykit import catalog, jsonio, linkdiag
 from surgerykit.calculus import (AddSplitUnknot, BlowDownIndex, MatrixSlide,
@@ -21,7 +23,7 @@ from surgerykit.cli import main as cli_main
 from surgerykit.intlattice import (IntegralLattice, determinant,
                                    diagonalizable_over_Z, e8_matrix,
                                    homology_from_linking, inertia,
-                                   is_positive_definite, smith_normal_form)
+                                   smith_normal_form)
 from surgerykit.linkdiag import Editor, linking_matrix
 
 
@@ -137,8 +139,8 @@ def test_acceptance_5_snf_oracle():
             A = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
             U, S, V = smith_normal_form(A)
             assert _mul(_mul(U, S), V) == A
-            assert abs(determinant(U)) == 1
-            assert abs(determinant(V)) == 1
+            assert abs(sympy.Matrix(U).det()) == 1
+            assert abs(sympy.Matrix(V).det()) == 1
             diag = [S[i][i] for i in range(4)]
             assert all(S[i][j] == 0 for i in range(4) for j in range(4) if i != j)
             assert all(x >= 0 for x in diag)
@@ -149,7 +151,7 @@ def test_acceptance_5_snf_oracle():
             prod = 1
             for x in diag:
                 prod *= x
-            assert prod == abs(determinant(A))
+            assert prod == abs(sympy.Matrix(A).det())
 
 
 def _invert_fraction(rows):
@@ -181,7 +183,7 @@ def test_acceptance_6_short_vector_oracle():
             if any(abs(x) > 4 for row in A for x in row):
                 continue
             L = IntegralLattice(A)
-            assert is_positive_definite(L)
+            assert inertia(L).positive == n
             bound = rng.randint(1, 4)
             from surgerykit.intlattice import short_vectors
             got = short_vectors(L, bound)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import gadget_sides, random_diagram
-from surgerykit import catalog, intlattice, jsonio, linkdiag
+from surgerykit import calculus, catalog, intlattice, jsonio, linkdiag
 from surgerykit.calculus import (AddSplitUnknot, BlowDownIndex, GadgetSwitch,
                                  MatrixSlide, MoveError, MoveScript, Poke,
                                  Replayer, SlideOverUnknot,
@@ -419,7 +419,7 @@ def test_unknotify_unlink_mode_also_switches_mixed_crossings():
     d = catalog.hopf_link((0, 0))
     res = unknotify(d, unlink=True)
     assert res.p == 1
-    assert linkdiag.linking_number(res.diagram, 0, 1) == 0
+    assert linkdiag.linking_matrix(res.diagram).entries[0][1] == 0
 
 
 def test_unknotify_random_round_trip():
@@ -505,7 +505,7 @@ def test_certificate_builder_validates_its_target_once(monkeypatch):
     assert seen == [2, 7]            # the target, then the initial unlink
     seen.clear()
     build_embedding_certificate(trefoil, auto_unknotify=True)
-    assert seen == [1, 1, 3]         # the target twice (the check, unknotify), the unlink
+    assert seen == [1, 3]            # the target (unknotify), then the unlink
 
 
 def test_tampered_certificate_fails():
@@ -587,6 +587,33 @@ def test_wrong_declared_counts_fail():
     cert = build_embedding_certificate(catalog.unknot(1))
     cert.p += 1
     assert not verify_certificate(cert).passed
+
+
+@pytest.mark.parametrize("make", [catalog.hopf_link, lambda: catalog.unknot(3),
+                                  catalog.e8_link], ids=["hopf", "unknot3", "e8"])
+def test_split_unknot_move_is_not_a_certificate_move(make):
+    # AddSplitUnknot attaches a 2-handle: framed 0 or 5 the witnessed
+    # 4-manifold is not W, framed +/-1 it has one more summand than m, n say
+    for f in (0, 1, -1, 5):
+        for first in (True, False):
+            cert = build_embedding_certificate(make())
+            t = 0 if first else len(cert.moves)
+            cert.moves.insert(t, AddSplitUnknot(framing=f))
+            rep = verify_certificate(cert)
+            assert [(c.name, c.detail) for c in rep.failures()] == [
+                ("script replays", "move %d (AddSplitUnknot) is not a certificate move" % t)]
+            assert rep.checks[-1].name == "script replays"
+
+
+def test_hostile_slides_fail_without_a_replay(monkeypatch):
+    # alternating slides would grow the entries like Fibonacci numbers
+    cert = build_embedding_certificate(catalog.hopf_link())
+    cert.moves += [MatrixSlide(i=t % 2, j=1 - t % 2, s=1) for t in range(60)]
+    monkeypatch.setattr(calculus, "replay", None)
+    rep = verify_certificate(cert)
+    assert [(c.name, c.detail) for c in rep.failures()] == [
+        ("script replays", "move %d (MatrixSlide) is not a certificate move"
+         % (len(cert.moves) - 60))]
 
 
 # -- obstruction -------------------------------------------------------------

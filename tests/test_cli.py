@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_diagram
 from surgerykit import catalog, intlattice, jsonio, linkdiag
+from surgerykit.calculus import AddSplitUnknot
 from surgerykit.cli import main
 from surgerykit.intlattice import IntegralLattice, e8_matrix
 
@@ -126,6 +127,21 @@ def test_verify_tampered_certificate_exits_one(tmp_path, capsys):
     code, rep = _run_json(capsys, ["verify", cert_path])
     assert code == 1
     assert rep["result"]["verdict"] == "FAIL"
+
+
+def test_verify_non_certificate_move_exits_one(tmp_path, capsys):
+    path = _write_link(tmp_path, catalog.hopf_link())
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify-embedding", path, "-o", cert_path]) == 0
+    capsys.readouterr()
+    obj = jsonio.load_path(cert_path)
+    obj["moves"].insert(0, jsonio.move_to_obj(AddSplitUnknot(framing=1)))
+    jsonio.save_path(cert_path, obj)
+    code, rep = _run_json(capsys, ["verify", cert_path])
+    assert code == 1
+    assert rep["result"]["verdict"] == "FAIL"
+    assert [c["detail"] for c in rep["result"]["checks"] if not c["ok"]] == [
+        "move 0 (AddSplitUnknot) is not a certificate move"]
 
 
 def test_wrong_matrix_rule_is_internal_error_exit_three(tmp_path, capsys, monkeypatch):
@@ -328,12 +344,14 @@ def test_overlong_result_is_exit_two(tmp_path, capsys):
 
 
 def test_one_inertia_and_determinant_per_report(tmp_path, capsys, monkeypatch):
+    # the report's inertia carries the determinant; diagonalizable_over_Z
+    # makes the only other elimination of the form
     calls = []
 
     def counting(f):
-        def wrapped(L):
-            calls.append(f.__name__)
-            return f(L)
+        def wrapped(M):
+            calls.append((f.__name__, M))
+            return f(M)
         return wrapped
 
     monkeypatch.setattr(intlattice, "inertia", counting(intlattice.inertia))
@@ -344,7 +362,7 @@ def test_one_inertia_and_determinant_per_report(tmp_path, capsys, monkeypatch):
         calls.clear()
         code, _ = _run_json(capsys, [command, matrix])
         assert code == 0
-        assert sorted(calls) == ["determinant", "inertia"]
+        assert calls == [("inertia", L), ("inertia", L)]
 
 
 def test_one_smith_form_per_report(tmp_path, capsys, monkeypatch):

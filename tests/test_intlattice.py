@@ -14,7 +14,6 @@ from surgerykit.intlattice import (AbelianGroupPresentation, IntegralLattice,
                                    determinant, diagonalizable_over_Z,
                                    direct_sum, e8_matrix,
                                    homology_from_linking, inertia,
-                                   is_positive_definite, is_unimodular,
                                    short_vectors, smith_normal_form,
                                    snf_diagonal, stabilize)
 
@@ -25,7 +24,7 @@ def _mul(A, B):
 
 
 def _is_unimodular_matrix(M):
-    return abs(determinant(M)) == 1
+    return abs(sympy.Matrix(M).det()) == 1
 
 
 # -- constructors ------------------------------------------------------------
@@ -105,11 +104,31 @@ def test_determinant_examples():
 
 
 def test_determinant_randomized_against_sympy():
+    # symmetric forms up to 7x7; every odd case has a zero diagonal, which
+    # reaches the hyperbolic rule, and every third repeats a basis vector
     rng = random.Random(103)
-    for _ in range(100):
-        n = rng.randint(1, 5)
-        A = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
-        assert determinant(A) == int(sympy.Matrix(A).det())
+    singular = 0
+    for t in range(300):
+        n = rng.randint(1, 7)
+        A = random_symmetric(rng, n, -7, 7)
+        if t % 2:
+            for k in range(n):
+                A[k][k] = 0
+        if t % 3 == 0 and n >= 2:
+            i, j = rng.sample(range(n), 2)
+            A[j] = A[i][:]
+            for row in A:
+                row[j] = row[i]
+        want = int(sympy.Matrix(A).det())
+        singular += want == 0
+        assert determinant(A) == want, A
+        assert inertia(IntegralLattice(A)).det == want, A
+    assert singular >= 100
+
+
+def test_determinant_rejects_non_symmetric():
+    with pytest.raises(LatticeError, match="not symmetric"):
+        determinant([[1, 2], [3, 4]])
 
 
 def _inertia_oracle(rows):
@@ -169,13 +188,6 @@ def test_inertia_randomized_against_charpoly():
         i = inertia(L)
         assert (i.positive, i.zero, i.negative) == _inertia_oracle(L.entries)
         assert i.positive + i.zero + i.negative == n
-
-
-def test_definite_and_unimodular_predicates():
-    assert is_positive_definite(e8_matrix())
-    assert is_unimodular(e8_matrix())
-    assert not is_positive_definite(IntegralLattice([[0, 1], [1, 0]]))
-    assert not is_unimodular(IntegralLattice([[2]]))
 
 
 # -- congruence moves --------------------------------------------------------
@@ -348,7 +360,7 @@ def test_short_vectors_randomized_against_box():
         A = [[sum(B[k][i] * B[k][j] for k in range(n)) + int(i == j)
               for j in range(n)] for i in range(n)]
         L = IntegralLattice(A)
-        assert is_positive_definite(L)
+        assert inertia(L).positive == n
         bound = rng.randint(1, 4)
         assert short_vectors(L, bound) == _short_vectors_box(L, bound)
         done += 1

@@ -7,8 +7,7 @@ from surgerykit import catalog, intlattice, linkdiag
 from surgerykit.linkdiag import (Arc, Component, Crossing, DiagramError,
                                  Editor, FramedLinkDiagram, GadgetRecord,
                                  descending_switch_set, linking_matrix,
-                                 linking_number, reverse_component,
-                                 validate_diagram)
+                                 reverse_component, validate_diagram)
 
 
 def _switched(d, xids):
@@ -17,6 +16,13 @@ def _switched(d, xids):
     for xid in xids:
         ed.switch(xid)
     return ed.d
+
+
+def _lk(d, i, j):
+    """The linking number of components i and j (ids), read from the
+    linking matrix."""
+    pos = d.component_ids()
+    return linking_matrix(d).entries[pos.index(i)][pos.index(j)]
 
 
 # -- validation --------------------------------------------------------------
@@ -60,24 +66,19 @@ def test_crossing_naming_missing_arc_is_reported_not_raised():
 
 def test_hopf_linking_number():
     h = catalog.hopf_link()
-    assert linking_number(h, 0, 1) == 1
-    assert linking_number(h, 1, 0) == 1
+    assert _lk(h, 0, 1) == 1
+    assert _lk(h, 1, 0) == 1
 
 
 def test_split_union_links_zero():
     d = catalog.unlink([0, 0])
-    assert linking_number(d, 0, 1) == 0
+    assert _lk(d, 0, 1) == 0
 
 
 def test_chain_ends_unlinked():
     d = catalog.chain_link([0, 0, 0])
-    assert linking_number(d, 0, 2) == 0
-    assert linking_number(d, 0, 1) == 1
-
-
-def test_linking_number_rejects_self_pairing():
-    with pytest.raises(DiagramError):
-        linking_number(catalog.unknot(0), 0, 0)
+    assert _lk(d, 0, 2) == 0
+    assert _lk(d, 0, 1) == 1
 
 
 def test_linking_matrix_shapes():
@@ -101,10 +102,13 @@ def test_linking_matrix_symmetric_with_framing_diagonal():
 
 
 def _pairwise_linking_matrix(d):
-    """Reference construction: framings on the diagonal, one
-    linking_number call per pair of components off it."""
+    """Reference construction: framings on the diagonal, and off it one
+    row per component, each read by its own walk of that component's
+    crossings."""
+    ed = Editor(d.copy())
     ids = d.component_ids()
-    return [[d.component(i).framing if i == j else linking_number(d, i, j)
+    rows = {i: ed.linking(i) for i in ids}
+    return [[d.component(i).framing if i == j else rows[i].get(j, 0)
              for j in ids] for i in ids]
 
 
@@ -134,7 +138,7 @@ def test_linking_matrix_odd_pair_error():
 def test_switch_drops_hopf_linking():
     h = catalog.hopf_link()
     xid = min(h.crossings)
-    assert linking_number(_switched(h, [xid]), 0, 1) == 0
+    assert _lk(_switched(h, [xid]), 0, 1) == 0
 
 
 def test_switch_is_involution():
@@ -160,7 +164,7 @@ def test_switch_changes_linking_by_sign():
             if i == j:
                 continue
             d2 = _switched(d, [xid])
-            assert linking_number(d2, i, j) == linking_number(d, i, j) - c.sign
+            assert _lk(d2, i, j) == _lk(d, i, j) - c.sign
             assert [x.framing for x in d2.components] == [x.framing for x in d.components]
             break
 
@@ -169,7 +173,7 @@ def test_switch_changes_linking_by_sign():
 
 def test_reverse_negates_hopf_linking():
     h = catalog.hopf_link()
-    assert linking_number(reverse_component(h, 0), 0, 1) == -1
+    assert _lk(reverse_component(h, 0), 0, 1) == -1
 
 
 def test_reverse_twice_is_identity():
@@ -222,7 +226,7 @@ def test_self_crossing_antiparallel_side_has_no_compensation():
     a, b = rec.passage_signs
     assert a == -b
     assert rec.framing_compensations == {}
-    assert linking_number(d2, 0, rec.unknot) == 0
+    assert _lk(d2, 0, rec.unknot) == 0
 
 
 def test_hopf_gadget_compensations():
@@ -535,7 +539,7 @@ def test_descending_switch_set_matches_reference_traversal():
 def test_clasp_changes_linking_by_sign():
     ed = Editor(catalog.unlink([0, 0]))
     ed.clasp(0, 1, -1)
-    assert linking_number(ed.d, 0, 1) == -1
+    assert _lk(ed.d, 0, 1) == -1
 
 
 def test_chain_link_clasps_in_place(monkeypatch):
