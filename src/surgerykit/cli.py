@@ -41,7 +41,7 @@ def _load_matrix_or_link(path: str) -> IntegralLattice:
 
 def _lattice_report(L: IntegralLattice) -> dict:
     inert = intlattice.inertia(L)
-    diag = intlattice.snf_diagonal(L)
+    diag = intlattice.snf_diagonal(L, inert)
     hom = intlattice.homology_from_diagonal(diag)
     out = {
         "n": L.n,

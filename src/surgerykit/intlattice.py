@@ -1,9 +1,11 @@
 """Exact integer symmetric-bilinear-form engine, over unbounded integers
 and exact rationals only.  One fraction-free symmetric elimination gives
-the inertia and the determinant, which the diagonalizability test reads
-for its checks.  Short vectors are enumerated by Fincke-Pohst on an
-exact integral LLL reduction of the form, and that reduction is also
-their positive-definiteness check.
+the inertia and determinant, which the diagonalizability test reads for
+its checks, and the last nonzero pivot D: the Smith diagonal is taken
+modulo D (Kannan-Bachem 1979; Cohen, GTM 138, Sec. 2.4), and only
+`smith_normal_form` tracks the transforms U and V.  Short vectors are
+enumerated by Fincke-Pohst on an exact integral LLL reduction of the
+form, and that reduction is also their positive-definiteness check.
 """
 
 from __future__ import annotations
@@ -75,12 +77,14 @@ class IntegralLattice:
 
 @dataclass
 class Inertia:
-    """Eigenvalue sign counts of a symmetric form, and its determinant."""
+    """Eigenvalue sign counts of a symmetric form, its determinant, and
+    the last nonzero pivot of its elimination (the Smith modulus)."""
 
     positive: int
     zero: int
     negative: int
     det: int
+    pivot: int
 
     @property
     def signature(self) -> int:
@@ -111,111 +115,132 @@ class AbelianGroupPresentation:
 # Smith normal form
 
 
-def smith_normal_form(A):
-    """Exact Smith decomposition A == U * S * V.
+def _int_rows(A):
+    """A copy of the integer rows of A, with its shape (m, n)."""
+    rows = [[int(x) for x in row] for row in getattr(A, "entries", A)]
+    n = len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
+        raise LatticeError("ragged matrix")
+    return rows, len(rows), n
 
-    `A` is any rectangular integer matrix (lists of lists); U and V are
-    unimodular, S is diagonal with a nonnegative divisibility chain.
-    Pivots are chosen by smallest nonzero absolute value, ties broken by
-    row-major scan, so the transforms are fully deterministic.
-    """
-    if isinstance(A, IntegralLattice):
-        A = A.entries
-    S = [[int(x) for x in row] for row in A]
-    m = len(S)
-    n = len(S[0]) if m else 0
-    for row in S:
-        if len(row) != n:
-            raise LatticeError("ragged matrix")
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    # Left op on S is mirrored by the inverse column op on U; right op on
-    # S by the inverse row op on V, keeping A == U*S*V at every step.
+def _smith(S, mod=0, U=None, V=None):
+    """The smallest-pivot Euclidean loop, in place on the rows S: they end
+    diagonal, each pivot dividing every entry below-right of it.  Pivots
+    are chosen by smallest nonzero absolute value, ties broken by
+    row-major scan.  With `mod`, every new entry is kept in the symmetric
+    residue range mod `mod`.  U and V, when given, take the inverse
+    operations, so A == U*S*V holds at every step."""
+    m, n = len(S), len(S[0]) if S else 0
+    h = mod // 2
+    red = (lambda x: (x + h) % mod - h) if mod else (lambda x: x)
+    if mod:
+        S[:] = [[red(x) for x in row] for row in S]
+
     def row_add(i, j, k):  # row j += k * row i
-        for c in range(n):
-            S[j][c] += k * S[i][c]
-        for r in range(m):
-            U[r][i] -= k * U[r][j]
+        S[j] = [red(a + k * b) for a, b in zip(S[j], S[i])]
+        for row in U or ():
+            row[i] -= k * row[j]
 
     def col_add(i, j, k):  # col j += k * col i
-        for r in range(m):
-            S[r][j] += k * S[r][i]
-        for c in range(n):
-            V[i][c] -= k * V[j][c]
+        for row in S:
+            row[j] = red(row[j] + k * row[i])
+        if V is not None:
+            V[i] = [a - k * b for a, b in zip(V[i], V[j])]
 
     def row_swap(i, j):
         S[i], S[j] = S[j], S[i]
-        for r in range(m):
-            U[r][i], U[r][j] = U[r][j], U[r][i]
+        for row in U or ():
+            row[i], row[j] = row[j], row[i]
 
     def col_swap(i, j):
-        for r in range(m):
-            S[r][i], S[r][j] = S[r][j], S[r][i]
-        V[i], V[j] = V[j], V[i]
-
-    def row_negate(i):
-        for c in range(n):
-            S[i][c] = -S[i][c]
-        for r in range(m):
-            U[r][i] = -U[r][i]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if S[i][j] and (best is None or abs(S[i][j]) < abs(S[best[0]][best[1]])):
-                    best = (i, j)
-        return best
+        for row in S:
+            row[i], row[j] = row[j], row[i]
+        if V is not None:
+            V[i], V[j] = V[j], V[i]
 
     t = 0
     while True:
-        piv = find_pivot(t)
-        if piv is None:
-            break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
+        nz = [(abs(S[i][j]), i, j) for i in range(t, m) for j in range(t, n) if S[i][j]]
+        if not nz:
+            return
+        _, pi, pj = min(nz)
+        row_swap(t, pi)
+        col_swap(t, pj)
         while True:
             # clear column t then row t by division steps; if a remainder
             # appears it becomes the new, smaller pivot.
             again = False
             for i in range(t + 1, m):
                 if S[i][t]:
-                    k = S[i][t] // S[t][t]
-                    row_add(t, i, -k)
+                    row_add(t, i, -(S[i][t] // S[t][t]))
                     if S[i][t]:
                         row_swap(t, i)
                         again = True
             for j in range(t + 1, n):
                 if S[t][j]:
-                    k = S[t][j] // S[t][t]
-                    col_add(t, j, -k)
+                    col_add(t, j, -(S[t][j] // S[t][t]))
                     if S[t][j]:
                         col_swap(t, j)
                         again = True
             if not again:
                 break
         # divisibility: S[t][t] must divide everything below-right
-        stuck = False
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if S[i][j] % S[t][t]:
-                    row_add(i, t, 1)
-                    stuck = True
-                    break
-            if stuck:
-                break
-        if not stuck:
+        p = S[t][t]
+        bad = next((i for i in range(t + 1, m) if any(x % p for x in S[i][t + 1:])),
+                   None) if abs(p) > 1 else None
+        if bad is None:
             t += 1
+        else:
+            row_add(bad, t, 1)
+
+
+def smith_normal_form(A):
+    """Exact Smith decomposition A == U * S * V.
+
+    `A` is any rectangular integer matrix (lists of lists); U and V are
+    unimodular, S is diagonal with a nonnegative divisibility chain.  The
+    entries are not reduced, so they can grow: `snf_diagonal` computes
+    the diagonal alone without that growth.  The transforms are fully
+    deterministic.
+    """
+    S, m, n = _int_rows(A)
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    _smith(S, 0, U, V)
     for i in range(min(m, n)):
         if S[i][i] < 0:
-            row_negate(i)
+            S[i] = [-x for x in S[i]]
+            for row in U:
+                row[i] = -row[i]
     return U, S, V
 
 
-def snf_diagonal(A) -> list[int]:
-    _, S, _ = smith_normal_form(A)
-    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
+def snf_diagonal(A, inert: Inertia | None = None) -> list[int]:
+    """The Smith diagonal of an integer matrix A, computed modulo a
+    nonzero maximal minor so that no entry grows (Kannan-Bachem 1979;
+    Cohen, GTM 138, Sec. 2.4).
+
+    For a symmetric A of rank r, the last nonzero pivot D of `inertia`
+    is a nonzero r x r minor of a congruent form, so every invariant
+    factor d_i divides D.  The columns of A and D*Z^m span a lattice with
+    invariant factors (d_1..d_r, D, .., D), so the loop may reduce every
+    entry mod D, and d_i = gcd(pivot_i, D).  `inert` is A's inertia, if
+    the caller holds it.  Any other A is read through the symmetric
+    [[0, A], [A^T, 0]]: its rank is 2r, and its 2r-th determinantal
+    divisor is the square of A's r-th.
+    """
+    S, m, n = _int_rows(A)
+    if inert is None and S != [list(col) for col in zip(*S)]:
+        inert = inertia(IntegralLattice._trusted(
+            [[0] * m + row for row in S] + [list(col) + [0] * n for col in zip(*S)]))
+        r = (m + n - inert.zero) // 2
+    else:
+        inert = inert or inertia(IntegralLattice._trusted(S))
+        r = n - inert.zero
+    D = abs(inert.pivot)
+    _smith(S, D)
+    return [math.gcd(S[i][i], D) for i in range(r)] + [0] * (min(m, n) - r)
 
 
 def homology_from_diagonal(diag) -> AbelianGroupPresentation:
@@ -240,13 +265,14 @@ def inertia(L: IntegralLattice) -> Inertia:
     from one fraction-free (Bareiss) symmetric elimination.
 
     Its pivots p_t are leading principal minors of a congruent form, so
-    the LDL^T diagonal is p_t / p_(t-1): its signs give the inertia, and
-    the last pivot is the determinant (0 when a zero block is left).  The
-    pivot is the first remaining index with a nonzero diagonal entry
-    (index order, on a positive definite form); if there is none, row and
-    column j are added into i for the first nonzero A[i][j].  The adds
-    touch only unpivoted rows and columns, where minors are linear, so
-    Sylvester's identity makes every division exact."""
+    the LDL^T diagonal is p_t / p_(t-1): its signs give the inertia.  The
+    last pivot is `pivot`, and the determinant unless a zero block is
+    left (then det is 0).  The pivot is the first remaining index with a
+    nonzero diagonal entry (index order, on a positive definite form); if
+    there is none, row and column j are added into i for the first
+    nonzero A[i][j].  The adds touch only unpivoted rows and columns,
+    where minors are linear, so Sylvester's identity makes every division
+    exact."""
     A = [row[:] for row in L.entries]
     active = list(range(L.n))
     pivots = []
@@ -270,8 +296,9 @@ def inertia(L: IntegralLattice) -> Inertia:
                 row[c] = (row[c] * p - f * prow[c]) // prev
         pivots.append(p)
     neg = sum(1 for a, b in zip([1] + pivots, pivots) if (a > 0) != (b > 0))
+    last = pivots[-1] if pivots else 1
     return Inertia(positive=len(pivots) - neg, zero=L.n - len(pivots), negative=neg,
-                   det=0 if active else (pivots[-1] if pivots else 1))
+                   det=0 if active else last, pivot=last)
 
 
 def determinant(L) -> int:

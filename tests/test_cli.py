@@ -367,13 +367,13 @@ def test_one_inertia_and_determinant_per_report(tmp_path, capsys, monkeypatch):
 
 def test_one_smith_form_per_report(tmp_path, capsys, monkeypatch):
     calls = []
-    snf = intlattice.smith_normal_form
+    snf = intlattice.snf_diagonal
 
-    def counting_snf(A):
+    def counting_snf(A, *args):
         calls.append(A)
-        return snf(A)
+        return snf(A, *args)
 
-    monkeypatch.setattr(intlattice, "smith_normal_form", counting_snf)
+    monkeypatch.setattr(intlattice, "snf_diagonal", counting_snf)
     matrix = _write_matrix(tmp_path, IntegralLattice([[2, 1, 0], [1, 3, 1], [0, 1, 4]]))
     link = _write_link(tmp_path, catalog.hopf_link())
     for argv in (["lattice", matrix], ["invariants", link]):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -9,6 +10,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conftest import random_symmetric
+from surgerykit import cli, jsonio
 from surgerykit.intlattice import (AbelianGroupPresentation, IntegralLattice,
                                    LatticeError, blow_down, congruence_slide,
                                    determinant, diagonalizable_over_Z,
@@ -78,6 +80,45 @@ def test_snf_decomposition_randomized():
         want = [int(x) for x in sympy_snf(sympy.Matrix(A)).diagonal()]
         want = want + [0] * (min(m, n) - len(want))
         assert diag == want
+        # the diagonal alone, computed modulo a maximal minor
+        assert snf_diagonal(A) == diag
+
+
+def _snf_oracle(A):
+    want = [abs(int(x)) for x in sympy_snf(sympy.Matrix(A)).diagonal()]
+    return want + [0] * (len(A) - len(want))
+
+
+def test_snf_diagonal_against_sympy_up_to_12():
+    # sizes where the unreduced Euclidean loop ran past 5 s (n = 9, 10):
+    # full-rank forms, zero-diagonal forms and rank-deficient B diag B^T
+    rng = random.Random(137)
+    kinds = {"random": 0, "zero_diagonal": 0, "rank_deficient": 0}
+    for t in range(200):
+        n = rng.randint(1, 12)
+        kind = list(kinds)[t % 3]
+        if kind == "rank_deficient":
+            k = rng.randint(0, n - 1)
+            B = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+            d = [rng.choice((-3, -2, -1, 1, 2, 5)) for _ in range(k)]
+            A = [[sum(B[i][s] * d[s] * B[j][s] for s in range(k)) for j in range(n)]
+                 for i in range(n)]
+        else:
+            A = random_symmetric(rng, n, -3, 3)
+            if kind == "zero_diagonal":
+                for i in range(n):
+                    A[i][i] = 0
+        start = time.perf_counter()
+        got = snf_diagonal(A)
+        assert time.perf_counter() - start < 0.05, A
+        assert got == _snf_oracle(A), A
+        kinds[kind] += got.count(0) > 0
+    assert kinds["rank_deficient"] >= 60
+
+
+def test_snf_diagonal_takes_the_callers_inertia():
+    L = IntegralLattice([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
+    assert snf_diagonal(L, inertia(L)) == snf_diagonal(L) == [1, 1, 4]
 
 
 def test_snf_is_deterministic():
@@ -546,3 +587,23 @@ def test_residual_forms_are_pinned():
         out.append((ok, count, res.entries))
     digest = hashlib.sha256(repr(out).encode()).hexdigest()
     assert digest == "ceb88ea33fb600d7e23e9118d68d7f42fb969323c0d261dcb1bcdd2ed4a12a3c"
+
+
+def test_lattice_report_on_a_heavily_scrambled_unimodular_form(tmp_path, capsys):
+    # E8 + I_4 after 80 slides: the unreduced Euclidean loop ran past 10 s
+    # on this form; modulo its determinant 1 every entry reduces to 0
+    rng = random.Random("e8i4")
+    L = direct_sum(e8_matrix(), IntegralLattice.identity(4))
+    for _ in range(80):
+        i, j = rng.sample(range(L.n), 2)
+        L = congruence_slide(L, i, j, rng.choice((-1, 1)))
+    assert max(abs(x) for row in L.entries for x in row) > 1000
+    path = tmp_path / "e8i4.json"
+    jsonio.save_path(str(path), jsonio.lattice_to_obj(L))
+    start = time.perf_counter()
+    assert cli.main(["lattice", str(path), "--json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    rep = json.loads(capsys.readouterr().out)["result"]
+    assert (rep["det"], rep["snf_diagonal"]) == (1, [1] * 12)
+    assert rep["homology"]["pretty"] == "0"
+    assert (rep["diagonalizable_over_Z"], rep["diagonal_part"]) == (False, 4)
