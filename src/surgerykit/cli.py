@@ -249,7 +249,7 @@ def cmd_word(args) -> int:
 
 def _report(args, result: dict) -> dict:
     inputs = {}
-    for attr in ("link", "matrix", "certificate", "input"):
+    for attr in ("link", "matrix", "certificate", "input", "intersections"):
         path = getattr(args, attr, None)
         if path:
             try:

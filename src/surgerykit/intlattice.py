@@ -1,18 +1,19 @@
-"""Exact integer symmetric-bilinear-form engine, over unbounded integers
-and exact rationals only.  One fraction-free symmetric elimination gives
-the inertia and determinant, which the diagonalizability test reads for
-its checks, and the last nonzero pivot D: the Smith diagonal is taken
-modulo D (Kannan-Bachem 1979; Cohen, GTM 138, Sec. 2.4), and only
+"""Exact integer symmetric-bilinear-form engine, in unbounded integers
+only.  One fraction-free symmetric elimination gives the inertia and
+determinant, which the diagonalizability test reads for its checks, and
+the last nonzero pivot D: the Smith diagonal is taken modulo D
+(Kannan-Bachem 1979; Cohen, GTM 138, Sec. 2.4), and only
 `smith_normal_form` tracks the transforms U and V.  Short vectors are
 enumerated by Fincke-Pohst on an exact integral LLL reduction of the
-form, and that reduction is also their positive-definiteness check.
+form, in the reduction's own integers (a partial norm times a Gram
+determinant is again a Gram determinant); that reduction is also their
+positive-definiteness check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class LatticeError(ValueError):
@@ -474,58 +475,40 @@ def _lll(G):
     return H, d, lam
 
 
-def _int_range(d: Fraction, c: Fraction, T: Fraction) -> range:
-    """Integers x with d*(x + c)^2 <= T, bracketed by an integer root."""
-    if T < 0:
-        return range(0)
-    r = math.isqrt(math.floor(T / d)) + 1
-    lo = math.floor(-c) - r
-    hi = math.ceil(-c) + r
-    while d * (lo + c) ** 2 > T and lo <= hi:
-        lo += 1
-    while d * (hi + c) ** 2 > T and hi >= lo:
-        hi -= 1
-    return range(lo, hi + 1)
-
-
 def short_vectors(L: IntegralLattice, bound: int) -> list[tuple[int, ...]]:
     """All nonzero v with v^T L v <= bound, one representative per +/-v
     pair (first nonzero coordinate positive), in lexicographic order.
 
     The basis is LLL-reduced first, which also checks that L is positive
-    definite.  Fincke-Pohst backtracking then runs on the reduced form,
-    over its exact rational Cholesky data L = sum_i d_i (y_i + sum_{j>i}
-    mu_ji y_j)^2 read from the LLL, and each y found maps back to x = yH.
+    definite.  Fincke-Pohst backtracking then runs on the reduced basis
+    b_i in integers only, straight from the LLL's (H, d, lam): level i
+    adds z_i^2 / (d_i d_(i+1)), z_i = d_(i+1) y_i + sum_(j>i) lam_ji y_j,
+    and the levels above it add up to N / d_(i+1) with N an integer, the
+    Gram determinant of (b_0..b_i, sum_(j>i) y_j b_j).  Each y found
+    maps to x = yH.
     """
-    n = L.n
-    if n == 0:
+    H, d, lam = _lll(L.entries)
+    if bound < 0 or L.n == 0:
         return []
-    H, dets, lam = _lll(L.entries)
-    d = [Fraction(p, prev) for p, prev in zip(dets[1:], dets)]
-    u = [[0] * (i + 1) + [Fraction(lam[j][i], dets[i + 1]) for j in range(i + 1, n)]
-         for i in range(n)]
     cols = list(zip(*H))
-    found: list[tuple[int, ...]] = []
-    x = [0] * n
+    found: set[tuple[int, ...]] = set()
+    y = [0] * L.n
 
-    def descend(i: int, T: Fraction):
-        c = sum((u[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        for xi in _int_range(d[i], c, T):
-            x[i] = xi
-            if i == 0:
-                if any(x):
-                    found.append(tuple(sum(y * h for y, h in zip(x, col))
-                                       for col in cols))
-            else:
-                descend(i - 1, T - d[i] * (xi + c) ** 2)
-        x[i] = 0
+    def descend(i: int, N: int):
+        p = d[i + 1]
+        c = sum(lam[j][i] * y[j] for j in range(i + 1, L.n))
+        s = math.isqrt(d[i] * (bound * p - N))
+        for yi in range(-((s + c) // p), (s - c) // p + 1):
+            y[i] = yi
+            if i:
+                descend(i - 1, (d[i] * N + (p * yi + c) ** 2) // p)
+            elif any(y):
+                v = tuple(sum(a * h for a, h in zip(y, col)) for col in cols)
+                found.add(v if next(t for t in v if t) > 0 else tuple(-t for t in v))
+        y[i] = 0
 
-    descend(n - 1, Fraction(bound))
-    canon = set()
-    for v in found:
-        first = next((t for t in v if t), 0)
-        canon.add(v if first > 0 else tuple(-t for t in v))
-    return sorted(canon)
+    descend(L.n - 1, 0)
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------

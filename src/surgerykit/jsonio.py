@@ -176,7 +176,9 @@ def move_from_obj(obj) -> KirbyMove:
         raise FormatError("unknown move type %r" % (kind,))
     keys = ("type",) + _MOVE_FIELDS[cls][1]
     _check_keys(obj, keys, keys, kind)
-    return cls(**{name: str(obj[name]) if name == "side" else decode_int(obj[name], name)
+    if not isinstance(obj.get("side", ""), str):
+        raise FormatError("side must be a string, got %r" % (obj["side"],))
+    return cls(**{name: obj[name] if name == "side" else decode_int(obj[name], name)
                   for name in keys[1:]})
 
 

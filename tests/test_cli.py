@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -144,6 +145,20 @@ def test_verify_non_certificate_move_exits_one(tmp_path, capsys):
         "move 0 (AddSplitUnknot) is not a certificate move"]
 
 
+@pytest.mark.parametrize("side", [["before"], True, 5, None, {}])
+def test_verify_non_string_side_is_exit_two(tmp_path, capsys, side):
+    path = _write_link(tmp_path, catalog.hopf_link())
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify-embedding", path, "-o", cert_path]) == 0
+    capsys.readouterr()
+    obj = jsonio.load_path(cert_path)
+    move = next(mv for mv in obj["moves"] if mv["type"] == "gadget_switch")
+    move["side"] = side
+    jsonio.save_path(cert_path, obj)
+    assert main(["verify", cert_path]) == 2
+    assert capsys.readouterr().err == "error: side must be a string, got %r\n" % (side,)
+
+
 def test_wrong_matrix_rule_is_internal_error_exit_three(tmp_path, capsys, monkeypatch):
     # a replay whose matrix rule disagrees with the diagram is a fault of
     # the program: exit 3 with one line on stderr, not the verify-FAIL 1
@@ -210,7 +225,7 @@ def test_obstruction_accepts_link_files(tmp_path, capsys):
 
 def test_word_inline(capsys):
     code, rep = _run_json(capsys, ["word", "[[0, 1], [0, -1]]"])
-    assert code == 0
+    assert code == 0 and rep["inputs"] == {}
     assert rep["result"]["trivial"] is True
     assert rep["result"]["reduced"] == []
 
@@ -224,18 +239,26 @@ def test_word_file_and_text(tmp_path, capsys):
     assert "a1" in out
 
 
+def test_word_report_hashes_a_file_input(tmp_path, capsys):
+    p = tmp_path / "w.json"
+    p.write_text("[[0, 1], [1, 1]]")
+    code, rep = _run_json(capsys, ["word", str(p)])
+    assert code == 0
+    assert rep["inputs"] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest()}
+
+
 def test_word_rejects_garbage():
     assert main(["word", "{"]) == 2
     assert main(["word", "[[0]]"]) == 2
     assert main(["word", "[[0, 2]]"]) == 2
     assert main(["word", "[[%s, 1]]" % ("1" * 5000)]) == 2  # past the digit limit
-    assert main(["word", "[" * 5000 + "]" * 5000]) == 2  # past the nesting limit
+    assert main(["word", "[" * 100000 + "]" * 100000]) == 2  # past the nesting limit
 
 
 @pytest.mark.parametrize("name, content", [
     ("bad.json", b"[[0, 1], "),
     ("latin1.json", b"[[0, 1]] \xff"),
-    ("nested.json", b"[" * 5000 + b"]" * 5000),
+    ("nested.json", b"[" * 100000 + b"]" * 100000),
 ], ids=["truncated", "not_utf8", "too_deep"])
 def test_word_reports_an_unreadable_file(tmp_path, capsys, name, content):
     # a file that exists but cannot be read is reported as such, not
@@ -288,7 +311,7 @@ def test_malformed_link_is_exit_two(tmp_path, capsys):
     assert main(["verify", str(cert)]) == 2
     assert capsys.readouterr().err == "error: link arcs must be a list\n"
     # nesting past the parser's recursion limit
-    p.write_text("[" * 5000 + "]" * 5000)
+    p.write_text("[" * 100000 + "]" * 100000)
     for cmd in ("invariants", "lattice", "obstruction", "unknotify", "certify-embedding",
                 "verify"):
         assert main([cmd, str(p)]) == 2

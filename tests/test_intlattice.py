@@ -11,6 +11,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conftest import random_symmetric
 from surgerykit import cli, jsonio
+from surgerykit.calculus import donaldson_obstruction
 from surgerykit.intlattice import (AbelianGroupPresentation, IntegralLattice,
                                    LatticeError, blow_down, congruence_slide,
                                    determinant, diagonalizable_over_Z,
@@ -388,8 +389,10 @@ def test_short_vectors_e8_roots():
 
 
 def test_short_vectors_rejects_indefinite():
-    with pytest.raises(LatticeError):
-        short_vectors(IntegralLattice([[0, 1], [1, 0]]), 2)
+    # definiteness is checked before the bound, a negative one included
+    for bound in (2, -1):
+        with pytest.raises(LatticeError, match="^short_vectors needs a positive definite matrix$"):
+            short_vectors(IntegralLattice([[0, 1], [1, 0]]), bound)
 
 
 def test_short_vectors_randomized_against_box():
@@ -405,6 +408,54 @@ def test_short_vectors_randomized_against_box():
         bound = rng.randint(1, 4)
         assert short_vectors(L, bound) == _short_vectors_box(L, bound)
         done += 1
+
+
+def test_short_vectors_against_box_on_non_unimodular_forms():
+    # det >= 2, so the LLL's Gram determinants are not all 1 and every
+    # level's exact division by d_(i+1) is exercised
+    rng = random.Random(1613)
+    done = nonempty = 0
+    while done < 200:
+        n = rng.randint(1, 8)
+        B = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+        A = [[sum(B[k][i] * B[k][j] for k in range(n)) + int(i == j) * rng.randint(1, 2)
+              for j in range(n)] for i in range(n)]
+        L = IntegralLattice(A)
+        if determinant(L) < 2:
+            continue
+        bound = done % 5
+        got = short_vectors(L, bound)
+        assert got == _short_vectors_box(L, bound), (A, bound)
+        nonempty += bool(got)
+        done += 1
+    assert nonempty > 50
+
+
+def test_short_vectors_negative_bound_on_definite_forms():
+    for L in (IntegralLattice.identity(3), e8_matrix(), IntegralLattice([[2, 1], [1, 2]])):
+        assert short_vectors(L, -1) == short_vectors(L, -7) == []
+
+
+def _scrambled_identity(n, seed):
+    rng = random.Random(seed)
+    L = IntegralLattice.identity(n)
+    for _ in range(80):
+        i, j = rng.sample(range(n), 2)
+        L = congruence_slide(L, i, j, rng.choice((-1, 1)))
+    return L
+
+
+def test_short_vectors_budget_on_scrambled_identities():
+    # I_80 and I_40 after 80 seeded slides, each under a time budget
+    L = _scrambled_identity(80, "i80")
+    start = time.perf_counter()
+    rep = donaldson_obstruction(L)
+    assert time.perf_counter() - start < 1.0
+    assert (rep.verdict, rep.diagonal_part) == ("NOT_OBSTRUCTED", 80)
+    L = _scrambled_identity(40, "i40")
+    start = time.perf_counter()
+    assert len(short_vectors(L, 2)) == 40 + 2 * 40 * 39 // 2
+    assert time.perf_counter() - start < 2.0
 
 
 def _base_form(e8, k):

@@ -186,6 +186,13 @@ def test_move_rejects_unknown_type_and_keys():
         move_from_obj({"type": "poke", "over": 0, "under": 1, "sign": "x"})
 
 
+@pytest.mark.parametrize("side", [["before"], True, 5, None, {}])
+def test_move_rejects_a_side_that_is_not_a_string(side):
+    obj = {"type": "gadget_switch", "crossing": 3, "unknot": 5, "side": side}
+    with pytest.raises(FormatError, match="^side must be a string, got "):
+        move_from_obj(obj)
+
+
 # -- certificates ------------------------------------------------------------
 
 def test_certificate_round_trip():
