@@ -19,6 +19,8 @@ from . import calculus, intlattice, jsonio, linkdiag
 from .intlattice import IntegralLattice
 from .jsonio import FormatError
 
+_parser = None  # built by the first main() call, then reused
+
 
 def _digest(path: str) -> str:
     h = hashlib.sha256()
@@ -331,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    global _parser
+    ap = _parser = _parser or build_parser()
     args = ap.parse_args(argv)
     if not getattr(args, "func", None):
         ap.print_help()

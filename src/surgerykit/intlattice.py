@@ -491,23 +491,24 @@ def short_vectors(L: IntegralLattice, bound: int) -> list[tuple[int, ...]]:
     if bound < 0 or L.n == 0:
         return []
     cols = list(zip(*H))
-    found: set[tuple[int, ...]] = set()
+    found: list[tuple[int, ...]] = []
     y = [0] * L.n
 
-    def descend(i: int, N: int):
+    def descend(i: int, N: int, lead: bool):
+        # lead: every y_j, j > i, is 0, so c = 0 and y_i >= 0 picks one of +/-y
         p = d[i + 1]
         c = sum(lam[j][i] * y[j] for j in range(i + 1, L.n))
         s = math.isqrt(d[i] * (bound * p - N))
-        for yi in range(-((s + c) // p), (s - c) // p + 1):
+        for yi in range(0 if lead else -((s + c) // p), (s - c) // p + 1):
             y[i] = yi
             if i:
-                descend(i - 1, (d[i] * N + (p * yi + c) ** 2) // p)
-            elif any(y):
+                descend(i - 1, (d[i] * N + (p * yi + c) ** 2) // p, lead and not yi)
+            elif yi or not lead:
                 v = tuple(sum(a * h for a, h in zip(y, col)) for col in cols)
-                found.add(v if next(t for t in v if t) > 0 else tuple(-t for t in v))
+                found.append(v if next(t for t in v if t) > 0 else tuple(-t for t in v))
         y[i] = 0
 
-    descend(L.n - 1, 0)
+    descend(L.n - 1, 0, True)
     return sorted(found)
 
 

@@ -49,18 +49,25 @@ def decode_int(v, what: str = "integer") -> int:
 
 
 def _check_keys(obj, allowed, required, what):
+    """Raise unless obj is a dict with all `required` and only `allowed` keys (frozensets)."""
+    if isinstance(obj, dict) and required <= obj.keys() <= allowed:
+        return
     if not isinstance(obj, dict):
         raise FormatError("%s must be an object, got %s" % (what, type(obj).__name__))
-    unknown = set(obj) - set(allowed)
+    unknown = obj.keys() - allowed
     if unknown:
         raise FormatError("%s has unknown keys %r" % (what, sorted(unknown)))
-    missing = set(required) - set(obj)
-    if missing:
-        raise FormatError("%s is missing keys %r" % (what, sorted(missing)))
+    raise FormatError("%s is missing keys %r" % (what, sorted(required - obj.keys())))
 
 
 # ---------------------------------------------------------------------------
 # links
+
+
+_LINK_KEYS = frozenset(("components", "arcs", "crossings"))
+_COMPONENT_KEYS = frozenset(("id", "framing", "basepoint"))
+_ARC_KEYS = frozenset(("id", "component", "next"))
+_CROSSING_KEYS = frozenset(("id", "over_in", "over_out", "under_in", "under_out", "sign"))
 
 
 def diagram_to_obj(d: FramedLinkDiagram) -> dict:
@@ -86,26 +93,25 @@ def _link_list(obj: dict, key: str) -> list:
 
 
 def diagram_from_obj(obj) -> FramedLinkDiagram:
-    _check_keys(obj, ("components", "arcs", "crossings"), ("components",), "link")
+    _check_keys(obj, _LINK_KEYS, frozenset(("components",)), "link")
     d = FramedLinkDiagram()
+    required = _COMPONENT_KEYS - {"basepoint"}
     for rec in _link_list(obj, "components"):
-        _check_keys(rec, ("id", "framing", "basepoint"), ("id", "framing"), "component")
+        _check_keys(rec, _COMPONENT_KEYS, required, "component")
         d.components.append(Component(
             id=decode_int(rec["id"], "component id"),
             framing=decode_int(rec["framing"], "framing"),
             basepoint=decode_int(rec["basepoint"], "basepoint")
             if "basepoint" in rec else None))
     for rec in _link_list(obj, "arcs"):
-        _check_keys(rec, ("id", "component", "next"), ("id", "component", "next"), "arc")
+        _check_keys(rec, _ARC_KEYS, _ARC_KEYS, "arc")
         aid = decode_int(rec["id"], "arc id")
         if aid in d.arcs:
             raise FormatError("duplicate arc id %d" % aid)
         d.arcs[aid] = Arc(owner=decode_int(rec["component"], "arc component"),
                           successor=decode_int(rec["next"], "arc successor"))
     for rec in _link_list(obj, "crossings"):
-        _check_keys(rec, ("id", "over_in", "over_out", "under_in", "under_out", "sign"),
-                    ("id", "over_in", "over_out", "under_in", "under_out", "sign"),
-                    "crossing")
+        _check_keys(rec, _CROSSING_KEYS, _CROSSING_KEYS, "crossing")
         xid = decode_int(rec["id"], "crossing id")
         if xid in d.crossings:
             raise FormatError("duplicate crossing id %d" % xid)
@@ -127,7 +133,8 @@ def lattice_to_obj(L: IntegralLattice) -> dict:
 
 
 def lattice_from_obj(obj) -> IntegralLattice:
-    _check_keys(obj, ("n", "entries"), ("n", "entries"), "matrix")
+    keys = frozenset(("n", "entries"))
+    _check_keys(obj, keys, keys, "matrix")
     n = decode_int(obj["n"], "dimension")
     rows = obj["entries"]
     if not isinstance(rows, list) or len(rows) != n:
@@ -153,6 +160,7 @@ _MOVE_TYPES = {"gadget_switch": GadgetSwitch, "slide_over_unknot": SlideOverUnkn
 # move class -> (tag, field names); every field is an integer but `side`
 _MOVE_FIELDS = {cls: (tag, tuple(f.name for f in fields(cls)))
                 for tag, cls in _MOVE_TYPES.items()}
+_MOVE_KEYS = {cls: frozenset(("type",) + names) for cls, (_, names) in _MOVE_FIELDS.items()}
 
 
 def move_to_obj(mv: KirbyMove) -> dict:
@@ -174,12 +182,11 @@ def move_from_obj(obj) -> KirbyMove:
     cls = _MOVE_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise FormatError("unknown move type %r" % (kind,))
-    keys = ("type",) + _MOVE_FIELDS[cls][1]
-    _check_keys(obj, keys, keys, kind)
+    _check_keys(obj, _MOVE_KEYS[cls], _MOVE_KEYS[cls], kind)
     if not isinstance(obj.get("side", ""), str):
         raise FormatError("side must be a string, got %r" % (obj["side"],))
     return cls(**{name: obj[name] if name == "side" else decode_int(obj[name], name)
-                  for name in keys[1:]})
+                  for name in _MOVE_FIELDS[cls][1]})
 
 
 def certificate_to_obj(cert: EmbeddingCertificate) -> dict:
@@ -195,9 +202,8 @@ def certificate_to_obj(cert: EmbeddingCertificate) -> dict:
 
 
 def certificate_from_obj(obj) -> EmbeddingCertificate:
-    _check_keys(obj, ("target", "initial", "moves", "sublink", "m", "n", "p"),
-                ("target", "initial", "moves", "sublink", "m", "n", "p"),
-                "certificate")
+    keys = frozenset(("target", "initial", "moves", "sublink", "m", "n", "p"))
+    _check_keys(obj, keys, keys, "certificate")
     sublink = {}
     if not isinstance(obj["sublink"], dict):
         raise FormatError("sublink must be an object")
@@ -219,8 +225,38 @@ def certificate_from_obj(obj) -> EmbeddingCertificate:
 # file helpers
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_levels: dict = {}  # depth -> (C encoder of one container's scalars, separator, end)
+
+
+def _encode(o, depth: int) -> str:
+    """json.dumps(o, indent=2, sort_keys=True) as nested at `depth`: a
+    dict or list of scalars is one call of the C encoder."""
+    if depth not in _levels:
+        sep = ",\n" + "  " * (depth + 1)
+        _levels[depth] = (json.encoder.c_make_encoder(
+            None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+            None, ": ", sep, True, False, True), sep, "\n" + "  " * depth)
+    enc, sep, end = _levels[depth]
+    if not isinstance(o, (dict, list, tuple)) or not o:
+        return "".join(enc(o, 0))
+    if isinstance(o, dict) and not {str}.issuperset(map(type, o)):
+        return json.dumps(o, indent=2, sort_keys=True).replace("\n", end)
+    if _SCALARS.issuperset(map(type, o.values() if isinstance(o, dict) else o)):
+        text = "".join(enc(o, 0))
+    elif isinstance(o, dict):
+        text = "{%s}" % sep.join([json.encoder.encode_basestring_ascii(k) + ": "
+                                  + _encode(v, depth + 1) for k, v in sorted(o.items())])
+    else:
+        text = "[%s]" % sep.join([_encode(v, depth + 1) for v in o])
+    return text[0] + sep[1:] + text[1:-1] + end + text[-1]
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) and a newline, in C where it can."""
+    if json.encoder.c_make_encoder is None:
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _encode(obj, 0) + "\n"
 
 
 def load_path(path: str):

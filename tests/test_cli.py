@@ -1,11 +1,12 @@
 import hashlib
 import json
+import os
 import random
 
 import pytest
 
 from conftest import random_diagram
-from surgerykit import catalog, intlattice, jsonio, linkdiag
+from surgerykit import catalog, cli, intlattice, jsonio, linkdiag
 from surgerykit.calculus import AddSplitUnknot
 from surgerykit.cli import main
 from surgerykit.intlattice import IntegralLattice, e8_matrix
@@ -408,3 +409,59 @@ def test_one_smith_form_per_report(tmp_path, capsys, monkeypatch):
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().out
+
+
+# -- one parser per process --------------------------------------------------
+
+def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    link = _write_link(tmp_path, catalog.hopf_link())
+    for _ in range(4):
+        for argv in (["invariants", link], ["obstruction", link, "--json"], ["lattice", link]):
+            main(argv)
+    assert len(calls) == 1
+
+
+def _outcome(argv, out_path, capsys):
+    """Exit code, report (without elapsed_s), stderr and written file of one call."""
+    if os.path.exists(out_path):
+        os.remove(out_path)
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    if "--json" in argv and code in (0, 1):
+        out = json.loads(out)
+        assert isinstance(out.pop("elapsed_s"), float)
+    written = open(out_path).read() if os.path.exists(out_path) else None
+    return code, out, err, written
+
+
+def test_cached_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
+    knot = _write_link(tmp_path, catalog.trefoil(-1), "knot.json")
+    link = _write_link(tmp_path, catalog.hopf_link((1, 1)))
+    out = str(tmp_path / "out.json")
+    cert = str(tmp_path / "cert.json")
+    assert main(["certify-embedding", link, "-o", cert]) == 0
+    capsys.readouterr()
+    calls = [
+        ["unknotify", knot, "-o", out, "--json"], ["unknotify", knot, "--json"],
+        ["unknotify", knot, "-o", out], ["unknotify", knot],
+        ["certify-embedding", link, "--pad-positive", "--json"],
+        ["certify-embedding", link, "--json"],
+        ["certify-embedding", link, "--pad-positive", "-o", out], ["certify-embedding", link],
+        ["invariants"], ["verify", cert, "--bogus"], [],
+        ["verify", cert, "--json"], ["verify", cert],
+    ]
+    shared = [_outcome(argv, out, capsys) for argv in calls]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(_outcome(argv, out, capsys))
+    assert shared == fresh
+    assert [o[0] for o in shared] == [0] * 8 + [2, 2, 2, 0, 0]
+    assert shared[0][3] is not None and shared[1][3] is None

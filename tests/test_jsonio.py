@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -244,3 +245,126 @@ def test_load_path_and_save_path(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(FormatError, match="cannot read"):
         jsonio.load_path(str(bad))
+
+
+# -- the writer against json.dumps -------------------------------------------
+
+def _reference(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _seeded_records():
+    """300 seeded diagrams and their certificates."""
+    out = []
+    for s in range(300):
+        d = random_diagram(random.Random(s), 1 + s % 7, s % 41)
+        cert = build_embedding_certificate(d, auto_unknotify=True)
+        out += [diagram_to_obj(d), certificate_to_obj(cert)]
+    return tuple(out)
+
+
+_EDGE_CASES = [
+    {}, [], (), None, True, False, 0, -1, 1.5, 2.0 ** 70, float("nan"), "",
+    {"a": {}, "b": [], "c": [[], {}], "d": {"e": {"f": []}}},
+    [[[]]], [{}], (1, (2, 3), []), {"t": (1, 2), "u": ()},
+    {"big": encode_int(2 ** 70), "neg": encode_int(-(2 ** 64)), "small": encode_int(2 ** 63 - 1)},
+    [2 ** 64, -(2 ** 100), 2 ** 63 - 1],
+    {"café": "über \U0001f600", "esc": "tab\tnl\nquote\"back\\slash\x00"},
+    [" ", "\x7f", "/"],
+    {"b": 1, "a": None, "c": [True, False, None, 0.1, -0.0]},
+    {"z": {"y": {"x": [1, {"w": "v"}]}}, "a": 1},
+    {1: "int key", 0: 2}, {"outer": {2: 3, 1: [1]}}, [{None: 1}], {True: [1], 2.5: {}},
+]
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
+def test_dumps_matches_json_dumps(c_encoder, monkeypatch):
+    if not c_encoder:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    for obj in _seeded_records() + tuple(_EDGE_CASES):
+        assert dumps(obj) == _reference(obj), obj
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
+def test_dumps_matches_json_dumps_on_every_report(c_encoder, monkeypatch, tmp_path, capsys):
+    from surgerykit.cli import main
+    if not c_encoder:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    link = tmp_path / "link.json"
+    jsonio.save_path(str(link), diagram_to_obj(catalog.hopf_link((1, 1))))
+    knot = tmp_path / "knot.json"
+    jsonio.save_path(str(knot), diagram_to_obj(catalog.trefoil(-1)))
+    matrix = tmp_path / "matrix.json"
+    jsonio.save_path(str(matrix), lattice_to_obj(IntegralLattice([[2, 1], [1, 3]])))
+    cert = tmp_path / "cert.json"
+    commands = [["invariants", str(link)], ["lattice", str(matrix)],
+                ["unknotify", str(knot)], ["certify-embedding", str(link), "-o", str(cert)],
+                ["verify", str(cert)], ["obstruction", str(matrix)], ["word", "[[1, 1], [1, -1]]"]]
+    for argv in commands:
+        assert main(argv + ["--json"]) == 0, argv
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert isinstance(report["elapsed_s"], float)
+        assert out == _reference(report) == dumps(report), argv
+    assert cert.read_text() == _reference(json.loads(cert.read_text()))
+
+
+def test_dumps_without_c_encoder_takes_json_dumps(monkeypatch):
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(jsonio, "_encode", None)
+    obj = diagram_to_obj(catalog.trefoil(1))
+    assert dumps(obj) == _reference(obj)
+
+
+# -- record keys -------------------------------------------------------------
+
+def _component_link(**rec):
+    return {"components": [rec], "arcs": [], "crossings": []}
+
+
+@pytest.mark.parametrize("obj, message", [
+    (_component_link(id=0, framing=1, basepoint=0, color="red", z=1),
+     "component has unknown keys ['color', 'z']"),
+    (_component_link(id=0, basepoint=0, color=1), "component has unknown keys ['color']"),
+    (_component_link(id=0, basepoint=0), "component is missing keys ['framing']"),
+    ({"components": [], "arcs": [{"id": 0, "next": 0}]}, "arc is missing keys ['component']"),
+    ({"components": [], "crossings": [{"id": 0, "sign": 1, "over_in": 0}]},
+     "crossing is missing keys ['over_out', 'under_in', 'under_out']"),
+    ({"arcs": []}, "link is missing keys ['components']"),
+    ({"components": [], "zzz": 1}, "link has unknown keys ['zzz']"),
+    ({"components": [5]}, "component must be an object, got int"),
+    ({"components": [], "arcs": [[0]]}, "arc must be an object, got list"),
+    ([], "link must be an object, got list"),
+])
+def test_record_key_errors_keep_their_text(obj, message):
+    with pytest.raises(FormatError) as err:
+        diagram_from_obj(obj)
+    assert str(err.value) == message
+
+
+def test_record_key_errors_of_moves_matrices_and_certificates():
+    cases = [
+        (move_from_obj, {"type": "poke", "a": 0}, "poke has unknown keys ['a']"),
+        (move_from_obj, {"type": "gadget_switch", "crossing": 0, "side": "L", "unknot": 1,
+                         "extra": 2}, "gadget_switch has unknown keys ['extra']"),
+        (lattice_from_obj, {"n": 1}, "matrix is missing keys ['entries']"),
+        (lattice_from_obj, {"n": 1, "entries": [[1]], "x": 0}, "matrix has unknown keys ['x']"),
+        (lattice_from_obj, "s", "matrix must be an object, got str"),
+        (certificate_from_obj, {"m": 1},
+         "certificate is missing keys ['initial', 'moves', 'n', 'p', 'sublink', 'target']"),
+        (certificate_from_obj, 3, "certificate must be an object, got int"),
+    ]
+    for parse, obj, message in cases:
+        with pytest.raises(FormatError) as err:
+            parse(obj)
+        assert str(err.value) == message
+
+
+def test_component_basepoint_is_optional():
+    for rec in ({"id": 0, "framing": 1}, {"id": 0, "framing": 1, "basepoint": 0}):
+        obj = diagram_to_obj(catalog.unknot(1))
+        obj["components"] = [rec]
+        d = diagram_from_obj(obj)
+        assert d.components[0].basepoint == rec.get("basepoint")
+        assert diagram_to_obj(d)["components"] == [rec]
