@@ -357,6 +357,9 @@ class EmbeddingCertificate:
         return MoveScript(initial=self.initial, moves=list(self.moves))
 
 
+MAX_FRAMING_FIXES = 2000  # framing-fix unknots of one certificate, while replay rows are dense
+
+
 def _sign_or_plus(x: int) -> int:
     return -1 if x < 0 else 1
 
@@ -394,6 +397,9 @@ def build_embedding_certificate(d: FramedLinkDiagram,
     framings += [_sign_or_plus(lam) for _, _, lam in pairs for _ in range(abs(lam))]
     deficits = [A[t][t] - framings[t] - sum(A[t][u] for u in range(k) if u != t)
                 for t in range(k)]
+    if sum(map(abs, deficits)) > MAX_FRAMING_FIXES:
+        raise DiagramError("the framings need %d framing-fix unknots, over the limit of %d"
+                           % (sum(map(abs, deficits)), MAX_FRAMING_FIXES))
     framings += [_sign_or_plus(dt) for dt in deficits for _ in range(abs(dt))]
     if pad_positive and not (1 in framings and -1 in framings):
         framings += [1, -1]

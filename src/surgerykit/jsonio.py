@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
+from itertools import chain
+from operator import itemgetter
 
 from .calculus import (AddSplitUnknot, BlowDownIndex, EmbeddingCertificate,
                        GadgetSwitch, KirbyMove, MatrixSlide, Poke,
@@ -68,6 +70,8 @@ _LINK_KEYS = frozenset(("components", "arcs", "crossings"))
 _COMPONENT_KEYS = frozenset(("id", "framing", "basepoint"))
 _ARC_KEYS = frozenset(("id", "component", "next"))
 _CROSSING_KEYS = frozenset(("id", "over_in", "over_out", "under_in", "under_out", "sign"))
+_ARC_ROW = itemgetter("id", "component", "next")
+_CROSSING_ROW = itemgetter("id", "over_in", "over_out", "under_in", "under_out", "sign")
 
 
 def diagram_to_obj(d: FramedLinkDiagram) -> dict:
@@ -92,6 +96,19 @@ def _link_list(obj: dict, key: str) -> list:
     return recs
 
 
+def _int_rows(recs, row, width: int):
+    """list(map(row, recs)) if recs is a list of dicts with exactly the `width` keys `row`
+    gets and exact int values (no bool or decimal string), checked per list; else None."""
+    if not (type(recs) is list and set(map(type, recs)) <= {dict}
+            and set(map(len, recs)) <= {width}):
+        return None
+    try:
+        rows = list(map(row, recs))
+    except KeyError:
+        return None
+    return rows if set(map(type, chain.from_iterable(rows))) <= {int} else None
+
+
 def diagram_from_obj(obj) -> FramedLinkDiagram:
     _check_keys(obj, _LINK_KEYS, frozenset(("components",)), "link")
     d = FramedLinkDiagram()
@@ -103,14 +120,20 @@ def diagram_from_obj(obj) -> FramedLinkDiagram:
             framing=decode_int(rec["framing"], "framing"),
             basepoint=decode_int(rec["basepoint"], "basepoint")
             if "basepoint" in rec else None))
-    for rec in _link_list(obj, "arcs"):
+    rows = _int_rows(obj.get("arcs"), _ARC_ROW, len(_ARC_KEYS)) or ()
+    arcs = {r[0]: Arc(*r[1:]) for r in rows}
+    d.arcs = arcs if len(arcs) == len(rows) else {}  # else the loop reads it, naming the fault
+    for rec in _link_list(obj, "arcs") if not d.arcs else ():
         _check_keys(rec, _ARC_KEYS, _ARC_KEYS, "arc")
         aid = decode_int(rec["id"], "arc id")
         if aid in d.arcs:
             raise FormatError("duplicate arc id %d" % aid)
         d.arcs[aid] = Arc(owner=decode_int(rec["component"], "arc component"),
                           successor=decode_int(rec["next"], "arc successor"))
-    for rec in _link_list(obj, "crossings"):
+    rows = _int_rows(obj.get("crossings"), _CROSSING_ROW, len(_CROSSING_KEYS)) or ()
+    crossings = {r[0]: Crossing(*r[1:]) for r in rows}
+    d.crossings = crossings if len(crossings) == len(rows) else {}
+    for rec in _link_list(obj, "crossings") if not d.crossings else ():
         _check_keys(rec, _CROSSING_KEYS, _CROSSING_KEYS, "crossing")
         xid = decode_int(rec["id"], "crossing id")
         if xid in d.crossings:
@@ -227,6 +250,21 @@ def certificate_from_obj(obj) -> EmbeddingCertificate:
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _levels: dict = {}  # depth -> (C encoder of one container's scalars, separator, end)
+_records: dict = {}  # (sorted keys, separator of a depth) -> (itemgetter, record template)
+
+
+def _int_records(o, sep: str):
+    """2+ dicts of the same 2+ str keys and exact int values in one % format, else None."""
+    keys = tuple(sorted(o[0])) if type(o[0]) is dict and {str}.issuperset(map(type, o[0])) else ()
+    if len(o) < 2 or len(keys) < 2:  # itemgetter of one key returns no tuple
+        return None
+    if (keys, sep) not in _records:  # the C encoder writes an int v as repr(v) == "%d" % v
+        ind = sep + "  "
+        _records[keys, sep] = (itemgetter(*keys), "{%s%s}" % (ind[1:] + ind.join(
+            json.encoder.encode_basestring_ascii(k).replace("%", "%%") + ": %d" for k in keys), sep[1:]))
+    row, rec = _records[keys, sep]
+    rows = _int_rows(o, row, len(keys))
+    return rows and "[%s]" % sep.join([rec] * len(o)) % tuple(chain.from_iterable(rows))
 
 
 def _encode(o, depth: int) -> str:
@@ -248,7 +286,8 @@ def _encode(o, depth: int) -> str:
         text = "{%s}" % sep.join([json.encoder.encode_basestring_ascii(k) + ": "
                                   + _encode(v, depth + 1) for k, v in sorted(o.items())])
     else:
-        text = "[%s]" % sep.join([_encode(v, depth + 1) for v in o])
+        text = (_int_records(o, sep)
+                or "[%s]" % sep.join([_encode(v, depth + 1) for v in o]))
     return text[0] + sep[1:] + text[1:-1] + end + text[-1]
 
 

@@ -495,6 +495,23 @@ def test_certificate_requires_descending_or_auto():
     assert verify_certificate(cert).passed
 
 
+def test_certificate_framing_fixes_are_capped_before_building():
+    # the deficit sums over components: |2001 - 1| + |-2001 + 1| = 4000
+    for d, fixes in ((catalog.unknot(10 ** 23), 10 ** 23 - 1), (catalog.unknot(-2002), 2001),
+                     (catalog.unlink([2001, -2001]), 4000)):
+        with pytest.raises(DiagramError) as err:
+            build_embedding_certificate(d)
+        assert str(err.value) == ("the framings need %d framing-fix unknots, over the limit "
+                                  "of %d" % (fixes, calculus.MAX_FRAMING_FIXES))
+
+
+def test_certificate_at_the_framing_fix_limit():
+    assert calculus.MAX_FRAMING_FIXES == 2000
+    cert = build_embedding_certificate(catalog.unlink([1001, -1001]))
+    assert [type(mv) for mv in cert.moves] == [SlideOverUnknot] * 2000
+    assert (cert.m, cert.n, cert.p) == (1001, 1001, 0)
+
+
 def test_certificate_builder_validates_its_target_once(monkeypatch):
     hopf, trefoil = catalog.hopf_link(), catalog.trefoil(2)
     seen = []

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import time
 
 import pytest
 
@@ -355,6 +356,20 @@ def test_overlong_framing_is_exit_two(tmp_path, capsys):
     assert err.startswith("error: cannot read") and "Traceback" not in err
 
 
+def test_huge_framing_certify_is_exit_two_at_once(tmp_path, capsys):
+    obj = jsonio.diagram_to_obj(catalog.unknot())
+    obj["components"][0]["framing"] = "99999999999999999999999"
+    p = tmp_path / "link.json"
+    jsonio.save_path(str(p), obj)
+    start = time.perf_counter()
+    assert main(["certify-embedding", str(p), "-o", str(tmp_path / "cert.json")]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == ("error: the framings need 99999999999999999999998 framing-fix unknots, "
+                   "over the limit of 2000\n")
+    assert not (tmp_path / "cert.json").exists()
+
+
 def test_overlong_result_is_exit_two(tmp_path, capsys):
     # a result integer past Python's 4,300-digit int/str limit
     link = _write_link(tmp_path, catalog.hopf_link((10 ** 2999, 10 ** 2999)))
@@ -437,7 +452,10 @@ def _outcome(argv, out_path, capsys):
     if "--json" in argv and code in (0, 1):
         out = json.loads(out)
         assert isinstance(out.pop("elapsed_s"), float)
-    written = open(out_path).read() if os.path.exists(out_path) else None
+    written = None
+    if os.path.exists(out_path):
+        with open(out_path) as fh:
+            written = fh.read()
     return code, out, err, written
 
 

@@ -138,6 +138,69 @@ def test_diagram_big_framing():
     assert diagram_from_obj(obj).component(0).framing == 10 ** 30
 
 
+# -- reading records a list at a time ----------------------------------------
+
+def _read(obj):
+    """The diagram diagram_from_obj reads from obj, or its FormatError text."""
+    try:
+        return diagram_from_obj(obj)
+    except FormatError as e:
+        return str(e)
+
+
+def _link_mutants(obj, rng):
+    """JSON-level mutants of a link object, each on its own copy."""
+    kinds = [kind for kind in ("arcs", "crossings") if obj[kind]]
+    edits = [lambda rec, v=v: rec.__setitem__(rng.choice(sorted(rec)), v)
+             for v in (True, 1.5, None, "7", str(2 ** 70), [1])]
+    edits += [lambda rec: rec.pop(rng.choice(sorted(rec))), lambda rec: rec.update(extra=0)]
+    for kind in kinds:
+        for edit in edits:
+            m = json.loads(json.dumps(obj))
+            edit(rng.choice(m[kind]))
+            yield m
+        m = json.loads(json.dumps(obj))
+        i = rng.randrange(len(m[kind]))
+        m[kind][i] = list(m[kind][i].values())
+        yield m
+        m = json.loads(json.dumps(obj))
+        m[kind] = {str(i): rec for i, rec in enumerate(m[kind])}
+        yield m
+        if len(obj[kind]) > 1:
+            m = json.loads(json.dumps(obj))
+            i, j = sorted(rng.sample(range(len(m[kind])), 2))
+            m[kind][j]["id"] = m[kind][i]["id"]
+            yield m
+
+
+def test_column_reader_matches_the_record_loop(monkeypatch):
+    rng = random.Random(15)
+    for s in range(300):
+        obj = diagram_to_obj(random_diagram(random.Random(s), 1 + s % 7, s % 41))
+        assert jsonio._int_rows(obj["arcs"], jsonio._ARC_ROW, 3) is not None
+        assert jsonio._int_rows(obj["crossings"], jsonio._CROSSING_ROW, 6) is not None
+        for m in [obj, *_link_mutants(obj, rng)]:
+            outcome = _read(m)
+            with monkeypatch.context() as loop_only:
+                loop_only.setattr(jsonio, "_int_rows", lambda recs, row, width: None)
+                assert _read(m) == outcome, (s, m)
+
+
+@pytest.mark.parametrize("kind, field, bad, message", [
+    ("arcs", "next", True, "arc successor must be an integer, got a boolean"),
+    ("crossings", "sign", 1.5, "sign must be an integer or decimal string, got 1.5"),
+])
+def test_first_fault_in_list_order_is_named(kind, field, bad, message):
+    for dup, fault in ((3, 5), (5, 3)):        # the record holding a duplicate id, a bad field
+        obj = diagram_to_obj(catalog.e8_link())
+        recs = obj[kind]
+        recs[dup]["id"], recs[fault][field] = recs[0]["id"], bad
+        with pytest.raises(FormatError) as err:
+            diagram_from_obj(obj)
+        assert str(err.value) == (message if fault < dup else
+                                  "duplicate %s id %d" % (kind[:-1], recs[0]["id"]))
+
+
 # -- matrices ----------------------------------------------------------------
 
 def test_lattice_round_trip():
@@ -275,6 +338,17 @@ _EDGE_CASES = [
     {"b": 1, "a": None, "c": [True, False, None, 0.1, -0.0]},
     {"z": {"y": {"x": [1, {"w": "v"}]}}, "a": 1},
     {1: "int key", 0: 2}, {"outer": {2: 3, 1: [1]}}, [{None: 1}], {True: [1], 2.5: {}},
+    # lists of int records, written with one % format, and near misses
+    [{"b": 1, "a": -2}, {"a": 3, "b": 4}, {"b": 0, "a": 0}],
+    {"arcs": [{"id": 0, "component": 0, "next": 1}, {"id": 1, "component": 0, "next": 0}]},
+    {"a": {"b": {"c": [{"x": 1, "y": 2}, {"y": 3, "x": 4}]}}},
+    [{"100%": 1, "%d": 2, "%%s": 3}, {"100%": 4, "%d": 5, "%%s": 6}],
+    [{"caf\u00e9": 1, "\U0001f600": 2, "q\"\\": 3}, {"caf\u00e9": 4, "\U0001f600": 5, "q\"\\": 6}],
+    [{"a": True, "b": 1}, {"a": 2, "b": False}], [{"a": 1, "b": 2}, {"a": 1, "c": 2}],
+    [{"a": 1, "b": 2}], [{"a": 1}, {"a": 2}], [{}, {}], ({"a": 1, "b": 2}, {"a": 3, "b": 4}),
+    [{"a": 2 ** 70, "b": -(2 ** 100)}, {"a": 2 ** 63, "b": -(2 ** 63) - 1}],
+    [{"a": 1, "b": "2"}, {"a": 3, "b": 4}], [{"a": 1, "b": 2}, {"a": 1.0, "b": 2}],
+    [{"a": 1, "b": 2}, {"a": 3, "b": 4}, [5]], [{1: 1, 2: 2}, {1: 3, 2: 4}],
 ]
 
 
