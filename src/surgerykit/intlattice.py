@@ -67,14 +67,6 @@ class IntegralLattice:
     def __repr__(self) -> str:
         return "IntegralLattice(%r)" % (self.entries,)
 
-    def evaluate(self, v) -> int:
-        """The quadratic form v^T L v."""
-        v = list(v)
-        if len(v) != self.n:
-            raise LatticeError("vector length %d, matrix rank %d" % (len(v), self.n))
-        return sum(v[i] * self.entries[i][j] * v[j]
-                   for i in range(self.n) for j in range(self.n))
-
 
 @dataclass
 class Inertia:
@@ -87,10 +79,6 @@ class Inertia:
     det: int
     pivot: int
 
-    @property
-    def signature(self) -> int:
-        return self.positive - self.negative
-
 
 @dataclass
 class AbelianGroupPresentation:
@@ -98,9 +86,6 @@ class AbelianGroupPresentation:
 
     rank: int
     torsion: list[int]
-
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
 
     def __str__(self) -> str:
         parts = []

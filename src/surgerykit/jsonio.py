@@ -1,8 +1,11 @@
 """JSON schemas for links, matrices, certificates and reports.
 
-Integers outside the signed 64-bit range are encoded as decimal strings;
-both forms are accepted on input.  Unknown keys are rejected everywhere
-so that schema drift fails loudly.
+Framings, matrix entries, report invariants and move fields outside the
+signed 64-bit range are written as decimal strings; counts are sizes of
+what was built.  Ids are written as plain JSON integers whatever their
+size, so an id read past 64 bits is written back as a bare integer.  Both
+forms are accepted on input.  Unknown keys are rejected everywhere so
+that schema drift fails loudly.
 """
 
 from __future__ import annotations

@@ -590,34 +590,6 @@ class Editor:
         return GadgetRecord(unknot=ucid, crossing=xid, epsilon=eps,
                             passage_signs=(a, b), framing_compensations=comps)
 
-    def blow_down_gadget(self, rec: GadgetRecord) -> None:
-        """Kirby blow-down of a gadget unknot: re-switch the recorded
-        crossing, splice the unknot out, undo the framing compensations."""
-        d, u = self.d, rec.unknot
-        comp = self.comp(u)
-        if rec.epsilon not in (1, -1) or comp.framing != rec.epsilon:
-            raise DiagramError("gadget unknot %d has framing %d, record says %d"
-                               % (u, comp.framing, rec.epsilon))
-        xids = self.xs_of[u]
-        if xids and len(xids) != 4:
-            raise DiagramError("component %d has %d crossings, not the 4-crossing "
-                               "gadget shape" % (u, len(xids)))
-        for xid in sorted(xids):
-            over, under = d._strand_owners(d.crossings[xid])
-            if (over == u) == (under == u):
-                raise DiagramError("crossing %d is not a single passage of the "
-                                   "gadget unknot" % xid)
-        if rec.crossing in xids or u in rec.framing_compensations:
-            raise DiagramError("gadget record of unknot %d names a crossing or a "
-                               "component that the blow-down removes" % u)
-        for t in rec.framing_compensations:
-            self.comp(t)  # raises for an unknown component, before any change
-        if rec.crossing is not None:
-            self.switch(rec.crossing)
-        self.excise(u)
-        for t, delta in rec.framing_compensations.items():
-            self.set_framing(t, self.comp(t).framing - delta)
-
     def blow_down(self, cid: int) -> None:
         """Raw Kirby blow-down of any +/-1-framed component: it is spliced
         away and the induced rank-one change of linking numbers is realized

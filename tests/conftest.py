@@ -56,3 +56,39 @@ def gadget_sides(d, xid):
         if x != y:
             out.append(side)
     return out
+
+
+def quad(L, v):
+    """The quadratic form v^T L v."""
+    return sum(v[i] * L.entries[i][j] * v[j] for i in range(L.n) for j in range(L.n))
+
+
+def blow_down_gadget(ed, rec):
+    """Kirby blow-down of a gadget unknot, the oracle for the crossing-change
+    gadget: re-switch the recorded crossing, splice the unknot out, undo the
+    framing compensations.  Like every Editor rewrite, a failed check raises
+    before the first change."""
+    d, u = ed.d, rec.unknot
+    comp = ed.comp(u)
+    if rec.epsilon not in (1, -1) or comp.framing != rec.epsilon:
+        raise DiagramError("gadget unknot %d has framing %d, record says %d"
+                           % (u, comp.framing, rec.epsilon))
+    xids = ed.xs_of[u]
+    if xids and len(xids) != 4:
+        raise DiagramError("component %d has %d crossings, not the 4-crossing "
+                           "gadget shape" % (u, len(xids)))
+    for xid in sorted(xids):
+        over, under = d._strand_owners(d.crossings[xid])
+        if (over == u) == (under == u):
+            raise DiagramError("crossing %d is not a single passage of the "
+                               "gadget unknot" % xid)
+    if rec.crossing in xids or u in rec.framing_compensations:
+        raise DiagramError("gadget record of unknot %d names a crossing or a "
+                           "component that the blow-down removes" % u)
+    for t in rec.framing_compensations:
+        ed.comp(t)  # raises for an unknown component, before any change
+    if rec.crossing is not None:
+        ed.switch(rec.crossing)
+    ed.excise(u)
+    for t, delta in rec.framing_compensations.items():
+        ed.set_framing(t, ed.comp(t).framing - delta)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import sympy
 
-from conftest import gadget_sides, random_diagram, random_symmetric
+from conftest import blow_down_gadget, gadget_sides, quad, random_diagram, random_symmetric
 from surgerykit import catalog, jsonio, linkdiag
 from surgerykit.calculus import (AddSplitUnknot, BlowDownIndex, MatrixSlide,
                                  MoveScript, build_embedding_certificate,
@@ -50,7 +50,7 @@ def test_acceptance_1_e8_suite(tmp_path, capsys):
         assert determinant(E) == 1
         i = inertia(E)
         assert (i.positive, i.zero, i.negative) == (8, 0, 0)
-        assert homology_from_linking(E).is_trivial()
+        assert str(homology_from_linking(E)) == "0"
         ok, _, residual = diagonalizable_over_Z(E)
         assert ok is False and residual.n == 8
         assert donaldson_obstruction(E).verdict == "OBSTRUCTED"
@@ -86,7 +86,7 @@ def test_acceptance_3_gadget_soundness():
                     ed = Editor(d.copy())
                     rec = ed.gadget(xid, side)
                     assert not linkdiag.validate_diagram(ed.d)
-                    ed.blow_down_gadget(rec)
+                    blow_down_gadget(ed, rec)
                     assert linking_matrix(ed.d).entries == L.entries
                     cases += 1
             diagrams += 1
@@ -196,7 +196,7 @@ def test_acceptance_6_short_vector_oracle():
                 lims.append(m)
             want = set()
             for v in itertools.product(*[range(-m, m + 1) for m in lims]):
-                if any(v) and L.evaluate(v) <= bound:
+                if any(v) and quad(L, v) <= bound:
                     first = next(t for t in v if t)
                     want.add(v if first > 0 else tuple(-t for t in v))
             assert got == sorted(want)
@@ -240,7 +240,7 @@ def test_acceptance_8_unknotify():
                     assert c.framing in (1, -1)
             ed = Editor(res.diagram)
             for rec in reversed(res.gadgets):
-                ed.blow_down_gadget(rec)
+                blow_down_gadget(ed, rec)
             assert linking_matrix(ed.d).entries == linking_matrix(d).entries
 
 

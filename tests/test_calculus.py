@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import gadget_sides, random_diagram
+from conftest import blow_down_gadget, gadget_sides, random_diagram
 from surgerykit import calculus, catalog, intlattice, jsonio, linkdiag
 from surgerykit.calculus import (AddSplitUnknot, BlowDownIndex, GadgetSwitch,
                                  MatrixSlide, MoveError, MoveScript, Poke,
@@ -404,7 +404,7 @@ def test_unknotify_trefoil():
     assert linkdiag.descending_switch_set(res.diagram, self_only=True) == set()
     ed = Editor(res.diagram)
     for rec in reversed(res.gadgets):
-        ed.blow_down_gadget(rec)
+        blow_down_gadget(ed, rec)
     assert linking_matrix(ed.d) == linking_matrix(d)
 
 
@@ -433,7 +433,7 @@ def test_unknotify_random_round_trip():
             assert res.diagram.component(rec.unknot).framing in (1, -1)
         ed = Editor(res.diagram)
         for rec in reversed(res.gadgets):
-            ed.blow_down_gadget(rec)
+            blow_down_gadget(ed, rec)
         assert linking_matrix(ed.d) == linking_matrix(d)
         done += 1
 
@@ -604,6 +604,31 @@ def test_wrong_declared_counts_fail():
     cert = build_embedding_certificate(catalog.unknot(1))
     cert.p += 1
     assert not verify_certificate(cert).passed
+
+
+# a mutant of the Hopf (1, -1) certificate (moves: Poke, GadgetSwitch and
+# two SlideOverUnknot) -> its one failed check and that check's detail
+VERIFY_FAILURES = {
+    "unknown crossing": (lambda c: setattr(c.moves[1], "crossing", 99), "script replays",
+                         "move 1 (GadgetSwitch): unknown crossing id 99"),
+    "poke sign": (lambda c: setattr(c.moves[0], "sign", 3), "script replays",
+                  "move 0 (Poke): poke sign must be +1 or -1"),
+    "sublink not injective": (
+        lambda c: setattr(c, "sublink", {0: 0, 1: 0}),
+        "sublink designates distinct final components",
+        "sublink map {0: 0, 1: 0} does not inject target components into the final diagram"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_FAILURES))
+def test_verify_failure_is_the_last_check(case):
+    mutate, name, detail = VERIFY_FAILURES[case]
+    cert = build_embedding_certificate(catalog.hopf_link((1, -1)))
+    mutate(cert)
+    rep = verify_certificate(cert)
+    assert not rep.passed
+    assert [(c.name, c.detail) for c in rep.failures()] == [(name, detail)]
+    assert rep.checks[-1].name == name
 
 
 @pytest.mark.parametrize("make", [catalog.hopf_link, lambda: catalog.unknot(3),

@@ -87,6 +87,30 @@ def test_unknotify_respects_order(tmp_path, capsys):
     assert rep["result"]["p"] == 1
 
 
+def test_unknotify_writes_ids_past_64_bits_back_as_read(tmp_path, capsys):
+    # ids are written as plain JSON integers of any size; only framings,
+    # entries, invariants and move fields past 64 bits become strings
+    big = 2 ** 70
+    d = catalog.trefoil(0)
+    shifted = linkdiag.FramedLinkDiagram(
+        components=[linkdiag.Component(c.id + big, c.framing, c.basepoint + big)
+                    for c in d.components],
+        arcs={a + big: linkdiag.Arc(v.owner + big, v.successor + big)
+              for a, v in d.arcs.items()},
+        crossings={x + big: linkdiag.Crossing(*(a + big for a in c.arc_ids()), c.sign)
+                   for x, c in d.crossings.items()})
+    path = _write_link(tmp_path, shifted)
+    out = str(tmp_path / "out.json")
+    code, rep = _run_json(capsys, ["unknotify", path, "-o", out])
+    assert code == 0 and rep["result"]["p"] == 1
+    with open(out) as fh:
+        assert '"component": %d,' % big in fh.read()
+    d2 = jsonio.diagram_from_obj(jsonio.load_path(out))
+    assert d2.component(big).basepoint == shifted.components[0].basepoint
+    assert all(d2.arcs[a].owner == big for a in shifted.arcs)
+    assert shifted.crossings.keys() <= d2.crossings.keys()
+
+
 def test_unknotify_bad_order_is_usage_error(tmp_path):
     path = _write_link(tmp_path, catalog.unknot(0))
     assert main(["unknotify", path, "--order", "0,zap"]) == 2
@@ -145,6 +169,22 @@ def test_verify_non_certificate_move_exits_one(tmp_path, capsys):
     assert rep["result"]["verdict"] == "FAIL"
     assert [c["detail"] for c in rep["result"]["checks"] if not c["ok"]] == [
         "move 0 (AddSplitUnknot) is not a certificate move"]
+
+
+def test_verify_unknown_switch_crossing_exits_one(tmp_path, capsys):
+    path = _write_link(tmp_path, catalog.hopf_link((1, -1)))
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify-embedding", path, "-o", cert_path]) == 0
+    capsys.readouterr()
+    obj = jsonio.load_path(cert_path)
+    assert obj["moves"][1]["type"] == "gadget_switch"
+    obj["moves"][1]["crossing"] = 99
+    jsonio.save_path(cert_path, obj)
+    code, rep = _run_json(capsys, ["verify", cert_path])
+    assert code == 1
+    assert rep["result"]["verdict"] == "FAIL"
+    assert [(c["name"], c["detail"]) for c in rep["result"]["checks"] if not c["ok"]] == [
+        ("script replays", "move 1 (GadgetSwitch): unknown crossing id 99")]
 
 
 @pytest.mark.parametrize("side", [["before"], True, 5, None, {}])

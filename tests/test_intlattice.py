@@ -9,7 +9,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import random_symmetric
+from conftest import quad, random_symmetric
 from surgerykit import cli, jsonio
 from surgerykit.calculus import donaldson_obstruction
 from surgerykit.intlattice import (AbelianGroupPresentation, IntegralLattice,
@@ -41,9 +41,9 @@ def test_rejects_nonsquare_and_asymmetric():
 
 def test_evaluate():
     L = IntegralLattice([[2, 1], [1, 2]])
-    assert L.evaluate([1, 0]) == 2
-    assert L.evaluate([1, -1]) == 2
-    assert L.evaluate([1, 1]) == 6
+    assert quad(L, [1, 0]) == 2
+    assert quad(L, [1, -1]) == 2
+    assert quad(L, [1, 1]) == 6
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -199,7 +199,7 @@ def test_inertia_examples():
     assert inertia(IntegralLattice.identity(3)) == inertia(IntegralLattice.identity(3))
     i = inertia(IntegralLattice([[0, 1], [1, 0]]))
     assert (i.positive, i.zero, i.negative) == (1, 0, 1)
-    assert i.signature == 0
+    assert i.positive - i.negative == 0
     i = inertia(e8_matrix())
     assert (i.positive, i.zero, i.negative) == (8, 0, 0)
     # all-zero diagonals: the hyperbolic rule, then the zero block
@@ -319,13 +319,13 @@ def test_e8_invariants():
     assert determinant(E) == 1
     i = inertia(E)
     assert (i.positive, i.zero, i.negative) == (8, 0, 0)
-    assert homology_from_linking(E).is_trivial()
+    assert str(homology_from_linking(E)) == "0"
     assert snf_diagonal(E) == [1] * 8
     # even form: every diagonal entry of any v^T E v is even
     rng = random.Random(131)
     for _ in range(20):
         v = [rng.randint(-3, 3) for _ in range(8)]
-        assert E.evaluate(v) % 2 == 0
+        assert quad(E, v) % 2 == 0
 
 
 # -- short vectors -----------------------------------------------------------
@@ -367,7 +367,7 @@ def _short_vectors_box(L, bound):
             m += 1
         lims.append(m)
     return _canonical(v for v in itertools.product(*[range(-m, m + 1) for m in lims])
-                      if any(v) and L.evaluate(v) <= bound)
+                      if any(v) and quad(L, v) <= bound)
 
 
 def test_short_vectors_identity():
@@ -384,7 +384,7 @@ def test_short_vectors_e8_roots():
     # E8 has 240 roots of norm 2 and no vectors of norm 1
     roots = short_vectors(e8_matrix(), 2)
     assert len(roots) == 120
-    assert all(e8_matrix().evaluate(v) == 2 for v in roots)
+    assert all(quad(e8_matrix(), v) == 2 for v in roots)
     assert short_vectors(e8_matrix(), 1) == []
 
 

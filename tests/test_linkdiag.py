@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import gadget_sides, random_diagram
+from conftest import blow_down_gadget, gadget_sides, random_diagram
 from surgerykit import catalog, intlattice, linkdiag
 from surgerykit.linkdiag import (Arc, Component, Crossing, DiagramError,
                                  Editor, FramedLinkDiagram, GadgetRecord,
@@ -60,6 +60,71 @@ def test_crossing_naming_missing_arc_is_reported_not_raised():
     assert "crossing 0 references unknown arcs [99]" in bad
     with pytest.raises(DiagramError, match=r"^invalid diagram: crossing 0 references"):
         linking_matrix(d)
+
+
+def _diagram(components, arcs, crossings=()):
+    """Components (id, basepoint) framed 0, arcs {id: (owner, next)} and
+    crossings (over_in, over_out, under_in, under_out, sign) with ids 0, 1, ..."""
+    return FramedLinkDiagram(components=[Component(cid, 0, bp) for cid, bp in components],
+                             arcs={a: Arc(*v) for a, v in arcs.items()},
+                             crossings=dict(enumerate(Crossing(*c) for c in crossings)))
+
+
+_HOPF_ARCS = {0: (0, 2), 1: (1, 3), 2: (0, 0), 3: (1, 1)}
+_HOPF_CROSSINGS = [(0, 2, 1, 3, 1), (3, 1, 2, 0, 1)]
+
+# one minimal malformed diagram per message -> everything validate_diagram returns
+MALFORMED = {
+    "duplicate component ids": (
+        _diagram([(0, 0), (0, 0)], {0: (0, 0)}),
+        ["duplicate component ids"]),
+    "arc of an unknown component": (
+        _diagram([], {0: (7, 0)}),
+        ["arc 0 owned by unknown component 7", "arc 0 is the in-arc of 0 crossings",
+         "arc 0 is the out-arc of 0 crossings"]),
+    "unknown successor": (
+        _diagram([(0, 0)], {0: (0, 9)}),
+        ["arc 0 has unknown successor 9",
+         "component 0 successor chain leaves the component at arc 0"]),
+    "crossing sign": (
+        _diagram([(0, 0), (1, 1)], _HOPF_ARCS, [(0, 2, 1, 3, 2), _HOPF_CROSSINGS[1]]),
+        ["crossing 0 has sign 2, expected +1 or -1"]),
+    "in-arc shared between strands": (
+        _diagram([(0, 0), (1, 1)], _HOPF_ARCS, [(0, 2, 0, 3, 1), _HOPF_CROSSINGS[1]]),
+        ["crossing 0 shares an in-arc or out-arc between strands",
+         "crossing 0: successor of under_in is not under_out",
+         "arc 0 is the in-arc of 2 crossings", "arc 1 is the in-arc of 0 crossings"]),
+    "strand on one arc": (
+        _diagram([(0, 0), (1, 1)], {0: (0, 0), 1: (1, 1)}, [(0, 0, 1, 1, 1)]),
+        ["crossing 0 has a strand entering and leaving on one arc"]),
+    "under_in successor": (
+        _diagram([(0, 0), (1, 1)], _HOPF_ARCS, [_HOPF_CROSSINGS[0], (3, 1, 2, 3, 1)]),
+        ["crossing 1: successor of under_in is not under_out",
+         "arc 0 is the out-arc of 0 crossings", "arc 3 is the out-arc of 2 crossings"]),
+    "zero-crossing loop in a crossing": (
+        _diagram([(0, 0), (1, 1), (2, 4)], {**_HOPF_ARCS, 4: (2, 4)},
+                 [(0, 4, 1, 3, 1), _HOPF_CROSSINGS[1]]),
+        ["crossing 0: successor of over_in is not over_out",
+         "arc 2 is the out-arc of 0 crossings",
+         "arc 4 of zero-crossing loop appears in a crossing"]),
+    "basepoint of another component": (
+        _diagram([(0, 1), (1, 1)], _HOPF_ARCS, _HOPF_CROSSINGS),
+        ["component 0 basepoint 1 is not one of its arcs"]),
+    "successor chain leaves the component": (
+        _diagram([(0, 0), (1, 1)], {0: (0, 1), 1: (1, 1)}),
+        ["component 0 successor chain leaves the component at arc 0"]),
+}
+
+
+def test_hopf_table_is_valid():
+    d = _diagram([(0, 0), (1, 1)], _HOPF_ARCS, _HOPF_CROSSINGS)
+    assert d == catalog.hopf_link() and validate_diagram(d) == []
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_validate_diagram_messages(case):
+    d, messages = MALFORMED[case]
+    assert validate_diagram(d) == messages
 
 
 # -- linking numbers ---------------------------------------------------------
@@ -235,7 +300,7 @@ def test_hopf_gadget_compensations():
     rec = ed.gadget(xid, linkdiag.SIDE_BEFORE)
     assert rec.epsilon == -1
     assert rec.framing_compensations == {0: -1, 1: -1}
-    ed.blow_down_gadget(rec)
+    blow_down_gadget(ed, rec)
     assert linking_matrix(ed.d).entries == [[0, 1], [1, 0]]
 
 
@@ -263,7 +328,7 @@ def test_gadget_round_trip_randomized():
                 ed = Editor(d.copy())
                 rec = ed.gadget(xid, side)
                 assert not validate_diagram(ed.d)
-                ed.blow_down_gadget(rec)
+                blow_down_gadget(ed, rec)
                 assert not validate_diagram(ed.d)
                 assert linking_matrix(ed.d) == L
         done += 1
@@ -274,7 +339,7 @@ def test_blow_down_split_unknot():
     cid = ed.split_unknot(1)
     rec = GadgetRecord(unknot=cid, crossing=None, epsilon=1,
                        passage_signs=(1, 1), framing_compensations={})
-    ed.blow_down_gadget(rec)
+    blow_down_gadget(ed, rec)
     assert linking_matrix(ed.d).entries == [[0, 1], [1, 0]]
 
 
@@ -283,7 +348,7 @@ def test_blow_down_wrong_record_errors():
                        passage_signs=(1, 1), framing_compensations={})
     ed = Editor(catalog.hopf_link((0, 0)))
     with pytest.raises(DiagramError):
-        ed.blow_down_gadget(rec)  # framing 0, not gadget shaped
+        blow_down_gadget(ed, rec)  # framing 0, not gadget shaped
 
 
 def test_degenerate_side_on_kink_errors():
@@ -374,32 +439,32 @@ FAILED_PRECONDITIONS = {
     "blow_down odd pair": (lambda: _odd_pairs(1),
                            lambda ed: ed.blow_down(0), "odd number of crossings"),
     "blow_down_gadget unknown unknot": (
-        _hopf_gadget, lambda ed: ed.blow_down_gadget(_gadget_record(unknot=5)),
+        _hopf_gadget, lambda ed: blow_down_gadget(ed, _gadget_record(unknot=5)),
         "unknown component id 5"),
     "blow_down_gadget epsilon": (
-        _hopf_gadget, lambda ed: ed.blow_down_gadget(_gadget_record(epsilon=1)),
+        _hopf_gadget, lambda ed: blow_down_gadget(ed, _gadget_record(epsilon=1)),
         "has framing -1, record says 1"),
     "blow_down_gadget shape": (
         lambda: _editor(catalog.hopf_link((1, 0))),
-        lambda ed: ed.blow_down_gadget(_gadget_record(unknot=0, epsilon=1)),
+        lambda ed: blow_down_gadget(ed, _gadget_record(unknot=0, epsilon=1)),
         "not the 4-crossing gadget shape"),
     "blow_down_gadget self-crossings": (
         lambda: _editor(catalog.unknot(1), kinks=4),
-        lambda ed: ed.blow_down_gadget(_gadget_record(unknot=0, epsilon=1, crossing=None)),
+        lambda ed: blow_down_gadget(ed, _gadget_record(unknot=0, epsilon=1, crossing=None)),
         "not a single passage"),
     "blow_down_gadget missing crossing": (
-        _hopf_gadget, lambda ed: ed.blow_down_gadget(_gadget_record(crossing=9)),
+        _hopf_gadget, lambda ed: blow_down_gadget(ed, _gadget_record(crossing=9)),
         "unknown crossing id 9"),
     "blow_down_gadget crossing of the unknot": (
-        _hopf_gadget, lambda ed: ed.blow_down_gadget(_gadget_record(crossing=3)),
+        _hopf_gadget, lambda ed: blow_down_gadget(ed, _gadget_record(crossing=3)),
         "blow-down removes"),
     "blow_down_gadget missing compensation target": (
         _hopf_gadget,
-        lambda ed: ed.blow_down_gadget(_gadget_record(framing_compensations={0: -1, 7: -1})),
+        lambda ed: blow_down_gadget(ed, _gadget_record(framing_compensations={0: -1, 7: -1})),
         "unknown component id 7"),
     "blow_down_gadget compensation of the unknot": (
         _hopf_gadget,
-        lambda ed: ed.blow_down_gadget(_gadget_record(framing_compensations={2: -1})),
+        lambda ed: blow_down_gadget(ed, _gadget_record(framing_compensations={2: -1})),
         "blow-down removes"),
 }
 
@@ -423,8 +488,8 @@ def test_failed_precondition_changes_nothing(case):
 def test_blow_down_gadget_record_and_log():
     ed = _hopf_gadget()
     assert ed.gadget(1, linkdiag.SIDE_BEFORE) == _gadget_record(unknot=3, crossing=1)
-    ed.blow_down_gadget(_gadget_record(unknot=3, crossing=1))
-    ed.blow_down_gadget(_gadget_record())
+    blow_down_gadget(ed, _gadget_record(unknot=3, crossing=1))
+    blow_down_gadget(ed, _gadget_record())
     assert ed.d == catalog.hopf_link((0, 0))
     # every crossing and framing change was logged, so the log nets to zero
     assert intlattice._pair_sums(ed.log) == {}
