@@ -551,7 +551,7 @@ def donaldson_obstruction(L: IntegralLattice) -> ObstructionReport:
     if not (posdef and unimod):
         return ObstructionReport(positive_definite=posdef, unimodular=unimod,
                                  diagonalizable=None, verdict="NOT_APPLICABLE")
-    ok, count, residual = intlattice.diagonalizable_over_Z(L)
+    ok, count, residual = intlattice.diagonalizable_over_Z(L, inert)
     return ObstructionReport(
         positive_definite=True, unimodular=True, diagonalizable=ok,
         verdict="NOT_OBSTRUCTED" if ok else "OBSTRUCTED",

@@ -57,7 +57,7 @@ def _lattice_report(L: IntegralLattice) -> dict:
         "unimodular": abs(inert.det) == 1,
     }
     if inert.positive == L.n and abs(inert.det) == 1:
-        ok, count, residual = intlattice.diagonalizable_over_Z(L)
+        ok, count, residual = intlattice.diagonalizable_over_Z(L, inert)
         out["diagonalizable_over_Z"] = ok
         out["diagonal_part"] = count
         out["residual_rank"] = residual.n

@@ -1,19 +1,20 @@
 """Exact integer symmetric-bilinear-form engine, in unbounded integers
-only.  One fraction-free symmetric elimination gives the inertia and
-determinant, which the diagonalizability test reads for its checks, and
-the last nonzero pivot D: the Smith diagonal is taken modulo D
-(Kannan-Bachem 1979; Cohen, GTM 138, Sec. 2.4), and only
-`smith_normal_form` tracks the transforms U and V.  Short vectors are
-enumerated by Fincke-Pohst on an exact integral LLL reduction of the
-form, in the reduction's own integers (a partial norm times a Gram
-determinant is again a Gram determinant); that reduction is also their
-positive-definiteness check.
+only.  One fraction-free symmetric elimination gives the inertia, the
+determinant and the last nonzero pivot D; callers that hold it pass it
+to the Smith diagonal, taken modulo D (Kannan-Bachem 1979; Cohen, GTM
+138, Sec. 2.4), and to the diagonalizability test.  Only
+`smith_normal_form` tracks the transforms U and V.  Short vectors come
+from Fincke-Pohst on an exact integral LLL reduction, in its own
+integers; that reduction is also their positive-definiteness check.
+The loops go a row at a time, with dot products through `map`, and skip
+the entries and rows that an update would leave as they are.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 
 class LatticeError(ValueError):
@@ -24,15 +25,14 @@ class IntegralLattice:
     """A symmetric matrix of (unbounded) integers."""
 
     def __init__(self, entries):
-        rows = [[int(x) for x in row] for row in entries]
+        rows = [list(map(int, row)) for row in entries]
         n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise LatticeError("matrix is not square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise LatticeError("matrix is not symmetric at (%d, %d)" % (i, j))
+        if any(len(row) != n for row in rows):
+            raise LatticeError("matrix is not square")
+        if list(map(list, zip(*rows))) != rows:
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                        if rows[i][j] != rows[j][i])
+            raise LatticeError("matrix is not symmetric at (%d, %d)" % (i, j))
         self.entries = rows
 
     @property
@@ -114,23 +114,26 @@ def _smith(S, mod=0, U=None, V=None):
     """The smallest-pivot Euclidean loop, in place on the rows S: they end
     diagonal, each pivot dividing every entry below-right of it.  Pivots
     are chosen by smallest nonzero absolute value, ties broken by
-    row-major scan.  With `mod`, every new entry is kept in the symmetric
-    residue range mod `mod`.  U and V, when given, take the inverse
-    operations, so A == U*S*V holds at every step."""
+    row-major scan, which stops at the first +/-1.  With `mod`, every new
+    entry is kept in the symmetric residue range mod `mod`.  U and V, when
+    given, take the inverse operations, so A == U*S*V holds at every step."""
     m, n = len(S), len(S[0]) if S else 0
     h = mod // 2
-    red = (lambda x: (x + h) % mod - h) if mod else (lambda x: x)
     if mod:
-        S[:] = [[red(x) for x in row] for row in S]
+        S[:] = [[(x + h) % mod - h for x in row] for row in S]
 
-    def row_add(i, j, k):  # row j += k * row i
-        S[j] = [red(a + k * b) for a, b in zip(S[j], S[i])]
+    def row_add(i, j, k):  # row j += k * row i, whose entries left of t are 0
+        src, dst = S[i], S[j]
+        for c in range(t, n):
+            if src[c]:
+                dst[c] = (dst[c] + k * src[c] + h) % mod - h if mod else dst[c] + k * src[c]
         for row in U or ():
             row[i] -= k * row[j]
 
-    def col_add(i, j, k):  # col j += k * col i
+    def col_add(i, j, k):  # col j += k * col i; a row with no col i entry keeps its residue
         for row in S:
-            row[j] = red(row[j] + k * row[i])
+            if row[i]:
+                row[j] = (row[j] + k * row[i] + h) % mod - h if mod else row[j] + k * row[i]
         if V is not None:
             V[i] = [a - k * b for a, b in zip(V[i], V[j])]
 
@@ -147,7 +150,13 @@ def _smith(S, mod=0, U=None, V=None):
 
     t = 0
     while True:
-        nz = [(abs(S[i][j]), i, j) for i in range(t, m) for j in range(t, n) if S[i][j]]
+        nz = []  # each row's smallest nonzero |entry|, at its first column
+        for i in range(t, m):
+            a = list(map(abs, S[i][t:]))
+            v = min(filter(None, a), default=0)
+            nz += [(v, i, t + a.index(v))] if v else []
+            if v == 1:
+                break
         if not nz:
             return
         _, pi, pj = min(nz)
@@ -278,8 +287,9 @@ def inertia(L: IntegralLattice) -> Inertia:
         active.remove(piv)
         for r in active:
             row, f = A[r], A[r][piv]
-            for c in active:
-                row[c] = (row[c] * p - f * prow[c]) // prev
+            if f or p != prev:  # else the update leaves the row as it is
+                for c in active:
+                    row[c] = (row[c] * p - f * prow[c]) // prev
         pivots.append(p)
     neg = sum(1 for a, b in zip([1] + pivots, pivots) if (a > 0) != (b > 0))
     last = pivots[-1] if pivots else 1
@@ -439,7 +449,7 @@ def _lll(G):
         if k > kmax:  # vector k is still e_k: incremental Gram-Schmidt
             kmax = k
             for j in range(k + 1):
-                u = sum(a * b for a, b in zip(G[k], H[j]))
+                u = sum(map(mul, G[k], H[j]))
                 for i in range(j):
                     u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
                 if j < k:
@@ -476,20 +486,21 @@ def short_vectors(L: IntegralLattice, bound: int) -> list[tuple[int, ...]]:
     if bound < 0 or L.n == 0:
         return []
     cols = list(zip(*H))
+    lcols = list(zip(*lam))  # lcols[i][j] = lam[j][i], zero for j <= i
     found: list[tuple[int, ...]] = []
     y = [0] * L.n
 
     def descend(i: int, N: int, lead: bool):
         # lead: every y_j, j > i, is 0, so c = 0 and y_i >= 0 picks one of +/-y
         p = d[i + 1]
-        c = sum(lam[j][i] * y[j] for j in range(i + 1, L.n))
+        c = sum(map(mul, lcols[i], y))
         s = math.isqrt(d[i] * (bound * p - N))
         for yi in range(0 if lead else -((s + c) // p), (s - c) // p + 1):
             y[i] = yi
             if i:
                 descend(i - 1, (d[i] * N + (p * yi + c) ** 2) // p, lead and not yi)
             elif yi or not lead:
-                v = tuple(sum(a * h for a, h in zip(y, col)) for col in cols)
+                v = tuple(sum(map(mul, y, col)) for col in cols)
                 found.append(v if next(t for t in v if t) > 0 else tuple(-t for t in v))
         y[i] = 0
 
@@ -524,32 +535,31 @@ def _kernel_complement(rows: list[list[int]]):
     return [[cols[j][k + i] for j in range(n)] for i in range(n)]
 
 
-def diagonalizable_over_Z(L: IntegralLattice):
+def diagonalizable_over_Z(L: IntegralLattice, inert: Inertia | None = None):
     """Split off the whole <1>^k summand in one step.
 
     The k norm-one vectors (up to sign) of a positive definite integral
     form are orthonormal: |v.w| < 1 by Cauchy-Schwarz, and v.w is an
     integer.  They span a unimodular <1>^k, so its orthogonal complement
-    splits off integrally and has no norm-one vector.  Returns (verdict,
-    k, residual), where the residual is the form on that complement (L
-    itself when k == 0) and the verdict is True iff k equals the rank.
-    Requires a positive definite unimodular form.
+    splits off integrally and has no norm-one vector.  Returns (k == n,
+    k, the form on that complement).  Needs a positive definite
+    unimodular form; `inert` is its inertia, if the caller holds it.
     """
-    inert = inertia(L)
+    inert = inert or inertia(L)
     if inert.positive < L.n:
         raise LatticeError("diagonalizability test needs a positive definite matrix")
     if inert.det != 1:
         raise LatticeError("diagonalizability test needs a unimodular matrix")
     ones = short_vectors(L, 1)
     k, n = len(ones), L.n
-    if k == 0:
-        return n == 0, 0, L
+    if k in (0, n):  # k == n: the n orthonormal vectors span L (full rank, unimodular)
+        return k == n, k, IntegralLattice.empty() if k else L
 
     def images(vs):  # L*v for each v
-        return [[sum(a * b for a, b in zip(row, v)) for row in L.entries] for v in vs]
+        return [[sum(map(mul, row, v)) for row in L.entries] for v in vs]
 
     W = _kernel_complement(images(ones))
     basis = [[W[i][j] for i in range(n)] for j in range(k, n)]
     lb = images(basis)
-    A = [[sum(a * b for a, b in zip(bi, lbj)) for lbj in lb] for bi in basis]
-    return k == n, k, IntegralLattice._trusted(A)
+    A = [[sum(map(mul, bi, lbj)) for lbj in lb] for bi in basis]
+    return False, k, IntegralLattice._trusted(A)

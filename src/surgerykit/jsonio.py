@@ -155,7 +155,8 @@ def diagram_from_obj(obj) -> FramedLinkDiagram:
 
 
 def lattice_to_obj(L: IntegralLattice) -> dict:
-    return {"n": L.n, "entries": [[encode_int(x) for x in row] for row in L.entries]}
+    return {"n": L.n, "entries": [row[:] if _I64_MIN <= min(row) and max(row) <= _I64_MAX
+                                  else [encode_int(x) for x in row] for row in L.entries]}
 
 
 def lattice_from_obj(obj) -> IntegralLattice:
@@ -169,7 +170,8 @@ def lattice_from_obj(obj) -> IntegralLattice:
     for row in rows:
         if not isinstance(row, list) or len(row) != n:
             raise FormatError("matrix rows must each have %d entries" % n)
-        entries.append([decode_int(x, "matrix entry") for x in row])
+        entries.append(row if {int}.issuperset(map(type, row))  # no bool or decimal string
+                       else [decode_int(x, "matrix entry") for x in row])
     try:
         return IntegralLattice(entries)
     except ValueError as e:

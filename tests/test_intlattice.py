@@ -232,6 +232,75 @@ def test_inertia_randomized_against_charpoly():
         assert i.positive + i.zero + i.negative == n
 
 
+def _check_against_sympy(A):
+    L = IntegralLattice(A)
+    i = inertia(L)
+    assert i.det == int(sympy.Matrix(A).det()), A
+    assert (i.positive, i.zero, i.negative) == _inertia_oracle(A), A
+    diag = snf_diagonal(L)
+    assert diag == _snf_oracle(A), A
+    assert all(i.pivot % d == 0 for d in diag if d), A
+    return i, diag
+
+
+def test_near_diagonal_forms_against_sympy():
+    # the shape of an unknotified link's linking matrix: a +/-1 diagonal
+    # of rank 20-40 with a few off-diagonal +/-1 or +/-2 entries
+    rng = random.Random(1709)
+    dets = set()
+    for _ in range(40):
+        n = rng.randint(20, 40)
+        A = [[rng.choice((1, -1)) if i == j else 0 for j in range(n)] for i in range(n)]
+        for _ in range(rng.randint(1, 6)):
+            i, j = rng.sample(range(n), 2)
+            A[i][j] = A[j][i] = rng.choice((1, -1, 2, -2))
+        i, _ = _check_against_sympy(A)
+        dets.add(i.det)
+    assert len(dets) >= 5
+
+
+def test_singular_zero_diagonal_forms_against_sympy():
+    # no nonzero diagonal entry at the start, so inertia's first pivot
+    # comes from its row-and-column add; repeated basis vectors make
+    # every form singular
+    rng = random.Random(1711)
+    for t in range(60):
+        n = rng.randint(2, 10)
+        A = random_symmetric(rng, n, -3, 3)
+        for k in range(n):
+            A[k][k] = 0
+        for _ in range(1 + t % 3):
+            i, j = rng.sample(range(n), 2)
+            A[j] = A[i][:]
+            for row in A:
+                row[j] = row[i]
+        i, diag = _check_against_sympy(A)
+        assert i.det == 0 and i.zero >= 1 and diag[-1] == 0
+
+
+def test_transforms_and_pivots_are_pinned():
+    # smith_normal_form's U, S, V and inertia's last pivot on 300 seeded
+    # matrices, recorded before the eliminations were rewritten row-wise:
+    # every pivot choice and intermediate integer must stay as it was
+    rng = random.Random(1717)
+    snfs, pivots = [], []
+    for t in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        snfs.append(smith_normal_form(A))
+        S = random_symmetric(rng, rng.randint(1, 8), -4, 4)
+        if t % 3 == 1:
+            for k in range(len(S)):
+                S[k][k] = 0
+        if len(S) <= 5:  # past that the unreduced entries can outgrow any budget
+            snfs.append(smith_normal_form(S))
+        pivots.append(inertia(IntegralLattice(S)).pivot)
+    assert hashlib.sha256(repr(snfs).encode()).hexdigest() == (
+        "c23ca6098e93e8949dc3d6b24558120dbae511dde0b8b22042ad898ced25fc7b")
+    assert hashlib.sha256(repr(pivots).encode()).hexdigest() == (
+        "fd0eed5261d6dfd8a108b74315c0bc742e3a4f91bd70e381b335ee5b899895eb")
+
+
 # -- congruence moves --------------------------------------------------------
 
 def test_congruence_slide_is_explicit_basis_change():

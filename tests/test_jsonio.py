@@ -10,6 +10,7 @@ from surgerykit import catalog, jsonio
 from surgerykit.calculus import (AddSplitUnknot, BlowDownIndex, GadgetSwitch,
                                  MatrixSlide, Poke, SlideOverUnknot,
                                  build_embedding_certificate)
+from surgerykit.cli import main
 from surgerykit.intlattice import IntegralLattice
 from surgerykit.jsonio import (FormatError, certificate_from_obj,
                                certificate_to_obj, decode_int, diagram_from_obj,
@@ -218,6 +219,90 @@ def test_lattice_rejects_bad_shapes():
         lattice_from_obj({"n": 1, "entries": [[1]], "junk": 0})
     with pytest.raises(FormatError, match="symmetric"):
         lattice_from_obj({"n": 2, "entries": [[1, 2], [3, 1]]})
+
+
+def test_lattice_rows_at_the_64_bit_edges_match_the_entry_encoding():
+    edges = [2 ** 63 - 1, -(2 ** 63 - 1), -(2 ** 63), 2 ** 63, -(2 ** 63) - 1, 2 ** 64]
+    n = len(edges) + 1
+    A = [[0] * n for _ in range(n)]
+    for i, v in enumerate(edges):
+        A[i][i + 1] = A[i + 1][i] = A[i][i] = v
+    L = IntegralLattice(A)
+    obj = lattice_to_obj(L)
+    assert obj == {"n": n, "entries": [[encode_int(x) for x in row] for row in A]}
+    obj["entries"][0][0] = 7  # the written rows are copies
+    assert L.entries[0][0] == 2 ** 63 - 1
+
+
+def _matrix_mutants(obj, rng):
+    """(mutant, the FormatError text it must give or None) for a square matrix object."""
+    n = obj["n"]
+
+    def copy():
+        return json.loads(json.dumps(obj))
+
+    i, j = rng.randrange(n), rng.randrange(n)
+    for v, text in ((True, "matrix entry must be an integer, got a boolean"),
+                    (1.5, "matrix entry must be an integer or decimal string, got 1.5"),
+                    ("x1", "matrix entry must be an integer or decimal string, got 'x1'")):
+        m = copy()
+        m["entries"][i][j] = v
+        yield m, text
+    m = copy()
+    m["entries"][i][j] = str(m["entries"][i][j])
+    m["entries"][j][i] = str(m["entries"][j][i])
+    yield m, None
+    m = copy()
+    m["entries"][i].pop()
+    yield m, "matrix rows must each have %d entries" % n
+    m = copy()
+    m["n"] += 1
+    yield m, "matrix entries must be a list of %d rows" % (n + 1)
+    if n > 1:
+        i, j = sorted(rng.sample(range(n), 2))
+        m = copy()
+        m["entries"][j][i] = m["entries"][i][j] + 1
+        yield m, "matrix is not symmetric at (%d, %d)" % (i, j)
+
+
+def test_matrix_rows_read_whole_or_by_entry_alike(tmp_path, capsys):
+    # a row of exact ints is taken whole; the same row with its entries as
+    # decimal strings goes through decode_int: both give the same lattice,
+    # exit code and error text, on seeded matrices and their mutants
+    rng = random.Random(1721)
+    path = tmp_path / "m.json"
+
+    def run(obj):
+        path.write_text(json.dumps(obj))
+        code = main(["lattice", str(path), "--json"])
+        out = capsys.readouterr()
+        return code, out.out and json.loads(out.out)["result"], out.err
+
+    def by_entry(obj):
+        m = json.loads(json.dumps(obj))
+        if isinstance(m["entries"], list):
+            m["entries"] = [[str(x) if type(x) is int else x for x in row]
+                            for row in m["entries"]]
+        return m
+
+    for t in range(60):
+        n = rng.randint(1, 7)
+        A = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                A[i][j] = A[j][i] = rng.choice((rng.randint(-9, 9), 2 ** 63, -(2 ** 70)))
+        obj = {"n": n, "entries": A}
+        for m, text in [(obj, None), *_matrix_mutants(obj, rng)]:
+            for form in (m, by_entry(m)):
+                if text is None:
+                    assert lattice_from_obj(form) == IntegralLattice(A)
+                else:
+                    with pytest.raises(FormatError) as err:
+                        lattice_from_obj(form)
+                    assert str(err.value) == text, (t, m)
+            code, out, err = run(m)
+            assert run(by_entry(m)) == (code, out, err)
+            assert (code, err) == ((0, "") if text is None else (2, "error: %s\n" % text))
 
 
 # -- moves -------------------------------------------------------------------
