@@ -10,7 +10,7 @@ from .intlattice import (AbelianGroupPresentation, Inertia, IntegralLattice,
                          blow_down, congruence_slide, determinant,
                          diagonalizable_over_Z, direct_sum, e8_matrix,
                          homology_from_linking, inertia, short_vectors,
-                         smith_normal_form, stabilize)
+                         stabilize)
 from .linkdiag import (Editor, FramedLinkDiagram, GadgetRecord,
                        descending_switch_set, linking_matrix,
                        reverse_component, validate_diagram)

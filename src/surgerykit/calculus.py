@@ -551,8 +551,8 @@ def donaldson_obstruction(L: IntegralLattice) -> ObstructionReport:
     if not (posdef and unimod):
         return ObstructionReport(positive_definite=posdef, unimodular=unimod,
                                  diagonalizable=None, verdict="NOT_APPLICABLE")
-    ok, count, residual = intlattice.diagonalizable_over_Z(L, inert)
+    ok, count = intlattice.diagonalizable_over_Z(L, inert)
     return ObstructionReport(
         positive_definite=True, unimodular=True, diagonalizable=ok,
         verdict="NOT_OBSTRUCTED" if ok else "OBSTRUCTED",
-        diagonal_part=count, residual_rank=residual.n)
+        diagonal_part=count, residual_rank=L.n - count)

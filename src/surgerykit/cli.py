@@ -57,10 +57,10 @@ def _lattice_report(L: IntegralLattice) -> dict:
         "unimodular": abs(inert.det) == 1,
     }
     if inert.positive == L.n and abs(inert.det) == 1:
-        ok, count, residual = intlattice.diagonalizable_over_Z(L, inert)
+        ok, count = intlattice.diagonalizable_over_Z(L, inert)
         out["diagonalizable_over_Z"] = ok
         out["diagonal_part"] = count
-        out["residual_rank"] = residual.n
+        out["residual_rank"] = L.n - count
     return out
 
 

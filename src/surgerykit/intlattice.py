@@ -2,10 +2,11 @@
 only.  One fraction-free symmetric elimination gives the inertia, the
 determinant and the last nonzero pivot D; callers that hold it pass it
 to the Smith diagonal, taken modulo D (Kannan-Bachem 1979; Cohen, GTM
-138, Sec. 2.4), and to the diagonalizability test.  Only
-`smith_normal_form` tracks the transforms U and V.  Short vectors come
-from Fincke-Pohst on an exact integral LLL reduction, in its own
-integers; that reduction is also their positive-definiteness check.
+138, Sec. 2.4), and to the diagonalizability test.  No transform U, V
+is kept: the commands read only the diagonal.  Short vectors come from
+Fincke-Pohst on an exact integral LLL reduction, in its own integers;
+that reduction is also their positive-definiteness check.  Every entry
+must be an int; a bool, float or string is refused, not truncated.
 The loops go a row at a time, with dot products through `map`, and skip
 the entries and rows that an update would leave as they are.
 """
@@ -25,7 +26,7 @@ class IntegralLattice:
     """A symmetric matrix of (unbounded) integers."""
 
     def __init__(self, entries):
-        rows = [list(map(int, row)) for row in entries]
+        rows = _ints(entries)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise LatticeError("matrix is not square")
@@ -40,16 +41,12 @@ class IntegralLattice:
         return len(self.entries)
 
     @classmethod
-    def empty(cls) -> "IntegralLattice":
-        return cls([])
-
-    @classmethod
     def identity(cls, n: int) -> "IntegralLattice":
         return cls.diagonal([1] * n)
 
     @classmethod
     def diagonal(cls, diag) -> "IntegralLattice":
-        diag = [int(x) for x in diag]
+        [diag] = _ints([diag])
         n = len(diag)
         return cls._trusted([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -101,52 +98,49 @@ class AbelianGroupPresentation:
 # Smith normal form
 
 
+def _ints(entries) -> list[list[int]]:
+    """A copy of the rows of `entries`, whose every entry must be an int."""
+    rows = [list(row) for row in entries]
+    for row in rows:
+        if not {int}.issuperset(map(type, row)):  # no bool, float or str
+            raise LatticeError("matrix entry must be an integer, got %r"
+                               % (next(x for x in row if type(x) is not int),))
+    return rows
+
+
 def _int_rows(A):
     """A copy of the integer rows of A, with its shape (m, n)."""
-    rows = [[int(x) for x in row] for row in getattr(A, "entries", A)]
+    rows = _ints(getattr(A, "entries", A))
     n = len(rows[0]) if rows else 0
     if any(len(row) != n for row in rows):
         raise LatticeError("ragged matrix")
     return rows, len(rows), n
 
 
-def _smith(S, mod=0, U=None, V=None):
-    """The smallest-pivot Euclidean loop, in place on the rows S: they end
+def _smith(S, mod):
+    """The smallest-pivot Euclidean loop, in place on the rows S, with
+    every entry kept in the symmetric residue range mod `mod`: they end
     diagonal, each pivot dividing every entry below-right of it.  Pivots
     are chosen by smallest nonzero absolute value, ties broken by
-    row-major scan, which stops at the first +/-1.  With `mod`, every new
-    entry is kept in the symmetric residue range mod `mod`.  U and V, when
-    given, take the inverse operations, so A == U*S*V holds at every step."""
+    row-major scan, which stops at the first +/-1."""
     m, n = len(S), len(S[0]) if S else 0
     h = mod // 2
-    if mod:
-        S[:] = [[(x + h) % mod - h for x in row] for row in S]
+    S[:] = [[(x + h) % mod - h for x in row] for row in S]
 
     def row_add(i, j, k):  # row j += k * row i, whose entries left of t are 0
         src, dst = S[i], S[j]
         for c in range(t, n):
             if src[c]:
-                dst[c] = (dst[c] + k * src[c] + h) % mod - h if mod else dst[c] + k * src[c]
-        for row in U or ():
-            row[i] -= k * row[j]
+                dst[c] = (dst[c] + k * src[c] + h) % mod - h
 
     def col_add(i, j, k):  # col j += k * col i; a row with no col i entry keeps its residue
         for row in S:
             if row[i]:
-                row[j] = (row[j] + k * row[i] + h) % mod - h if mod else row[j] + k * row[i]
-        if V is not None:
-            V[i] = [a - k * b for a, b in zip(V[i], V[j])]
-
-    def row_swap(i, j):
-        S[i], S[j] = S[j], S[i]
-        for row in U or ():
-            row[i], row[j] = row[j], row[i]
+                row[j] = (row[j] + k * row[i] + h) % mod - h
 
     def col_swap(i, j):
         for row in S:
             row[i], row[j] = row[j], row[i]
-        if V is not None:
-            V[i], V[j] = V[j], V[i]
 
     t = 0
     while True:
@@ -160,7 +154,7 @@ def _smith(S, mod=0, U=None, V=None):
         if not nz:
             return
         _, pi, pj = min(nz)
-        row_swap(t, pi)
+        S[t], S[pi] = S[pi], S[t]
         col_swap(t, pj)
         while True:
             # clear column t then row t by division steps; if a remainder
@@ -170,7 +164,7 @@ def _smith(S, mod=0, U=None, V=None):
                 if S[i][t]:
                     row_add(t, i, -(S[i][t] // S[t][t]))
                     if S[i][t]:
-                        row_swap(t, i)
+                        S[t], S[i] = S[i], S[t]
                         again = True
             for j in range(t + 1, n):
                 if S[t][j]:
@@ -188,27 +182,6 @@ def _smith(S, mod=0, U=None, V=None):
             t += 1
         else:
             row_add(bad, t, 1)
-
-
-def smith_normal_form(A):
-    """Exact Smith decomposition A == U * S * V.
-
-    `A` is any rectangular integer matrix (lists of lists); U and V are
-    unimodular, S is diagonal with a nonnegative divisibility chain.  The
-    entries are not reduced, so they can grow: `snf_diagonal` computes
-    the diagonal alone without that growth.  The transforms are fully
-    deterministic.
-    """
-    S, m, n = _int_rows(A)
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    _smith(S, 0, U, V)
-    for i in range(min(m, n)):
-        if S[i][i] < 0:
-            S[i] = [-x for x in S[i]]
-            for row in U:
-                row[i] = -row[i]
-    return U, S, V
 
 
 def snf_diagonal(A, inert: Inertia | None = None) -> list[int]:
@@ -234,7 +207,8 @@ def snf_diagonal(A, inert: Inertia | None = None) -> list[int]:
         inert = inert or inertia(IntegralLattice._trusted(S))
         r = n - inert.zero
     D = abs(inert.pivot)
-    _smith(S, D)
+    if D > 1:  # else every gcd below is 1, whatever the loop would leave
+        _smith(S, D)
     return [math.gcd(S[i][i], D) for i in range(r)] + [0] * (min(m, n) - r)
 
 
@@ -512,54 +486,20 @@ def short_vectors(L: IntegralLattice, bound: int) -> list[tuple[int, ...]]:
 # diagonalizability over Z
 
 
-def _kernel_complement(rows: list[list[int]]):
-    """For k >= 1 integer rows of length n, a unimodular n x n W such
-    that rows*W is zero outside its first k columns (a column echelon
-    form).  When the leading k x k block of rows*W is invertible,
-    columns k.. of W span the integer kernel of the rows."""
-    k, n = len(rows), len(rows[0])
-    # column j of rows, then column j of W (which starts as e_j)
-    cols = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
-    for t in range(k):
-        while True:
-            nz = [j for j in range(t, n) if cols[j][t]]
-            if len(nz) <= 1:
-                break
-            p = min(nz, key=lambda j: (abs(cols[j][t]), j))
-            for j in nz:
-                if j != p:
-                    q = cols[j][t] // cols[p][t]
-                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[p])]
-        if nz:
-            cols[t], cols[nz[0]] = cols[nz[0]], cols[t]
-    return [[cols[j][k + i] for j in range(n)] for i in range(n)]
-
-
 def diagonalizable_over_Z(L: IntegralLattice, inert: Inertia | None = None):
-    """Split off the whole <1>^k summand in one step.
+    """Is a positive definite unimodular form diagonal over Z?  Returns
+    (k == n, k), with k its number of norm-one vectors up to sign.
 
-    The k norm-one vectors (up to sign) of a positive definite integral
-    form are orthonormal: |v.w| < 1 by Cauchy-Schwarz, and v.w is an
-    integer.  They span a unimodular <1>^k, so its orthogonal complement
-    splits off integrally and has no norm-one vector.  Returns (k == n,
-    k, the form on that complement).  Needs a positive definite
-    unimodular form; `inert` is its inertia, if the caller holds it.
+    Those k vectors are orthonormal: |v.w| < 1 by Cauchy-Schwarz, and
+    v.w is an integer.  They span a unimodular <1>^k, so L splits as
+    <1>^k plus its orthogonal complement, of rank n - k and with no
+    norm-one vector.  So L is <1>^n exactly when k == n.  `inert` is L's
+    inertia, if the caller holds it.
     """
     inert = inert or inertia(L)
     if inert.positive < L.n:
         raise LatticeError("diagonalizability test needs a positive definite matrix")
     if inert.det != 1:
         raise LatticeError("diagonalizability test needs a unimodular matrix")
-    ones = short_vectors(L, 1)
-    k, n = len(ones), L.n
-    if k in (0, n):  # k == n: the n orthonormal vectors span L (full rank, unimodular)
-        return k == n, k, IntegralLattice.empty() if k else L
-
-    def images(vs):  # L*v for each v
-        return [[sum(map(mul, row, v)) for row in L.entries] for v in vs]
-
-    W = _kernel_complement(images(ones))
-    basis = [[W[i][j] for i in range(n)] for j in range(k, n)]
-    lb = images(basis)
-    A = [[sum(map(mul, bi, lbj)) for lbj in lb] for bi in basis]
-    return False, k, IntegralLattice._trusted(A)
+    k = len(short_vectors(L, 1))
+    return k == L.n, k

@@ -5,12 +5,14 @@ them); every comparison is exact -- no tolerances anywhere."""
 
 import itertools
 import json
+import math
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 
 import sympy
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conftest import blow_down_gadget, gadget_sides, quad, random_diagram, random_symmetric
 from surgerykit import catalog, jsonio, linkdiag
@@ -23,7 +25,7 @@ from surgerykit.cli import main as cli_main
 from surgerykit.intlattice import (IntegralLattice, determinant,
                                    diagonalizable_over_Z, e8_matrix,
                                    homology_from_linking, inertia,
-                                   smith_normal_form)
+                                   snf_diagonal)
 from surgerykit.linkdiag import Editor, linking_matrix
 
 
@@ -37,11 +39,6 @@ def _verdict(label):
     print("PASS  %s" % label)
 
 
-def _mul(A, B):
-    return [[sum(A[i][k] * B[k][j] for k in range(len(B)))
-             for j in range(len(B[0]))] for i in range(len(A))]
-
-
 def test_acceptance_1_e8_suite(tmp_path, capsys):
     with _verdict("1 E8 suite: det 1, inertia (8,0,0), H1 = 0, not "
                   "diagonalizable, OBSTRUCTED, < 1 s"):
@@ -51,8 +48,8 @@ def test_acceptance_1_e8_suite(tmp_path, capsys):
         i = inertia(E)
         assert (i.positive, i.zero, i.negative) == (8, 0, 0)
         assert str(homology_from_linking(E)) == "0"
-        ok, _, residual = diagonalizable_over_Z(E)
-        assert ok is False and residual.n == 8
+        ok, k = diagonalizable_over_Z(E)
+        assert ok is False and E.n - k == 8
         assert donaldson_obstruction(E).verdict == "OBSTRUCTED"
         path = tmp_path / "e8.json"
         jsonio.save_path(str(path), jsonio.lattice_to_obj(E))
@@ -132,26 +129,20 @@ def test_acceptance_4_move_invariance():
 
 
 def test_acceptance_5_snf_oracle():
-    with _verdict("5 SNF: 500+ random 4x4 matrices give A == U*S*V with "
-                  "unimodular U,V, divisibility chain, |det S| == |det A|"):
+    with _verdict("5 SNF: 500+ random 4x4 matrices give sympy's invariant "
+                  "factors, divisibility chain, zeros last, product == |det A|"):
         rng = random.Random(1019)
         for _ in range(500):
             A = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
-            U, S, V = smith_normal_form(A)
-            assert _mul(_mul(U, S), V) == A
-            assert abs(sympy.Matrix(U).det()) == 1
-            assert abs(sympy.Matrix(V).det()) == 1
-            diag = [S[i][i] for i in range(4)]
-            assert all(S[i][j] == 0 for i in range(4) for j in range(4) if i != j)
+            diag = snf_diagonal(A)
+            want = [abs(int(x)) for x in sympy_snf(sympy.Matrix(A)).diagonal()]
+            assert diag == want + [0] * (4 - len(want))
             assert all(x >= 0 for x in diag)
             nz = [x for x in diag if x]
             assert diag == nz + [0] * (4 - len(nz))
             for a, b in zip(nz, nz[1:]):
                 assert b % a == 0
-            prod = 1
-            for x in diag:
-                prod *= x
-            assert prod == abs(sympy.Matrix(A).det())
+            assert math.prod(diag) == abs(sympy.Matrix(A).det())
 
 
 def _invert_fraction(rows):

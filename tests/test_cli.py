@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -523,3 +525,35 @@ def test_cached_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
     assert shared == fresh
     assert [o[0] for o in shared] == [0] * 8 + [2, 2, 2, 0, 0]
     assert shared[0][3] is not None and shared[1][3] is None
+
+
+# -- no runtime dependencies -------------------------------------------------
+
+_LOADED_MODULES = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from surgerykit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[2])]
+tops = {name.partition(".")[0] for name in sys.modules}
+print(json.dumps([codes, sorted(tops - set(sys.stdlib_module_names) - {"__main__"})]))
+"""
+
+
+def test_every_command_loads_only_the_standard_library(tmp_path):
+    # -I -S: no environment, no user or site packages; only the source tree
+    knot = _write_link(tmp_path, catalog.trefoil(-1), "knot.json")
+    link = _write_link(tmp_path, catalog.chain_link([2, -3, 5]))
+    form = _write_matrix(tmp_path, intlattice.direct_sum(e8_matrix(),
+                                                         IntegralLattice.identity(2)))
+    cert = str(tmp_path / "cert.json")
+    argvs = [["lattice", form], ["obstruction", form], ["invariants", link],
+             ["unknotify", knot], ["certify-embedding", link, "-o", cert],
+             ["verify", cert], ["word", "[[0, 1], [0, -1]]"]]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _LOADED_MODULES, src,
+                           json.dumps(argvs)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    codes, foreign = json.loads(proc.stdout)
+    assert codes == [0] * len(argvs)
+    assert foreign == ["surgerykit"]
