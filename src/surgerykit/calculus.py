@@ -255,6 +255,8 @@ class Replayer:
             return self._slide(ed.pos[move.component], ed.pos[move.unknot], move.s)
 
         if isinstance(move, GadgetSwitch):
+            if not isinstance(move.unknot, int):  # the editor reads None as a fresh unknot
+                raise MoveError("gadget unknot must be a component id, got %r" % (move.unknot,))
             owners = d._strand_owners(d.crossing(move.crossing))
             rec = ed.gadget(move.crossing, move.side, move.unknot)
             # the switch moves lk(x, y) by eps*a*b; the unknot links the over
@@ -451,8 +453,10 @@ class VerificationReport:
 
 
 def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
-    """Replay the script and audit every claim the certificate makes.
-    Failures are report entries, never exceptions."""
+    """Audit every claim the certificate makes: first the static ones
+    (the initial unlink, m, n and p, the move types, a valid target
+    without an odd pair), then the replay, then the sublink.  Failures
+    are report entries, never exceptions."""
     checks: list[CheckResult] = []
 
     bad = linkdiag.validate_diagram(cert.initial)
@@ -487,6 +491,16 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
             checks.append(CheckResult("script replays", False, "move %d (%s) is not a "
                                       "certificate move" % (t, type(mv).__name__)))
             return VerificationReport(checks)
+    # a malformed target fails before the replay, which cannot mend it
+    tgt_bad = linkdiag.validate_diagram(cert.target)
+    if not tgt_bad:
+        try:
+            Lt = linkdiag._linking_rows(cert.target)
+        except DiagramError as e:
+            tgt_bad = [str(e)]
+    if tgt_bad:
+        checks.append(CheckResult("target diagram valid", False, "; ".join(tgt_bad)))
+        return VerificationReport(checks)
     try:
         result = replay(cert.script)
     except MoveError as e:
@@ -495,10 +509,6 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
     checks.append(CheckResult("script replays", True))
 
     final = result.final
-    tgt_bad = linkdiag.validate_diagram(cert.target)
-    if tgt_bad:
-        checks.append(CheckResult("target diagram valid", False, "; ".join(tgt_bad)))
-        return VerificationReport(checks)
     target_ids = cert.target.component_ids()
     mapped = [cert.sublink.get(cid) for cid in target_ids]
     where = {cid: t for t, cid in enumerate(final.component_ids())}
@@ -511,11 +521,6 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
     if not ok_map:
         return VerificationReport(checks)
 
-    try:
-        Lt = linkdiag._linking_rows(cert.target)
-    except DiagramError as e:
-        checks.append(CheckResult("target diagram valid", False, str(e)))
-        return VerificationReport(checks)
     Lf = result.matrix_trace[-1].entries
     sub = [[Lf[where[a]][where[b]] for b in mapped] for a in mapped]
     same = sub == Lt

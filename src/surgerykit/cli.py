@@ -9,7 +9,6 @@ fixed input; `--json` switches the report to machine-readable form.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -22,19 +21,12 @@ from .jsonio import FormatError
 _parser = None  # built by the first main() call, then reused
 
 
-def _digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+def _load_link(args):
+    return jsonio.diagram_from_obj(jsonio.load_path(args.link, args._inputs))
 
 
-def _load_link(path: str):
-    return jsonio.diagram_from_obj(jsonio.load_path(path))
-
-
-def _load_matrix_or_link(path: str) -> IntegralLattice:
-    obj = jsonio.load_path(path)
+def _load_matrix_or_link(args) -> IntegralLattice:
+    obj = jsonio.load_path(args.input, args._inputs)
     if isinstance(obj, dict) and "entries" in obj:
         return jsonio.lattice_from_obj(obj)
     d = jsonio.diagram_from_obj(obj)
@@ -95,7 +87,7 @@ def _emit(args, report: dict, text_printer) -> None:
 
 
 def cmd_invariants(args) -> int:
-    d = _load_link(args.link)
+    d = _load_link(args)
     L = linkdiag.linking_matrix(d)
     rep = _lattice_report(L)
     rep["linking_matrix"] = jsonio.lattice_to_obj(L)
@@ -104,14 +96,14 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    L = jsonio.lattice_from_obj(jsonio.load_path(args.matrix))
+    L = jsonio.lattice_from_obj(jsonio.load_path(args.matrix, args._inputs))
     rep = _lattice_report(L)
     _emit(args, _report(args, rep), lambda: _print_lattice_report(rep))
     return 0
 
 
 def cmd_unknotify(args) -> int:
-    d = _load_link(args.link)
+    d = _load_link(args)
     res = calculus.unknotify(d, component_order=_parse_order(args.order),
                              unlink=args.unlink)
     obj = jsonio.diagram_to_obj(res.diagram)
@@ -138,7 +130,7 @@ def cmd_unknotify(args) -> int:
 
 
 def cmd_certify_embedding(args) -> int:
-    d = _load_link(args.link)
+    d = _load_link(args)
     cert = calculus.build_embedding_certificate(
         d, auto_unknotify=args.auto_unknotify, pad_positive=args.pad_positive)
     obj = jsonio.certificate_to_obj(cert)
@@ -164,7 +156,7 @@ def cmd_certify_embedding(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cert = jsonio.certificate_from_obj(jsonio.load_path(args.certificate))
+    cert = jsonio.certificate_from_obj(jsonio.load_path(args.certificate, args._inputs))
     report = calculus.verify_certificate(cert)
     rep = {
         "verdict": "PASS" if report.passed else "FAIL",
@@ -185,7 +177,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_obstruction(args) -> int:
-    L = _load_matrix_or_link(args.input)
+    L = _load_matrix_or_link(args)
     rep_obj = calculus.donaldson_obstruction(L)
     rep = {
         "positive_definite": rep_obj.positive_definite,
@@ -207,7 +199,7 @@ def cmd_obstruction(args) -> int:
 
 def cmd_word(args) -> int:
     if os.path.exists(args.intersections):
-        obj = jsonio.load_path(args.intersections)
+        obj = jsonio.load_path(args.intersections, args._inputs)
     else:
         try:
             obj = json.loads(args.intersections)
@@ -250,17 +242,9 @@ def cmd_word(args) -> int:
 
 
 def _report(args, result: dict) -> dict:
-    inputs = {}
-    for attr in ("link", "matrix", "certificate", "input", "intersections"):
-        path = getattr(args, attr, None)
-        if path:
-            try:
-                inputs[path] = _digest(path)
-            except OSError:
-                pass
     return {
         "command": args.command,
-        "inputs": inputs,
+        "inputs": args._inputs,
         "result": result,
         "elapsed_s": round(time.monotonic() - args._t0, 6),
     }
@@ -340,6 +324,7 @@ def main(argv=None) -> int:
         ap.print_help()
         return 2
     args._t0 = time.monotonic()
+    args._inputs = {}  # path -> sha256 of the bytes read there
     try:
         return args.func(args)
     except FormatError as e:

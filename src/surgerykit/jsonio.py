@@ -10,6 +10,8 @@ that schema drift fails loudly.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 from dataclasses import fields
 from itertools import chain
@@ -303,9 +305,15 @@ def dumps(obj) -> str:
     return _encode(obj, 0) + "\n"
 
 
-def load_path(path: str):
+def load_path(path: str, digests: dict | None = None):
+    """The JSON value of the UTF-8 file at `path`, read once; with
+    `digests`, the SHA-256 of the bytes read goes in digests[path]."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        if digests is not None:
+            digests[path] = hashlib.sha256(raw).hexdigest()
+        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as e:  # bad JSON, UTF-8, digits, depth
         raise FormatError("cannot read %s: %s" % (path, e)) from None

@@ -239,8 +239,9 @@ def require_valid(d: FramedLinkDiagram) -> None:
 def linking_matrix(d: FramedLinkDiagram) -> IntegralLattice:
     """Framings on the diagonal, pairwise linking numbers off it.
 
-    One walk over the crossings and one sweep of the matrix: O(crossings +
-    n^2) for n components, after the O(crossings + arcs) validation.
+    One walk over the crossings, then one write per crossing pair of
+    components: O(crossings + n^2) for n components, the n^2 only to
+    allocate the rows, after the O(crossings + arcs) validation.
     """
     require_valid(d)
     return IntegralLattice._trusted(_linking_rows(d))
@@ -252,23 +253,24 @@ def _linking_rows(d: FramedLinkDiagram) -> list[list[int]]:
     n = len(ids)
     pos = {cid: a for a, cid in enumerate(ids)}
     arcs = d.arcs
-    # for a < b, rows[a][b] sums the signs of the crossings between
-    # components a and b, and rows[b][a] counts them
-    rows = [[0] * n for _ in range(n)]
+    # for a < b, twice[a, b] sums the signs of the crossings between
+    # components a and b; a sum of k signs +/-1 has the parity of k
+    twice: dict[tuple[int, int], int] = {}
     for c in d.crossings.values():
         a = pos[arcs[c.over_in].owner]
         b = pos[arcs[c.under_in].owner]
         if a != b:
-            a, b = min(a, b), max(a, b)
-            rows[a][b] += c.sign
-            rows[b][a] += 1
-    for a in range(n):
-        rows[a][a] = d.components[a].framing
-        for b in range(a + 1, n):
-            if rows[b][a] % 2:
-                raise DiagramError("components %d and %d share an odd number of crossings"
-                                   % (ids[a], ids[b]))
-            rows[a][b] = rows[b][a] = rows[a][b] // 2
+            key = (a, b) if a < b else (b, a)
+            twice[key] = twice.get(key, 0) + c.sign
+    odd = min((key for key, s in twice.items() if s % 2), default=None)
+    if odd is not None:
+        raise DiagramError("components %d and %d share an odd number of crossings"
+                           % (ids[odd[0]], ids[odd[1]]))
+    rows = [[0] * n for _ in range(n)]
+    for a, comp in enumerate(d.components):
+        rows[a][a] = comp.framing
+    for (a, b), s in twice.items():
+        rows[a][b] = rows[b][a] = s // 2
     return rows
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -123,6 +124,24 @@ def test_replay_gadget_switch_then_blow_down():
     # the switch drops lk(0,1) to -1 and compensates framings through g
     assert res.matrix_trace[2].entries[0][1] == -1
     assert res.matrix_trace[-1].entries == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("unknot", [None, 2.0, "2"])
+def test_replay_gadget_switch_needs_a_component_id(unknot):
+    # the editor would wire a fresh unknot for None, which the matrix rule
+    # has no row for; the move fails before it changes anything
+    d = catalog.unlink([1, 1, -1])
+    rp = Replayer(d.copy())
+    rp.apply(0, Poke(over=0, under=1, sign=1))
+    before, A = rp.ed.d.copy(), [row[:] for row in rp.A]
+    with pytest.raises(MoveError, match=r"^move 1 \(GadgetSwitch\): gadget unknot must "
+                                        r"be a component id, got %s$" % re.escape(repr(unknot))):
+        rp.apply(1, GadgetSwitch(crossing=0, unknot=unknot, side=linkdiag.SIDE_BEFORE))
+    assert rp.ed.d == before and rp.A == A
+    with pytest.raises(MoveError, match="got None"):
+        replay(MoveScript(initial=d, moves=[
+            Poke(over=0, under=1, sign=1),
+            GadgetSwitch(crossing=0, unknot=None, side=linkdiag.SIDE_BEFORE)]))
 
 
 def test_replay_gadget_switch_every_side_and_self_crossing():
@@ -533,16 +552,19 @@ def test_tampered_certificate_fails():
     assert any("linking matrix" in c.name for c in rep.failures())
 
 
-def test_target_naming_missing_arc_fails_report():
+def test_target_naming_missing_arc_fails_report(monkeypatch):
     cert = build_embedding_certificate(catalog.hopf_link((1, -1)))
     obj = jsonio.certificate_to_obj(cert)
     obj["target"]["crossings"][0]["over_in"] = 99
+    monkeypatch.setattr(calculus, "replay", None)  # the target fails before the replay
     rep = verify_certificate(jsonio.certificate_from_obj(obj))
     assert [c.name for c in rep.failures()] == ["target diagram valid"]
     assert "crossing 0 references unknown arcs [99]" in rep.failures()[0].detail
+    assert rep.checks[-1].name == "target diagram valid"
+    assert "script replays" not in [c.name for c in rep.checks]
 
 
-def test_target_with_odd_pair_fails_report():
+def test_target_with_odd_pair_fails_report(monkeypatch):
     # three components of two arcs each; every pair shares one crossing
     target = FramedLinkDiagram(
         components=[Component(k, 0, basepoint=2 * k) for k in range(3)],
@@ -553,9 +575,34 @@ def test_target_with_odd_pair_fails_report():
     cert = build_embedding_certificate(catalog.hopf_link())
     cert.target = target
     cert.sublink = {0: 0, 1: 1, 2: 2}
+    monkeypatch.setattr(calculus, "replay", None)
     rep = verify_certificate(cert)
     assert [(c.name, c.detail) for c in rep.failures()] == [
         ("target diagram valid", "components 0 and 1 share an odd number of crossings")]
+    assert rep.checks[-1].name == "target diagram valid"
+    assert "script replays" not in [c.name for c in rep.checks]
+
+
+def test_pass_report_names_every_check():
+    rep = verify_certificate(build_embedding_certificate(catalog.hopf_link()))
+    assert [(c.name, c.ok, c.detail) for c in rep.checks] == [
+        ("initial is a +/-1-framed unlink", True, ""),
+        ("declared m, n match initial framings", True, ""),
+        ("declared p matches gadget switches", True, ""),
+        ("script replays", True, ""),
+        ("sublink designates distinct final components", True, ""),
+        ("sublink linking matrix equals target", True, "")]
+
+
+def test_certificate_padded_with_a_thousand_split_unknots_verifies():
+    # 1,001 split unknots: the linking matrix costs the crossing pairs
+    # (none here), not a parity sweep over all half a million pairs
+    cert = build_embedding_certificate(catalog.unknot(1))
+    assert cert.initial == catalog.unlink([1])
+    cert.initial = catalog.unlink([1] * 1001)
+    cert.m = 1001
+    rep = verify_certificate(cert)
+    assert rep.passed, rep.failures()
 
 
 # sha256 of the certificate JSON: certificates must stay byte-identical
@@ -613,6 +660,9 @@ VERIFY_FAILURES = {
                          "move 1 (GadgetSwitch): unknown crossing id 99"),
     "poke sign": (lambda c: setattr(c.moves[0], "sign", 3), "script replays",
                   "move 0 (Poke): poke sign must be +1 or -1"),
+    "gadget unknot None": (lambda c: setattr(c.moves[1], "unknot", None), "script replays",
+                           "move 1 (GadgetSwitch): gadget unknot must be a component id, "
+                           "got None"),
     "sublink not injective": (
         lambda c: setattr(c, "sublink", {0: 0, 1: 0}),
         "sublink designates distinct final components",

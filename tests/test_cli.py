@@ -81,6 +81,17 @@ def test_unknotify_writes_descending_link(tmp_path, capsys):
     assert linkdiag.descending_switch_set(d2, self_only=True) == set()
 
 
+def test_unknotify_over_its_input_reports_the_digest_of_the_input(tmp_path, capsys):
+    path = _write_link(tmp_path, catalog.trefoil(2), name="k.json")
+    with open(path, "rb") as fh:
+        before = fh.read()
+    code, rep = _run_json(capsys, ["unknotify", path, "-o", path])
+    with open(path, "rb") as fh:
+        after = fh.read()
+    assert code == 0 and rep["result"]["p"] == 1 and after != before
+    assert rep["inputs"] == {path: hashlib.sha256(before).hexdigest()}
+
+
 def test_unknotify_respects_order(tmp_path, capsys):
     path = _write_link(tmp_path, catalog.hopf_link((0, 0)))
     code, rep = _run_json(capsys, ["unknotify", path, "--unlink",
@@ -312,6 +323,16 @@ def test_word_reports_an_unreadable_file(tmp_path, capsys, name, content):
     assert main(["word", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read %s: " % p)
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_error_positions_count_a_newline_as_one_character(tmp_path, capsys, newline):
+    # the file is read as text with universal newlines, as open() reads it
+    p = tmp_path / "m.json"
+    p.write_bytes(newline.join([b"{", b'  "n": 1,', b'  "entries": [[1]', b"}", b""]))
+    assert main(["lattice", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot read %s: Expecting ',' delimiter: line 4 column 1 (char 30)\n" % p)
 
 
 # -- exit codes and help -----------------------------------------------------
