@@ -7,12 +7,9 @@ from .calculus import (EmbeddingCertificate, MoveScript, ObstructionReport,
                        reduce_free_word, replay, unknotify, verify_certificate,
                        word_from_intersections)
 from .intlattice import (AbelianGroupPresentation, Inertia, IntegralLattice,
-                         blow_down, congruence_slide, determinant,
                          diagonalizable_over_Z, direct_sum, e8_matrix,
-                         homology_from_linking, inertia, short_vectors,
-                         stabilize)
+                         inertia, short_vectors)
 from .linkdiag import (Editor, FramedLinkDiagram, GadgetRecord,
-                       descending_switch_set, linking_matrix,
-                       reverse_component, validate_diagram)
+                       descending_switch_set, linking_matrix, validate_diagram)
 
 __version__ = "0.1.0"

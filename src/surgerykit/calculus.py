@@ -42,7 +42,7 @@ class ReducedWord:
 def _free_reduce(letters):
     stack: list[tuple[int, int]] = []
     for gen, exp in letters:
-        if exp not in (1, -1):
+        if type(exp) is not int or exp not in (1, -1):  # no bool or float
             raise ValueError("exponent must be +1 or -1, got %r" % (exp,))
         if stack and stack[-1][0] == gen and stack[-1][1] == -exp:
             stack.pop()
@@ -67,12 +67,15 @@ def reduce_free_word(letters) -> ReducedWord:
 def word_from_intersections(seq) -> list[tuple[int, int]]:
     """The loop's word in the meridian-disc generators: one letter per
     intersection point, in order, with the intersection sign as
-    exponent."""
+    exponent.  A disc or sign that is not an int is refused, not
+    truncated."""
     out = []
     for disc, sign in seq:
-        if sign not in (1, -1):
+        if type(disc) is not int:  # no bool or float
+            raise ValueError("intersection disc must be an integer, got %r" % (disc,))
+        if type(sign) is not int or sign not in (1, -1):
             raise ValueError("intersection sign must be +1 or -1, got %r" % (sign,))
-        out.append((int(disc), sign))
+        out.append((disc, sign))
     return out
 
 
@@ -235,8 +238,6 @@ class Replayer:
             return intlattice._stabilize_rows, (move.framing,)
 
         if isinstance(move, Poke):
-            if move.sign not in (1, -1):
-                raise MoveError("poke sign must be +1 or -1")
             ed.poke(move.over, move.under, move.sign)
             return intlattice._add_rows, ((),)
 

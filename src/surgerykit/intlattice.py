@@ -41,10 +41,6 @@ class IntegralLattice:
         return len(self.entries)
 
     @classmethod
-    def identity(cls, n: int) -> "IntegralLattice":
-        return cls.diagonal([1] * n)
-
-    @classmethod
     def diagonal(cls, diag) -> "IntegralLattice":
         [diag] = _ints([diag])
         n = len(diag)
@@ -219,12 +215,6 @@ def homology_from_diagonal(diag) -> AbelianGroupPresentation:
                                     torsion=[d for d in diag if d >= 2])
 
 
-def homology_from_linking(L: IntegralLattice) -> AbelianGroupPresentation:
-    """First homology of the surgered manifold: cokernel of the linking
-    matrix, read off the Smith diagonal."""
-    return homology_from_diagonal(snf_diagonal(L))
-
-
 # ---------------------------------------------------------------------------
 # inertia and determinant
 
@@ -271,17 +261,15 @@ def inertia(L: IntegralLattice) -> Inertia:
                    det=0 if active else last, pivot=last)
 
 
-def determinant(L) -> int:
-    """The determinant of a symmetric integer form, read from `inertia`."""
-    return inertia(L if isinstance(L, IntegralLattice) else IntegralLattice(L)).det
-
-
 # ---------------------------------------------------------------------------
-# congruence moves mirroring Kirby moves
+# the matrix rules of the Kirby moves, run only by calculus.Replayer
 #
-# Each move has an in-place core on the rows A that returns the entries
-# it changed, {(p, q): delta} with p <= q, in the positions before the
-# move; a removed row and column count as changed to zero.
+# Each rule rewrites the rows A in place and returns the entries it
+# changed, {(p, q): delta} with p <= q, in the positions before the
+# move; a removed row and column count as changed to zero.  A slide is
+# the basis change E^T A E, E = I + s*e_j e_i^T; a stabilization adds
+# the block <eps>; a blow-down removes a +/-1 diagonal entry and pushes
+# its rank-one correction into the rest, keeping the cokernel.
 
 
 def _pair_sums(entries) -> dict[tuple[int, int], int]:
@@ -327,38 +315,6 @@ def _blow_down_rows(A, k):
     for row in A:
         del row[k]
     return changed
-
-
-def _moved(L: IntegralLattice, move, *args) -> IntegralLattice:
-    A = [row[:] for row in L.entries]
-    move(A, *args)
-    return IntegralLattice._trusted(A)
-
-
-def congruence_slide(L: IntegralLattice, i: int, j: int, s: int) -> IntegralLattice:
-    """Handle slide as a basis change: E^T L E with E = I + s*e_j e_i^T
-    (row and column i gain s times row and column j)."""
-    if i == j:
-        raise LatticeError("slide needs two distinct indices")
-    if not (0 <= i < L.n and 0 <= j < L.n):
-        raise LatticeError("slide index out of range")
-    return _moved(L, _slide_rows, i, j, s)
-
-
-def stabilize(L: IntegralLattice, eps: int) -> IntegralLattice:
-    """Block sum with the rank-one form <eps>."""
-    return _moved(L, _stabilize_rows, int(eps))
-
-
-def blow_down(L: IntegralLattice, k: int) -> IntegralLattice:
-    """Remove a +/-1 diagonal entry and push its rank-one correction into
-    the rest; the cokernel is unchanged."""
-    if not 0 <= k < L.n:
-        raise LatticeError("blow-down index out of range")
-    eps = L.entries[k][k]
-    if eps not in (1, -1):
-        raise LatticeError("blow-down pivot must be +1 or -1, got %d" % eps)
-    return _moved(L, _blow_down_rows, k)
 
 
 def direct_sum(L1: IntegralLattice, L2: IntegralLattice) -> IntegralLattice:

@@ -161,7 +161,7 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
     out_count = dict.fromkeys(arcs, 0)
     busy: set[int] = set()
     for xid, c in d.crossings.items():
-        if c.sign not in (1, -1):
+        if type(c.sign) is not int or c.sign not in (1, -1):  # no bool or float
             bad.append("crossing %d has sign %r, expected +1 or -1" % (xid, c.sign))
         # strand owners are read from the in-arcs; a missing in-arc names
         # no owner
@@ -200,6 +200,9 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
 
     # per component, the successor map is one cycle through its arcs
     for comp in d.components:
+        if type(comp.framing) is not int:  # no bool or float
+            bad.append("component %d has framing %r, expected an integer"
+                       % (comp.id, comp.framing))
         mine = by_owner.get(comp.id, [])
         if comp.basepoint is not None:
             if comp.basepoint not in arcs or arcs[comp.basepoint].owner != comp.id:
@@ -507,7 +510,7 @@ class Editor:
         two fresh crossing ids."""
         if i == j:
             raise DiagramError("%s needs two distinct components" % what)
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):  # as validate_diagram
             raise DiagramError("%s sign must be +1 or -1" % what)
         self.comp(i)
         self.comp(j)
@@ -609,33 +612,6 @@ class Editor:
             for j in js[a + 1:]:
                 delta = -eps * v[i] * v[j]
                 self.clasp(i, j, 1 if delta > 0 else -1, abs(delta))
-
-
-# ---------------------------------------------------------------------------
-# copying rewrites
-
-
-def reverse_component(d: FramedLinkDiagram, cid: int) -> FramedLinkDiagram:
-    """Reverse the orientation of one component.
-
-    Signs of crossings between `cid` and other components negate;
-    self-crossing signs are unchanged (both passages reverse).
-    """
-    d.component(cid)
-    out = d.copy()
-    old_succ = {a: v.successor for a, v in out.arcs.items() if v.owner == cid}
-    for a, s in old_succ.items():
-        out.arcs[s].successor = a
-    for c in out.crossings.values():
-        over_mine = out.arcs[c.over_in].owner == cid
-        under_mine = out.arcs[c.under_in].owner == cid
-        if over_mine:
-            c.over_in, c.over_out = c.over_out, c.over_in
-        if under_mine:
-            c.under_in, c.under_out = c.under_out, c.under_in
-        if over_mine != under_mine:
-            c.sign = -c.sign
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 
 from surgerykit import linkdiag
+from surgerykit.intlattice import IntegralLattice
 from surgerykit.linkdiag import DiagramError, FramedLinkDiagram
 
 
@@ -61,6 +62,14 @@ def gadget_sides(d, xid):
 def quad(L, v):
     """The quadratic form v^T L v."""
     return sum(v[i] * L.entries[i][j] * v[j] for i in range(L.n) for j in range(L.n))
+
+
+def moved(L, rule, *args):
+    """L after one of intlattice's in-place matrix rules (_slide_rows,
+    _stabilize_rows, _blow_down_rows), run on a copy of its rows."""
+    A = [row[:] for row in L.entries]
+    rule(A, *args)
+    return IntegralLattice._trusted(A)
 
 
 def blow_down_gadget(ed, rec):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import blow_down_gadget, gadget_sides, quad, random_diagram, random_symmetric
+from conftest import blow_down_gadget, gadget_sides, moved, quad, random_diagram
 from surgerykit import catalog, jsonio, linkdiag
 from surgerykit.calculus import (AddSplitUnknot, BlowDownIndex, MatrixSlide,
                                  MoveScript, build_embedding_certificate,
@@ -22,9 +22,9 @@ from surgerykit.calculus import (AddSplitUnknot, BlowDownIndex, MatrixSlide,
                                  replay, unknotify, verify_certificate,
                                  word_from_intersections)
 from surgerykit.cli import main as cli_main
-from surgerykit.intlattice import (IntegralLattice, determinant,
+from surgerykit.intlattice import (IntegralLattice, _slide_rows,
                                    diagonalizable_over_Z, e8_matrix,
-                                   homology_from_linking, inertia,
+                                   homology_from_diagonal, inertia,
                                    snf_diagonal)
 from surgerykit.linkdiag import Editor, linking_matrix
 
@@ -44,10 +44,10 @@ def test_acceptance_1_e8_suite(tmp_path, capsys):
                   "diagonalizable, OBSTRUCTED, < 1 s"):
         t0 = time.monotonic()
         E = e8_matrix()
-        assert determinant(E) == 1
+        assert inertia(E).det == 1
         i = inertia(E)
         assert (i.positive, i.zero, i.negative) == (8, 0, 0)
-        assert str(homology_from_linking(E)) == "0"
+        assert str(homology_from_diagonal(snf_diagonal(E))) == "0"
         ok, k = diagonalizable_over_Z(E)
         assert ok is False and E.n - k == 8
         assert donaldson_obstruction(E).verdict == "OBSTRUCTED"
@@ -64,7 +64,7 @@ def test_acceptance_2_lens_space_homology():
         t0 = time.monotonic()
         want = {0: "Z", 1: "0", 2: "Z/2", 5: "Z/5", -7: "Z/7"}
         for p, s in want.items():
-            h = homology_from_linking(linking_matrix(catalog.unknot(p)))
+            h = homology_from_diagonal(snf_diagonal(linking_matrix(catalog.unknot(p))))
             assert str(h) == s, (p, str(h))
         assert time.monotonic() - t0 < 1.0
 
@@ -96,7 +96,7 @@ def test_acceptance_4_move_invariance():
         rng = random.Random(1013)
         for _ in range(100):
             d = random_diagram(rng, max_components=3, max_crossings=4)
-            h0 = homology_from_linking(linking_matrix(d))
+            h0 = homology_from_diagonal(snf_diagonal(linking_matrix(d)))
             script = MoveScript(initial=d)
             L = linking_matrix(d)
             for _ in range(rng.randint(1, 20)):
@@ -117,14 +117,13 @@ def test_acceptance_4_move_invariance():
                     mv = MatrixSlide(i=i, j=j, s=rng.choice((1, -1)))
                     # keep clasp realizations cheap: skip slides that blow
                     # entries up past a small cap
-                    from surgerykit.intlattice import congruence_slide
-                    trial = congruence_slide(L, mv.i, mv.j, mv.s)
+                    trial = moved(L, _slide_rows, mv.i, mv.j, mv.s)
                     if max(abs(x) for row in trial.entries for x in row) > 64:
                         continue
                 script.moves.append(mv)
                 # replay() itself asserts matrix/diagram agreement per move
                 L = replay(script).matrix_trace[-1]
-            h1 = homology_from_linking(L)
+            h1 = homology_from_diagonal(snf_diagonal(L))
             assert (h0.rank, h0.torsion) == (h1.rank, h1.torsion)
 
 

@@ -3,8 +3,10 @@ import random
 import re
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import blow_down_gadget, gadget_sides, random_diagram
+from conftest import blow_down_gadget, gadget_sides, moved, random_diagram
 from surgerykit import calculus, catalog, intlattice, jsonio, linkdiag
 from surgerykit.calculus import (AddSplitUnknot, BlowDownIndex, GadgetSwitch,
                                  MatrixSlide, MoveError, MoveScript, Poke,
@@ -14,7 +16,7 @@ from surgerykit.calculus import (AddSplitUnknot, BlowDownIndex, GadgetSwitch,
                                  replay, unknotify, verify_certificate,
                                  word_from_intersections)
 from surgerykit.intlattice import (IntegralLattice, direct_sum, e8_matrix,
-                                   homology_from_linking)
+                                   homology_from_diagonal, inertia, snf_diagonal)
 from surgerykit.linkdiag import (Arc, Component, Crossing, DiagramError,
                                  Editor, FramedLinkDiagram, linking_matrix)
 
@@ -43,6 +45,9 @@ def test_reduce_keeps_nontrivial():
 def test_reduce_rejects_bad_exponent():
     with pytest.raises(ValueError):
         reduce_free_word([(0, 2)])
+    for exp in (True, 1.0, -1.0):  # an int only, so no bool or float
+        with pytest.raises(ValueError, match="^exponent must be"):
+            reduce_free_word([(0, 1), (0, exp)])
 
 
 def test_word_from_intersections():
@@ -51,6 +56,13 @@ def test_word_from_intersections():
     assert reduce_free_word(w).reduced == [(5, 1)]
     with pytest.raises(ValueError):
         word_from_intersections([(0, 0)])
+    # (1.7, 1) used to be read as (1, 1), and True as the sign +1
+    for seq, message in (([(1.7, 1)], "disc must be an integer, got 1.7"),
+                         ([(True, 1)], "disc must be an integer, got True"),
+                         ([(0, True)], "sign must be +1 or -1, got True"),
+                         ([(0, -1.0)], "sign must be +1 or -1, got -1.0")):
+        with pytest.raises(ValueError, match="^intersection %s$" % re.escape(message)):
+            word_from_intersections(seq)
 
 
 def test_meridian_pair_pattern_is_trivial():
@@ -207,6 +219,26 @@ def test_replay_error_carries_step_index():
         replay(script)
 
 
+@pytest.mark.parametrize("move, message", [
+    (MatrixSlide(i=2, j=0, s=1), "slide index out of range"),
+    (MatrixSlide(i=0, j=-1, s=1), "slide index out of range"),
+    (MatrixSlide(i=1, j=1, s=1), "cannot slide a component over itself"),
+    (MatrixSlide(i=0, j=1, s=2), "slide sign must be +1 or -1"),
+    (MatrixSlide(i=1, j=0, s=-2), "slide sign must be +1 or -1"),
+    (BlowDownIndex(k=2), "blow-down index out of range"),
+    (BlowDownIndex(k=-1), "blow-down index out of range")])
+def test_replay_guards_of_matrix_moves(move, message):
+    # each guard names the move and fails before the diagram or the
+    # matrix changes
+    rp = Replayer(catalog.hopf_link((1, -1)))
+    rp.apply(0, Poke(over=0, under=1, sign=1))
+    before, A = rp.ed.d.copy(), [row[:] for row in rp.A]
+    with pytest.raises(MoveError, match=r"^move 1 \(%s\): %s$"
+                       % (type(move).__name__, re.escape(message))):
+        rp.apply(1, move)
+    assert rp.ed.d == before and rp.A == A and not rp.ed.log
+
+
 def test_replay_random_matrix_scripts_preserve_homology():
     # slides never change the cokernel; stabilizations and blow-downs by
     # +/-1 change it only by trivial summands
@@ -214,7 +246,7 @@ def test_replay_random_matrix_scripts_preserve_homology():
     for _ in range(30):
         d = random_diagram(rng, max_components=3, max_crossings=4)
         script = MoveScript(initial=d)
-        h0 = homology_from_linking(linking_matrix(d))
+        h0 = homology_from_diagonal(snf_diagonal(linking_matrix(d)))
         state = replay(script)
         k = len(d.components)
         for _ in range(rng.randint(1, 8)):
@@ -226,7 +258,7 @@ def test_replay_random_matrix_scripts_preserve_homology():
             else:
                 script.moves.append(AddSplitUnknot(framing=rng.choice((1, -1))))
             state = replay(script)
-        h1 = homology_from_linking(state.matrix_trace[-1])
+        h1 = homology_from_diagonal(snf_diagonal(state.matrix_trace[-1]))
         assert (h0.rank, h0.torsion) == (h1.rank, h1.torsion)
 
 
@@ -326,7 +358,7 @@ def _reference_step(d, move):
         ed.gadget(move.crossing, move.side, move.unknot)
     elif isinstance(move, MatrixSlide):
         ids, L = d.component_ids(), linking_matrix(d).entries
-        L2 = intlattice.congruence_slide(IntegralLattice(L), move.i, move.j, move.s).entries
+        L2 = moved(IntegralLattice(L), intlattice._slide_rows, move.i, move.j, move.s).entries
         d.component(ids[move.i]).framing = L2[move.i][move.i]
         for t, ct in enumerate(ids):
             delta = L2[move.i][t] - L[move.i][t]
@@ -409,7 +441,7 @@ def test_alternating_slides_copy_the_diagram_once(monkeypatch):
     res = replay(MoveScript(initial=catalog.unlink([1, -1]), moves=moves))
     L = IntegralLattice.diagonal([1, -1])
     for mv in moves:
-        L = intlattice.congruence_slide(L, mv.i, mv.j, mv.s)
+        L = moved(L, intlattice._slide_rows, mv.i, mv.j, mv.s)
     assert res.matrix_trace[-1] == L
     assert copies == [0]
 
@@ -455,6 +487,26 @@ def test_unknotify_random_round_trip():
             blow_down_gadget(ed, rec)
         assert linking_matrix(ed.d) == linking_matrix(d)
         done += 1
+
+
+def test_unknotify_linking_matrices_against_sympy():
+    # sparse gadget forms at 20-60 components, the sizes the benchmark's
+    # unknotify outputs reach: the Smith diagonal and the determinant
+    # against sympy's
+    rng = random.Random(2039)
+    sizes, dets = [], set()
+    while len(sizes) < 6:
+        L = linking_matrix(unknotify(random_diagram(rng, 4, 120), unlink=True).diagram)
+        if not 20 <= L.n <= 60:
+            continue
+        M = sympy.Matrix(L.entries)
+        want = [abs(int(x)) for x in sympy_snf(M).diagonal()]
+        assert snf_diagonal(L) == want + [0] * (L.n - len(want))
+        det = inertia(L).det
+        assert det == int(M.det())
+        sizes.append(L.n)
+        dets.add(abs(det))
+    assert min(sizes) < 30 and max(sizes) > 55 and {0, 1} < dets, (sizes, dets)
 
 
 # -- embedding certificates --------------------------------------------------
@@ -512,6 +564,13 @@ def test_certificate_requires_descending_or_auto():
         build_embedding_certificate(d)
     cert = build_embedding_certificate(d, auto_unknotify=True)
     assert verify_certificate(cert).passed
+
+
+@pytest.mark.parametrize("auto", [False, True])
+def test_certificate_refuses_a_float_framing(auto):
+    # it used to raise TypeError while counting framing-fix unknots
+    with pytest.raises(DiagramError, match="component 0 has framing 2.0, expected an integer"):
+        build_embedding_certificate(catalog.unknot(2.0), auto_unknotify=auto)
 
 
 def test_certificate_framing_fixes_are_capped_before_building():
@@ -660,6 +719,10 @@ VERIFY_FAILURES = {
                          "move 1 (GadgetSwitch): unknown crossing id 99"),
     "poke sign": (lambda c: setattr(c.moves[0], "sign", 3), "script replays",
                   "move 0 (Poke): poke sign must be +1 or -1"),
+    "poke sign True": (lambda c: setattr(c.moves[0], "sign", True), "script replays",
+                       "move 0 (Poke): poke sign must be +1 or -1"),
+    "poke sign 1.0": (lambda c: setattr(c.moves[0], "sign", 1.0), "script replays",
+                      "move 0 (Poke): poke sign must be +1 or -1"),
     "gadget unknot None": (lambda c: setattr(c.moves[1], "unknot", None), "script replays",
                            "move 1 (GadgetSwitch): gadget unknot must be a component id, "
                            "got None"),
@@ -720,7 +783,7 @@ def test_obstruction_not_applicable():
 
 
 def test_obstruction_identity_not_obstructed():
-    rep = donaldson_obstruction(IntegralLattice.identity(3))
+    rep = donaldson_obstruction(IntegralLattice.diagonal([1, 1, 1]))
     assert rep.verdict == "NOT_OBSTRUCTED"
     assert rep.diagonalizable
     assert rep.diagonal_part == 3 and rep.residual_rank == 0
@@ -736,6 +799,6 @@ def test_obstruction_e8_obstructed():
 
 def test_obstruction_e8_plus_identity_still_obstructed():
     rep = donaldson_obstruction(direct_sum(e8_matrix(),
-                                           IntegralLattice.identity(1)))
+                                           IntegralLattice.diagonal([1])))
     assert rep.verdict == "OBSTRUCTED"
     assert rep.diagonal_part == 1 and rep.residual_rank == 8

@@ -256,7 +256,7 @@ def test_obstruction_verdicts(tmp_path, capsys):
     p1 = _write_matrix(tmp_path, e8_matrix(), "e8.json")
     code, rep = _run_json(capsys, ["obstruction", p1])
     assert code == 0 and rep["result"]["verdict"] == "OBSTRUCTED"
-    p2 = _write_matrix(tmp_path, IntegralLattice.identity(2), "id.json")
+    p2 = _write_matrix(tmp_path, IntegralLattice.diagonal([1, 1]), "id.json")
     code, rep = _run_json(capsys, ["obstruction", p2])
     assert code == 0 and rep["result"]["verdict"] == "NOT_OBSTRUCTED"
     p3 = _write_matrix(tmp_path, IntegralLattice([[0]]), "z.json")
@@ -457,8 +457,7 @@ def test_one_inertia_and_determinant_per_report(tmp_path, capsys, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(intlattice, "inertia", counting(intlattice.inertia))
-    monkeypatch.setattr(intlattice, "determinant", counting(intlattice.determinant))
-    L = intlattice.direct_sum(e8_matrix(), IntegralLattice.identity(2))
+    L = intlattice.direct_sum(e8_matrix(), IntegralLattice.diagonal([1, 1]))
     matrix = _write_matrix(tmp_path, L)
     for command in ("lattice", "obstruction"):
         calls.clear()
@@ -566,7 +565,7 @@ def test_every_command_loads_only_the_standard_library(tmp_path):
     knot = _write_link(tmp_path, catalog.trefoil(-1), "knot.json")
     link = _write_link(tmp_path, catalog.chain_link([2, -3, 5]))
     form = _write_matrix(tmp_path, intlattice.direct_sum(e8_matrix(),
-                                                         IntegralLattice.identity(2)))
+                                                         IntegralLattice.diagonal([1, 1])))
     cert = str(tmp_path / "cert.json")
     argvs = [["lattice", form], ["obstruction", form], ["invariants", link],
              ["unknotify", knot], ["certify-embedding", link, "-o", cert],

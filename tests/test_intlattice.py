@@ -9,15 +9,15 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import quad, random_symmetric
+from conftest import moved, quad, random_symmetric
 from surgerykit import cli, intlattice, jsonio
 from surgerykit.calculus import donaldson_obstruction
 from surgerykit.intlattice import (AbelianGroupPresentation, IntegralLattice,
-                                   LatticeError, blow_down, congruence_slide,
-                                   determinant, diagonalizable_over_Z,
+                                   LatticeError, _blow_down_rows, _slide_rows,
+                                   _stabilize_rows, diagonalizable_over_Z,
                                    direct_sum, e8_matrix,
-                                   homology_from_linking, inertia,
-                                   short_vectors, snf_diagonal, stabilize)
+                                   homology_from_diagonal, inertia,
+                                   short_vectors, snf_diagonal)
 
 
 def _mul(A, B):
@@ -132,7 +132,7 @@ def test_snf_skips_the_loop_on_a_unimodular_form(monkeypatch):
         raise AssertionError("_smith ran with modulus %d" % mod)
 
     monkeypatch.setattr(intlattice, "_smith", refuse)
-    L = congruence_slide(direct_sum(e8_matrix(), IntegralLattice.identity(2)), 0, 9, 1)
+    L = moved(direct_sum(e8_matrix(), IntegralLattice.diagonal([1, 1])), _slide_rows, 0, 9, 1)
     assert snf_diagonal(L) == [1] * 10
     assert snf_diagonal([[2, 1], [1, 1]]) == [1, 1]
     with pytest.raises(AssertionError, match="modulus 3"):
@@ -157,10 +157,10 @@ def test_snf_diagonal_on_rectangular_and_nonsymmetric_input():
 
 
 def test_homology_presentations():
-    assert str(homology_from_linking(IntegralLattice([[0]]))) == "Z"
-    assert str(homology_from_linking(IntegralLattice([[5]]))) == "Z/5"
-    assert str(homology_from_linking(IntegralLattice([[1]]))) == "0"
-    h = homology_from_linking(IntegralLattice.diagonal([2, 4, 0]))
+    assert str(homology_from_diagonal(snf_diagonal(IntegralLattice([[0]])))) == "Z"
+    assert str(homology_from_diagonal(snf_diagonal(IntegralLattice([[5]])))) == "Z/5"
+    assert str(homology_from_diagonal(snf_diagonal(IntegralLattice([[1]])))) == "0"
+    h = homology_from_diagonal(snf_diagonal(IntegralLattice.diagonal([2, 4, 0])))
     assert (h.rank, h.torsion) == (1, [2, 4])
     assert str(h) == "Z + Z/2 + Z/4"
     assert str(AbelianGroupPresentation(2, [3])) == "Z^2 + Z/3"
@@ -169,9 +169,9 @@ def test_homology_presentations():
 # -- determinant and inertia -------------------------------------------------
 
 def test_determinant_examples():
-    assert determinant(IntegralLattice([])) == 1
-    assert determinant(IntegralLattice([[0, 1], [1, 0]])) == -1
-    assert determinant(e8_matrix()) == 1
+    assert inertia(IntegralLattice([])).det == 1
+    assert inertia(IntegralLattice([[0, 1], [1, 0]])).det == -1
+    assert inertia(e8_matrix()).det == 1
 
 
 def test_determinant_randomized_against_sympy():
@@ -192,14 +192,13 @@ def test_determinant_randomized_against_sympy():
                 row[j] = row[i]
         want = int(sympy.Matrix(A).det())
         singular += want == 0
-        assert determinant(A) == want, A
         assert inertia(IntegralLattice(A)).det == want, A
     assert singular >= 100
 
 
 def test_determinant_rejects_non_symmetric():
     with pytest.raises(LatticeError, match="not symmetric"):
-        determinant([[1, 2], [3, 4]])
+        inertia(IntegralLattice([[1, 2], [3, 4]]))
 
 
 def _inertia_oracle(rows):
@@ -225,7 +224,7 @@ def _inertia_oracle(rows):
 
 
 def test_inertia_examples():
-    assert inertia(IntegralLattice.identity(3)) == inertia(IntegralLattice.identity(3))
+    assert inertia(IntegralLattice.diagonal([1, 1, 1])) == inertia(IntegralLattice.diagonal([1, 1, 1]))
     i = inertia(IntegralLattice([[0, 1], [1, 0]]))
     assert (i.positive, i.zero, i.negative) == (1, 0, 1)
     assert i.positive - i.negative == 0
@@ -337,7 +336,7 @@ def test_congruence_slide_is_explicit_basis_change():
     E = [[1, 0], [1, 1]]  # col 0 += col 1
     want = _mul(_mul([[E[j][i] for j in range(2)] for i in range(2)],
                      L.entries), E)
-    assert congruence_slide(L, 0, 1, 1).entries == want
+    assert moved(L, _slide_rows, 0, 1, 1).entries == want
 
 
 def test_slide_inverse_pair():
@@ -347,28 +346,13 @@ def test_slide_inverse_pair():
         L = IntegralLattice(random_symmetric(rng, n, -4, 4))
         i, j = rng.sample(range(n), 2)
         s = rng.choice((1, -1))
-        assert congruence_slide(congruence_slide(L, i, j, s), i, j, -s) == L
-
-
-def test_slide_rejects_bad_indices():
-    L = IntegralLattice.identity(2)
-    with pytest.raises(LatticeError):
-        congruence_slide(L, 0, 0, 1)
-    with pytest.raises(LatticeError):
-        congruence_slide(L, 0, 2, 1)
+        assert moved(moved(L, _slide_rows, i, j, s), _slide_rows, i, j, -s) == L
 
 
 def test_stabilize_blow_down_cancel():
     L = IntegralLattice([[3, 1], [1, -2]])
-    assert blow_down(stabilize(L, 1), 2) == L
-    assert blow_down(stabilize(L, -1), 2) == L
-
-
-def test_blow_down_requires_unit_pivot():
-    with pytest.raises(LatticeError):
-        blow_down(IntegralLattice([[2]]), 0)
-    with pytest.raises(LatticeError):
-        blow_down(IntegralLattice([[1]]), 1)
+    assert moved(moved(L, _stabilize_rows, 1), _blow_down_rows, 2) == L
+    assert moved(moved(L, _stabilize_rows, -1), _blow_down_rows, 2) == L
 
 
 def test_blow_down_preserves_cokernel():
@@ -379,8 +363,8 @@ def test_blow_down_preserves_cokernel():
         k = rng.randrange(n)
         A[k][k] = rng.choice((1, -1))
         L = IntegralLattice(A)
-        h1 = homology_from_linking(L)
-        h2 = homology_from_linking(blow_down(L, k))
+        h1 = homology_from_diagonal(snf_diagonal(L))
+        h2 = homology_from_diagonal(snf_diagonal(moved(L, _blow_down_rows, k)))
         assert (h1.rank, h1.torsion) == (h2.rank, h2.torsion)
 
 
@@ -389,13 +373,13 @@ def test_moves_preserve_cokernel():
     for _ in range(40):
         n = rng.randint(2, 5)
         L = IntegralLattice(random_symmetric(rng, n, -4, 4))
-        h0 = homology_from_linking(L)
+        h0 = homology_from_diagonal(snf_diagonal(L))
         i, j = rng.sample(range(n), 2)
-        Ls = congruence_slide(L, i, j, rng.choice((1, -1)))
-        hs = homology_from_linking(Ls)
+        Ls = moved(L, _slide_rows, i, j, rng.choice((1, -1)))
+        hs = homology_from_diagonal(snf_diagonal(Ls))
         assert (h0.rank, h0.torsion) == (hs.rank, hs.torsion)
         eps = rng.choice((1, -1))
-        hst = homology_from_linking(stabilize(L, eps))
+        hst = homology_from_diagonal(snf_diagonal(moved(L, _stabilize_rows, eps)))
         assert (h0.rank, h0.torsion) == (hst.rank, hst.torsion)
 
 
@@ -404,7 +388,7 @@ def test_direct_sum_additivity():
     L2 = IntegralLattice([[-3]])
     S = direct_sum(L1, L2)
     assert S.n == 3
-    assert determinant(S) == determinant(L1) * determinant(L2)
+    assert inertia(S).det == inertia(L1).det * inertia(L2).det
     i1, i2, i = inertia(L1), inertia(L2), inertia(S)
     assert i.positive == i1.positive + i2.positive
     assert i.negative == i1.negative + i2.negative
@@ -414,10 +398,10 @@ def test_direct_sum_additivity():
 
 def test_e8_invariants():
     E = e8_matrix()
-    assert determinant(E) == 1
+    assert inertia(E).det == 1
     i = inertia(E)
     assert (i.positive, i.zero, i.negative) == (8, 0, 0)
-    assert str(homology_from_linking(E)) == "0"
+    assert str(homology_from_diagonal(snf_diagonal(E))) == "0"
     assert snf_diagonal(E) == [1] * 8
     # even form: every diagonal entry of any v^T E v is even
     rng = random.Random(131)
@@ -469,9 +453,9 @@ def _short_vectors_box(L, bound):
 
 
 def test_short_vectors_identity():
-    got = short_vectors(IntegralLattice.identity(2), 1)
+    got = short_vectors(IntegralLattice.diagonal([1, 1]), 1)
     assert got == [(0, 1), (1, 0)]
-    got = short_vectors(IntegralLattice.identity(2), 2)
+    got = short_vectors(IntegralLattice.diagonal([1, 1]), 2)
     assert got == [(0, 1), (1, -1), (1, 0), (1, 1)]
     # I_2 after one slide, with entries far past the float range
     N = 10 ** 400
@@ -519,7 +503,7 @@ def test_short_vectors_against_box_on_non_unimodular_forms():
         A = [[sum(B[k][i] * B[k][j] for k in range(n)) + int(i == j) * rng.randint(1, 2)
               for j in range(n)] for i in range(n)]
         L = IntegralLattice(A)
-        if determinant(L) < 2:
+        if inertia(L).det < 2:
             continue
         bound = done % 5
         got = short_vectors(L, bound)
@@ -530,16 +514,16 @@ def test_short_vectors_against_box_on_non_unimodular_forms():
 
 
 def test_short_vectors_negative_bound_on_definite_forms():
-    for L in (IntegralLattice.identity(3), e8_matrix(), IntegralLattice([[2, 1], [1, 2]])):
+    for L in (IntegralLattice.diagonal([1, 1, 1]), e8_matrix(), IntegralLattice([[2, 1], [1, 2]])):
         assert short_vectors(L, -1) == short_vectors(L, -7) == []
 
 
 def _scrambled_identity(n, seed):
     rng = random.Random(seed)
-    L = IntegralLattice.identity(n)
+    L = IntegralLattice.diagonal([1] * n)
     for _ in range(80):
         i, j = rng.sample(range(n), 2)
-        L = congruence_slide(L, i, j, rng.choice((-1, 1)))
+        L = moved(L, _slide_rows, i, j, rng.choice((-1, 1)))
     return L
 
 
@@ -557,7 +541,7 @@ def test_short_vectors_budget_on_scrambled_identities():
 
 
 def _base_form(e8, k):
-    L = IntegralLattice.identity(k)
+    L = IntegralLattice.diagonal([1] * k)
     return direct_sum(e8_matrix(), L) if e8 else L
 
 
@@ -582,7 +566,7 @@ def test_short_vectors_on_heavily_scrambled_forms(e8, k):
         for _ in range(slides):
             i, j = rng.sample(range(n), 2)
             s = rng.choice((-1, 1))
-            L = congruence_slide(L, i, j, s)
+            L = moved(L, _slide_rows, i, j, s)
             for row in E:  # E <- E (I + s e_j e_i^T)
                 row[i] += s * row[j]
             Einv[j] = [a - s * b for a, b in zip(Einv[j], Einv[i])]
@@ -600,12 +584,13 @@ def _slid_with_leading_block(diag, slides, seed):
     L = IntegralLattice.diagonal(diag)
     for _ in range(slides):
         i, j = rng.choice([(0, 1), (1, 0), (2, 0), (2, 1)])
-        L = congruence_slide(L, i, j, rng.choice((-1, 1)))
+        L = moved(L, _slide_rows, i, j, rng.choice((-1, 1)))
     return L
 
 
 def _leading_minors(L):
-    return [determinant([row[:t] for row in L.entries[:t]]) for t in range(1, L.n + 1)]
+    return [inertia(IntegralLattice([row[:t] for row in L.entries[:t]])).det
+            for t in range(1, L.n + 1)]
 
 
 NOT_DEFINITE = {
@@ -647,7 +632,7 @@ def test_non_unimodular_form_is_rejected():
 # -- diagonalizability over Z ------------------------------------------------
 
 def test_identity_diagonalizes():
-    assert diagonalizable_over_Z(IntegralLattice.identity(4)) == (True, 4)
+    assert diagonalizable_over_Z(IntegralLattice.diagonal([1] * 4)) == (True, 4)
 
 
 def test_e8_does_not_diagonalize():
@@ -655,7 +640,7 @@ def test_e8_does_not_diagonalize():
 
 
 def test_e8_plus_identity_strips_only_the_identity():
-    L = direct_sum(e8_matrix(), IntegralLattice.identity(2))
+    L = direct_sum(e8_matrix(), IntegralLattice.diagonal([1, 1]))
     ok, count = diagonalizable_over_Z(L)
     assert not ok
     assert count == 2
@@ -684,13 +669,13 @@ def test_one_shot_split_on_scrambled_mixed_forms():
     for trial in range(40):
         e8 = trial % 2 == 1
         k = rng.randint(0 if e8 else 1, 4)
-        L = IntegralLattice.identity(k)
+        L = IntegralLattice.diagonal([1] * k)
         if e8:
             L = direct_sum(e8_matrix(), L)
         n = L.n
         for _ in range(rng.randint(0, 12) if n > 1 else 0):
             i, j = rng.sample(range(n), 2)
-            L = congruence_slide(L, i, j, rng.choice((-1, 1)))
+            L = moved(L, _slide_rows, i, j, rng.choice((-1, 1)))
         ok, count = diagonalizable_over_Z(L)
         assert count == k and ok == (not e8)
 
@@ -714,7 +699,7 @@ def test_residual_forms_are_pinned():
         n = L.n
         for _ in range(rng.randint(10, 30)):
             i, j = rng.sample(range(n), 2)
-            L = congruence_slide(L, i, j, rng.choice((-1, 1)))
+            L = moved(L, _slide_rows, i, j, rng.choice((-1, 1)))
         out.append(diagonalizable_over_Z(L))
     digest = hashlib.sha256(repr(out).encode()).hexdigest()
     assert digest == "8079fb8bccf7c6f884c986e7432a8d3c865beb3a2d1166d35dc6f2395bfee852"
@@ -724,10 +709,10 @@ def test_lattice_report_on_a_heavily_scrambled_unimodular_form(tmp_path, capsys)
     # E8 + I_4 after 80 slides: the unreduced Euclidean loop ran past 10 s
     # on this form; modulo its determinant 1 every entry reduces to 0
     rng = random.Random("e8i4")
-    L = direct_sum(e8_matrix(), IntegralLattice.identity(4))
+    L = direct_sum(e8_matrix(), IntegralLattice.diagonal([1] * 4))
     for _ in range(80):
         i, j = rng.sample(range(L.n), 2)
-        L = congruence_slide(L, i, j, rng.choice((-1, 1)))
+        L = moved(L, _slide_rows, i, j, rng.choice((-1, 1)))
     assert max(abs(x) for row in L.entries for x in row) > 1000
     path = tmp_path / "e8i4.json"
     jsonio.save_path(str(path), jsonio.lattice_to_obj(L))

@@ -7,7 +7,7 @@ from surgerykit import catalog, intlattice, linkdiag
 from surgerykit.linkdiag import (Arc, Component, Crossing, DiagramError,
                                  Editor, FramedLinkDiagram, GadgetRecord,
                                  descending_switch_set, linking_matrix,
-                                 reverse_component, validate_diagram)
+                                 validate_diagram)
 
 
 def _switched(d, xids):
@@ -89,6 +89,18 @@ MALFORMED = {
     "crossing sign": (
         _diagram([(0, 0), (1, 1)], _HOPF_ARCS, [(0, 2, 1, 3, 2), _HOPF_CROSSINGS[1]]),
         ["crossing 0 has sign 2, expected +1 or -1"]),
+    "boolean crossing sign": (
+        _diagram([(0, 0), (1, 1)], _HOPF_ARCS, [(0, 2, 1, 3, True), _HOPF_CROSSINGS[1]]),
+        ["crossing 0 has sign True, expected +1 or -1"]),
+    "float crossing sign": (
+        _diagram([(0, 0), (1, 1)], _HOPF_ARCS, [_HOPF_CROSSINGS[0], (3, 1, 2, 0, 1.0)]),
+        ["crossing 1 has sign 1.0, expected +1 or -1"]),
+    "float framing": (
+        FramedLinkDiagram([Component(0, 2.0, 0)], {0: Arc(0, 0)}),
+        ["component 0 has framing 2.0, expected an integer"]),
+    "boolean framing": (
+        FramedLinkDiagram([Component(0, True, 0)], {0: Arc(0, 0)}),
+        ["component 0 has framing True, expected an integer"]),
     "in-arc shared between strands": (
         _diagram([(0, 0), (1, 1)], _HOPF_ARCS, [(0, 2, 0, 3, 1), _HOPF_CROSSINGS[1]]),
         ["crossing 0 shares an in-arc or out-arc between strands",
@@ -125,6 +137,7 @@ def test_hopf_table_is_valid():
 def test_validate_diagram_messages(case):
     d, messages = MALFORMED[case]
     assert validate_diagram(d) == messages
+
 
 
 # -- linking numbers ---------------------------------------------------------
@@ -232,34 +245,6 @@ def test_switch_changes_linking_by_sign():
             assert _lk(d2, i, j) == _lk(d, i, j) - c.sign
             assert [x.framing for x in d2.components] == [x.framing for x in d.components]
             break
-
-
-# -- reverse -----------------------------------------------------------------
-
-def test_reverse_negates_hopf_linking():
-    h = catalog.hopf_link()
-    assert _lk(reverse_component(h, 0), 0, 1) == -1
-
-
-def test_reverse_twice_is_identity():
-    d = catalog.trefoil(2)
-    assert reverse_component(reverse_component(d, 0), 0) == d
-
-
-def test_reverse_conjugates_matrix():
-    rng = random.Random(13)
-    for _ in range(15):
-        d = random_diagram(rng)
-        ids = d.component_ids()
-        cid = rng.choice(ids)
-        t = ids.index(cid)
-        L = linking_matrix(d).entries
-        L2 = linking_matrix(reverse_component(d, cid)).entries
-        for a in range(len(ids)):
-            for b in range(len(ids)):
-                s = (-1 if a == t else 1) * (-1 if b == t else 1)
-                assert L2[a][b] == s * L[a][b]
-        assert not validate_diagram(reverse_component(d, cid))
 
 
 # -- split unknots -----------------------------------------------------------
