@@ -17,10 +17,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Union
+from typing import Union, get_args
 
 from . import catalog, intlattice, linkdiag
-from .intlattice import IntegralLattice
+from .intlattice import IntegralLattice, _lattice
 from .linkdiag import DiagramError, FramedLinkDiagram, GadgetRecord
 
 
@@ -142,10 +142,10 @@ class MoveScript:
 
 class MatrixTrace(Sequence):
     """The linking matrix after each move of a replay, as a view: entry t
-    is rebuilt on demand from the start matrix by the first t matrix
-    rules; the last entry is the final matrix itself."""
+    is rebuilt on demand from the start rows by the first t matrix rules;
+    the last entry is made from the final rows."""
 
-    def __init__(self, start: IntegralLattice, ops: list, final: IntegralLattice):
+    def __init__(self, start: dict, ops: list, final: dict):
         self.start, self.ops, self.final = start, ops, final
 
     def __len__(self) -> int:
@@ -155,14 +155,14 @@ class MatrixTrace(Sequence):
         if isinstance(t, slice):
             return list(self)[t]
         t = range(len(self))[t]
-        return self.final if t == len(self.ops) else next(islice(self, t, None))
+        return _lattice(self.final) if t == len(self.ops) else next(islice(self, t, None))
 
     def __iter__(self):
-        A = [row[:] for row in self.start.entries]
-        yield self.start
+        A = {key: dict(row) for key, row in self.start.items()}
+        yield _lattice(A)
         for rule, args in self.ops:
             rule(A, *args)
-            yield IntegralLattice._trusted([row[:] for row in A])
+            yield _lattice(A)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)
@@ -178,32 +178,29 @@ class Replayer:
     """One diagram and its linking matrix, rewritten in place move by move.
 
     Each move rewrites the diagram through a `linkdiag.Editor` core and
-    the matrix rows through the move's own matrix rule, which touches
-    only the rows and columns the move changes.  After every move the two
-    are checked against each other in O(change): the crossings and
-    framings the diagram's log says changed must give exactly the entries
-    the rule changed.  `result` checks the whole final matrix once.
+    the matrix rows (nonzero entries keyed by component id) through the
+    move's own matrix rule, which touches only the entries it changes.
+    After every move the two are checked against each other in O(change):
+    the crossings and framings the diagram's log says changed must give
+    exactly the entries the rule changed; `result` checks all once.
     """
 
     def __init__(self, d: FramedLinkDiagram):
         """Rewrites `d` itself."""
+        linkdiag.require_valid(d)
         self.ed = linkdiag.Editor(d)
-        self.start = linkdiag.linking_matrix(d)
-        self.A = [row[:] for row in self.start.entries]
+        self.A = linkdiag._linking_rows(d)
+        self.start = {key: dict(row) for key, row in self.A.items()}
         self.ops: list = []
 
     def apply(self, t: int, move: KirbyMove) -> None:
-        comps = self.ed.d.components
-        before = [c.id for c in comps] if isinstance(move, BlowDownIndex) else None
         try:
             rule, args = self._rewrite(move)
         except (MoveError, DiagramError) as e:
             raise MoveError("move %d (%s): %s" % (t, type(move).__name__, e)) from None
         self.ops.append((rule, args))
-        name = before.__getitem__ if before else (lambda p: comps[p].id)
-        # both sides keyed by component ids: twice each linking number (a
-        # crossing sign sum), once each framing
-        want = intlattice._pair_sums((name(p), name(q), v if p == q else 2 * v)
+        # by component id: twice each linking number (a crossing sign sum), once each framing
+        want = intlattice._pair_sums((p, q, v if p == q else 2 * v)
                                      for (p, q), v in rule(self.A, *args).items())
         got = intlattice._pair_sums(self.ed.log)
         self.ed.log.clear()
@@ -213,29 +210,36 @@ class Replayer:
                 "the matrix rule changed %r, the diagram changed %r"
                 % (t, type(move).__name__, want, got))
 
-    def _slide(self, i: int, j: int, s: int):
-        """Slide handle i over handle j: i gains s times a pushoff of j,
-        with the linking numbers of j read from the diagram; the pushoff
-        links j itself framing-many times."""
+    def _slide(self, ci: int, cj: int, s: int):
+        """Slide component ci over component cj: ci gains s times a pushoff
+        of cj, with the linking numbers of cj read from the diagram; the
+        pushoff links cj itself framing-many times."""
         ed = self.ed
-        ci, cj = (ed.d.components[p].id for p in (i, j))
         v = ed.linking(cj)
         v[cj] = ed.comp(cj).framing
         ed.set_framing(ci, ed.comp(ci).framing + 2 * s * v.get(ci, 0) + ed.comp(cj).framing)
         for ct in sorted(v, key=ed.pos.get):
             if ct != ci:
                 ed.clasp(ci, ct, 1 if s * v[ct] > 0 else -1, abs(v[ct]))
-        return intlattice._slide_rows, (i, j, s)
+        return intlattice._slide_rows, (ci, cj, s)
 
     def _rewrite(self, move: KirbyMove):
         """The move applied to the diagram; returns its matrix rule.  A
-        DiagramError here is a failed precondition, raised before any
-        change."""
+        failed precondition, such as a field other than a gadget's side
+        that is not an int, raises before any change."""
+        if not isinstance(move, get_args(KirbyMove)):
+            raise MoveError("unknown move %r" % (move,))
+        for name in move.__dataclass_fields__:  # a poke's sign is left to the editor's check
+            v = getattr(move, name)
+            if type(v) is not int and name != "side" and (type(move), name) != (Poke, "sign"):
+                raise MoveError("gadget unknot must be a component id, got %r" % (v,)
+                                if (type(move), name) == (GadgetSwitch, "unknot")
+                                else "%s must be an integer, got %r" % (name, v))
         ed = self.ed
         d = ed.d
         if isinstance(move, AddSplitUnknot):
-            ed.split_unknot(move.framing)
-            return intlattice._stabilize_rows, (move.framing,)
+            cid = ed.split_unknot(move.framing)
+            return intlattice._stabilize_rows, (cid, move.framing)
 
         if isinstance(move, Poke):
             ed.poke(move.over, move.under, move.sign)
@@ -253,48 +257,45 @@ class Replayer:
                                 % (move.unknot, ucomp.framing))
             if ed.xs_of[move.unknot]:
                 raise MoveError("slide target unknot %d is not split" % move.unknot)
-            return self._slide(ed.pos[move.component], ed.pos[move.unknot], move.s)
+            return self._slide(move.component, move.unknot, move.s)
 
         if isinstance(move, GadgetSwitch):
-            if not isinstance(move.unknot, int):  # the editor reads None as a fresh unknot
-                raise MoveError("gadget unknot must be a component id, got %r" % (move.unknot,))
-            owners = d._strand_owners(d.crossing(move.crossing))
+            x, y = d._strand_owners(d.crossing(move.crossing))
             rec = ed.gadget(move.crossing, move.side, move.unknot)
             # the switch moves lk(x, y) by eps*a*b; the unknot links the over
             # strand's component a times and the under strand's b times
             a, b = rec.passage_signs
-            ix, iy = (ed.pos[cid] for cid in owners)
-            iu = ed.pos[rec.unknot]
-            entries = [(iu, ix, a), (iu, iy, b)]
-            entries += [(ed.pos[c], ed.pos[c], v) for c, v in rec.framing_compensations.items()]
-            if ix != iy:
-                entries.append((ix, iy, rec.epsilon * a * b))
+            entries = [(rec.unknot, x, a), (rec.unknot, y, b)]
+            entries += [(c, c, v) for c, v in rec.framing_compensations.items()]
+            if x != y:
+                entries.append((x, y, rec.epsilon * a * b))
             return intlattice._add_rows, (entries,)
 
+        # the two positional moves: their indices name components once
+        comps = d.components
         if isinstance(move, MatrixSlide):
-            n = len(self.A)
-            if not (0 <= move.i < n and 0 <= move.j < n):
+            if not (0 <= move.i < len(comps) and 0 <= move.j < len(comps)):
                 raise MoveError("slide index out of range")
             if move.i == move.j:
                 raise MoveError("cannot slide a component over itself")
             if move.s not in (1, -1):
                 raise MoveError("slide sign must be +1 or -1")
-            return self._slide(move.i, move.j, move.s)
+            return self._slide(comps[move.i].id, comps[move.j].id, move.s)
 
-        if isinstance(move, BlowDownIndex):
-            if not 0 <= move.k < len(self.A):
-                raise MoveError("blow-down index out of range")
-            ed.blow_down(d.components[move.k].id)
-            return intlattice._blow_down_rows, (move.k,)
-
-        raise MoveError("unknown move %r" % (move,))
+        if not 0 <= move.k < len(comps):  # BlowDownIndex
+            raise MoveError("blow-down index out of range")
+        cid = comps[move.k].id
+        ed.blow_down(cid)
+        return intlattice._blow_down_rows, (cid,)
 
     def result(self) -> ReplayResult:
         """The replay so far, after one full check of the final diagram."""
-        final = linkdiag.linking_matrix(self.ed.d)
-        if final.entries != self.A:
+        linkdiag.require_valid(self.ed.d)
+        final = linkdiag._linking_rows(self.ed.d)
+        if list(final.items()) != list(self.A.items()):  # the rows and their order
             raise AssertionError("the final diagram's linking matrix %r differs from "
-                                 "the tracked matrix %r" % (final.entries, self.A))
+                                 "the tracked matrix %r"
+                                 % (_lattice(final).entries, _lattice(self.A).entries))
         return ReplayResult(final=self.ed.d,
                             matrix_trace=MatrixTrace(self.start, self.ops, final))
 
@@ -360,7 +361,7 @@ class EmbeddingCertificate:
         return MoveScript(initial=self.initial, moves=list(self.moves))
 
 
-MAX_FRAMING_FIXES = 2000  # framing-fix unknots of one certificate, while replay rows are dense
+MAX_FRAMING_FIXES = 2000  # framing-fix unknots per certificate: a budget against hostile framings
 
 
 def _sign_or_plus(x: int) -> int:
@@ -385,10 +386,9 @@ def build_embedding_certificate(d: FramedLinkDiagram,
                 "(crossings %r need switching); pass auto_unknotify=True"
                 % (sorted(switches),))
 
-    target_ids = d.component_ids()
-    A = linkdiag._linking_rows(d)   # d is valid: checked above, or built by unknotify
-    k = len(target_ids)
-    sublink = {cid: t for t, cid in enumerate(target_ids)}
+    A = _lattice(linkdiag._linking_rows(d)).entries  # d is valid: checked, or unknotify's
+    sublink = {cid: t for t, cid in enumerate(d.component_ids())}
+    k = len(sublink)
 
     # The initial unlink, in id order: one unknot per target component,
     # one gadget unknot per unit of linking, then the framing-fix
@@ -496,7 +496,7 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
     tgt_bad = linkdiag.validate_diagram(cert.target)
     if not tgt_bad:
         try:
-            Lt = linkdiag._linking_rows(cert.target)
+            Lt = _lattice(linkdiag._linking_rows(cert.target)).entries
         except DiagramError as e:
             tgt_bad = [str(e)]
     if tgt_bad:
@@ -509,12 +509,9 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
         return VerificationReport(checks)
     checks.append(CheckResult("script replays", True))
 
-    final = result.final
-    target_ids = cert.target.component_ids()
-    mapped = [cert.sublink.get(cid) for cid in target_ids]
-    where = {cid: t for t, cid in enumerate(final.component_ids())}
-    ok_map = (None not in mapped and len(set(mapped)) == len(mapped)
-              and all(x in where for x in mapped))
+    Lf = result.matrix_trace.final  # the final rows, keyed by component id
+    mapped = [cert.sublink.get(cid) for cid in cert.target.component_ids()]
+    ok_map = len(set(mapped)) == len(mapped) and all(x in Lf for x in mapped)
     checks.append(CheckResult(
         "sublink designates distinct final components", ok_map,
         "" if ok_map else "sublink map %r does not inject target components "
@@ -522,8 +519,7 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
     if not ok_map:
         return VerificationReport(checks)
 
-    Lf = result.matrix_trace[-1].entries
-    sub = [[Lf[where[a]][where[b]] for b in mapped] for a in mapped]
+    sub = [[Lf[a].get(b, 0) for b in mapped] for a in mapped]
     same = sub == Lt
     checks.append(CheckResult(
         "sublink linking matrix equals target", same,

@@ -264,12 +264,23 @@ def inertia(L: IntegralLattice) -> Inertia:
 # ---------------------------------------------------------------------------
 # the matrix rules of the Kirby moves, run only by calculus.Replayer
 #
-# Each rule rewrites the rows A in place and returns the entries it
-# changed, {(p, q): delta} with p <= q, in the positions before the
-# move; a removed row and column count as changed to zero.  A slide is
-# the basis change E^T A E, E = I + s*e_j e_i^T; a stabilization adds
+# The rows A are {key: {key': entry}}: the nonzero entries only, one row
+# per component in component order, keyed by component id.  Each rule
+# rewrites A in place and returns the entries it changed, {(p, q): delta}
+# with p <= q; a removed row and column count as changed to zero.  A slide
+# is the basis change E^T A E, E = I + s*e_j e_i^T; a stabilization adds
 # the block <eps>; a blow-down removes a +/-1 diagonal entry and pushes
 # its rank-one correction into the rest, keeping the cokernel.
+
+
+def _lattice(A) -> IntegralLattice:
+    """The rows A as a dense matrix, in the order of their keys."""
+    at = {key: t for t, key in enumerate(A)}
+    rows = [[0] * len(at) for _ in at]
+    for row, entries in zip(rows, A.values()):
+        for q, x in entries.items():
+            row[at[q]] = x
+    return IntegralLattice._trusted(rows)
 
 
 def _pair_sums(entries) -> dict[tuple[int, int], int]:
@@ -282,38 +293,32 @@ def _pair_sums(entries) -> dict[tuple[int, int], int]:
 
 
 def _add_rows(A, entries) -> dict[tuple[int, int], int]:
-    """Add each (p, q, delta) to A[p][q] and to A[q][p]."""
+    """Add each (p, q, delta) to A[p][q] and to A[q][p], keeping nonzeros."""
     changed = _pair_sums(entries)
     for (p, q), v in changed.items():
-        A[p][q] += v
-        if p != q:
-            A[q][p] += v
+        for a, b in {(p, q), (q, p)}:
+            A[a][b] = A[a].get(b, 0) + v
+            if not A[a][b]:
+                del A[a][b]
     return changed
 
 
 def _slide_rows(A, i, j, s):
-    entries = [(i, t, s * x) for t, x in enumerate(A[j]) if x and t != i]
-    return _add_rows(A, entries + [(i, i, 2 * s * A[i][j] + s * s * A[j][j])])
+    entries = [(i, t, s * x) for t, x in A[j].items() if t != i]
+    return _add_rows(A, entries + [(i, i, 2 * s * A[i].get(j, 0) + s * s * A[j].get(j, 0))])
 
 
-def _stabilize_rows(A, eps):
-    n = len(A)
-    for row in A:
-        row.append(0)
-    A.append([0] * n + [eps])
-    return {(n, n): eps}
+def _stabilize_rows(A, key, eps):
+    A[key] = {key: eps} if eps else {}
+    return {(key, key): eps}
 
 
 def _blow_down_rows(A, k):
-    eps = A[k][k]
-    v = [(t, x) for t, x in enumerate(A[k]) if x and t != k]
+    eps = A[k].get(k, 0)
+    v = [(t, x) for t, x in A[k].items() if t != k]
     changed = _add_rows(A, [(p, q, -eps * x * y) for a, (p, x) in enumerate(v)
-                            for q, y in v[a:]])
-    changed.update({(min(k, t), max(k, t)): -x for t, x in v})
-    changed[k, k] = -eps
-    del A[k]
-    for row in A:
-        del row[k]
+                            for q, y in v[a:]] + [(k, t, -x) for t, x in A[k].items()])
+    del A[k]  # every entry of row k was just subtracted
     return changed
 
 
@@ -449,13 +454,14 @@ def diagonalizable_over_Z(L: IntegralLattice, inert: Inertia | None = None):
     Those k vectors are orthonormal: |v.w| < 1 by Cauchy-Schwarz, and
     v.w is an integer.  They span a unimodular <1>^k, so L splits as
     <1>^k plus its orthogonal complement, of rank n - k and with no
-    norm-one vector.  So L is <1>^n exactly when k == n.  `inert` is L's
-    inertia, if the caller holds it.
+    norm-one vector.  So L is <1>^n exactly when k == n.  An even form
+    (every diagonal entry even) has v^T L v even for every v, so k = 0
+    there with no search.  `inert` is L's inertia, if the caller holds it.
     """
     inert = inert or inertia(L)
     if inert.positive < L.n:
         raise LatticeError("diagonalizability test needs a positive definite matrix")
     if inert.det != 1:
         raise LatticeError("diagonalizability test needs a unimodular matrix")
-    k = len(short_vectors(L, 1))
+    k = len(short_vectors(L, 1)) if any(r[t] % 2 for t, r in enumerate(L.entries)) else 0
     return k == L.n, k

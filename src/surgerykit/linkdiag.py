@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .intlattice import IntegralLattice
+from .intlattice import IntegralLattice, _lattice
 
 
 class DiagramError(ValueError):
@@ -240,40 +240,36 @@ def require_valid(d: FramedLinkDiagram) -> None:
 
 
 def linking_matrix(d: FramedLinkDiagram) -> IntegralLattice:
-    """Framings on the diagonal, pairwise linking numbers off it.
-
-    One walk over the crossings, then one write per crossing pair of
-    components: O(crossings + n^2) for n components, the n^2 only to
-    allocate the rows, after the O(crossings + arcs) validation.
-    """
+    """Framings on the diagonal, pairwise linking numbers off it: the
+    rows of `_linking_rows`, made dense, after the O(crossings + arcs)
+    validation; the n^2 for n components only allocates the rows."""
     require_valid(d)
-    return IntegralLattice._trusted(_linking_rows(d))
+    return _lattice(_linking_rows(d))
 
 
-def _linking_rows(d: FramedLinkDiagram) -> list[list[int]]:
-    """The rows of linking_matrix(d) for a diagram already validated."""
-    ids = d.component_ids()
-    n = len(ids)
-    pos = {cid: a for a, cid in enumerate(ids)}
+def _linking_rows(d: FramedLinkDiagram) -> dict[int, dict[int, int]]:
+    """The nonzero entries of linking_matrix(d), {id: {id': entry}} with the
+    rows in component order, for a diagram already validated: O(size)."""
     arcs = d.arcs
     # for a < b, twice[a, b] sums the signs of the crossings between
     # components a and b; a sum of k signs +/-1 has the parity of k
     twice: dict[tuple[int, int], int] = {}
     for c in d.crossings.values():
-        a = pos[arcs[c.over_in].owner]
-        b = pos[arcs[c.under_in].owner]
+        a = arcs[c.over_in].owner
+        b = arcs[c.under_in].owner
         if a != b:
             key = (a, b) if a < b else (b, a)
             twice[key] = twice.get(key, 0) + c.sign
-    odd = min((key for key, s in twice.items() if s % 2), default=None)
-    if odd is not None:
+    odd = [key for key, s in twice.items() if s % 2]
+    if odd:  # name the first odd pair in component order
+        pos = {c.id: t for t, c in enumerate(d.components)}
+        a, b = min(sorted((pos[a], pos[b])) for a, b in odd)
         raise DiagramError("components %d and %d share an odd number of crossings"
-                           % (ids[odd[0]], ids[odd[1]]))
-    rows = [[0] * n for _ in range(n)]
-    for a, comp in enumerate(d.components):
-        rows[a][a] = comp.framing
+                           % (d.components[a].id, d.components[b].id))
+    rows = {c.id: {c.id: c.framing} if c.framing else {} for c in d.components}
     for (a, b), s in twice.items():
-        rows[a][b] = rows[b][a] = s // 2
+        if s:
+            rows[a][b] = rows[b][a] = s // 2
     return rows
 
 

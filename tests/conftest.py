@@ -1,7 +1,7 @@
 import random
 
 from surgerykit import linkdiag
-from surgerykit.intlattice import IntegralLattice
+from surgerykit.intlattice import IntegralLattice, _lattice
 from surgerykit.linkdiag import DiagramError, FramedLinkDiagram
 
 
@@ -64,12 +64,18 @@ def quad(L, v):
     return sum(v[i] * L.entries[i][j] * v[j] for i in range(L.n) for j in range(L.n))
 
 
+def position_rows(L):
+    """The nonzero entries of L, as the matrix rules keep them, keyed by
+    position."""
+    return {p: {q: x for q, x in enumerate(row) if x} for p, row in enumerate(L.entries)}
+
+
 def moved(L, rule, *args):
     """L after one of intlattice's in-place matrix rules (_slide_rows,
-    _stabilize_rows, _blow_down_rows), run on a copy of its rows."""
-    A = [row[:] for row in L.entries]
+    _stabilize_rows, _blow_down_rows), run on its position rows."""
+    A = position_rows(L)
     rule(A, *args)
-    return IntegralLattice._trusted(A)
+    return _lattice(A)
 
 
 def blow_down_gadget(ed, rec):

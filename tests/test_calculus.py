@@ -145,7 +145,7 @@ def test_replay_gadget_switch_needs_a_component_id(unknot):
     d = catalog.unlink([1, 1, -1])
     rp = Replayer(d.copy())
     rp.apply(0, Poke(over=0, under=1, sign=1))
-    before, A = rp.ed.d.copy(), [row[:] for row in rp.A]
+    before, A = rp.ed.d.copy(), {k: dict(row) for k, row in rp.A.items()}
     with pytest.raises(MoveError, match=r"^move 1 \(GadgetSwitch\): gadget unknot must "
                                         r"be a component id, got %s$" % re.escape(repr(unknot))):
         rp.apply(1, GadgetSwitch(crossing=0, unknot=unknot, side=linkdiag.SIDE_BEFORE))
@@ -226,17 +226,70 @@ def test_replay_error_carries_step_index():
     (MatrixSlide(i=0, j=1, s=2), "slide sign must be +1 or -1"),
     (MatrixSlide(i=1, j=0, s=-2), "slide sign must be +1 or -1"),
     (BlowDownIndex(k=2), "blow-down index out of range"),
-    (BlowDownIndex(k=-1), "blow-down index out of range")])
+    (BlowDownIndex(k=-1), "blow-down index out of range"),
+    (SlideOverUnknot(component=0, unknot=1, s=2), "slide sign must be +1 or -1"),
+    (SlideOverUnknot(component=1, unknot=1, s=1), "cannot slide a component over itself")])
 def test_replay_guards_of_matrix_moves(move, message):
     # each guard names the move and fails before the diagram or the
     # matrix changes
     rp = Replayer(catalog.hopf_link((1, -1)))
     rp.apply(0, Poke(over=0, under=1, sign=1))
-    before, A = rp.ed.d.copy(), [row[:] for row in rp.A]
+    before, A = rp.ed.d.copy(), {k: dict(row) for k, row in rp.A.items()}
     with pytest.raises(MoveError, match=r"^move 1 \(%s\): %s$"
                        % (type(move).__name__, re.escape(message))):
         rp.apply(1, move)
     assert rp.ed.d == before and rp.A == A and not rp.ed.log
+
+
+@pytest.mark.parametrize("move, message", [
+    (BlowDownIndex(k=True), "k must be an integer, got True"),
+    (Poke(over=0.0, under=1, sign=1), "over must be an integer, got 0.0"),
+    (SlideOverUnknot(component=0, unknot=1.0, s=1), "unknot must be an integer, got 1.0"),
+    (MatrixSlide(i=0, j=1.0, s=1), "j must be an integer, got 1.0"),
+    (MatrixSlide(i=0, j=1, s=True), "s must be an integer, got True"),
+    (AddSplitUnknot(framing=2.0), "framing must be an integer, got 2.0"),
+    (GadgetSwitch(crossing="0", unknot=1, side="before"), "crossing must be an integer, got '0'")])
+def test_replay_refuses_move_fields_that_are_not_ints(move, message):
+    # a bool or float is not read as an index, id or sign: the move fails,
+    # naming its field, before the diagram or the matrix changes
+    rp = Replayer(catalog.unlink([1, -1]))
+    before, A = rp.ed.d.copy(), {k: dict(row) for k, row in rp.A.items()}
+    with pytest.raises(MoveError, match=r"^move 0 \(%s\): %s$"
+                       % (type(move).__name__, re.escape(message))):
+        rp.apply(0, move)
+    assert rp.ed.d == before and rp.A == A and not rp.ed.log
+
+
+@pytest.mark.parametrize("edit, final, tracked", [
+    (lambda d: setattr(d.components[0], "framing", 5), [[5, 0], [0, -1]], [[1, 0], [0, -1]]),
+    (lambda d: d.components.reverse(), [[-1, 0], [0, 1]], [[1, 0], [0, -1]])])
+def test_replay_result_catches_a_diagram_edited_behind_the_log(edit, final, tracked):
+    # a framing or the component order changed past the editor leaves the
+    # tracked rows stale; the final full check names both matrices
+    rp = Replayer(catalog.unlink([1, -1]))
+    rp.apply(0, Poke(over=0, under=1, sign=1))
+    edit(rp.ed.d)
+    with pytest.raises(AssertionError, match=re.escape(
+            "the final diagram's linking matrix %r differs from the tracked matrix %r"
+            % (final, tracked))):
+        rp.result()
+
+
+def test_replay_rows_hold_only_nonzero_entries():
+    # a certificate padded with 3,000 split unknots: each unknot costs one
+    # diagonal entry, each linked pair two, and nothing else is stored
+    cert = build_embedding_certificate(catalog.hopf_link((3, -4)))
+    ed = Editor(cert.initial)
+    for _ in range(3000):
+        ed.split_unknot(1)
+    rp = Replayer(cert.initial.copy())
+    for t, mv in enumerate(cert.moves):
+        rp.apply(t, mv)
+    comps = rp.ed.d.component_ids()
+    linked = sum(len(rp.ed.linking(c)) for c in comps)  # twice the linked pairs
+    assert sum(map(len, rp.A.values())) <= len(comps) + linked
+    assert len(comps) > 3000 and linked > 0
+    assert rp.result().matrix_trace.final == rp.A
 
 
 def test_replay_random_matrix_scripts_preserve_homology():
@@ -310,7 +363,7 @@ def test_wrong_matrix_rule_is_caught_at_its_move(kind, monkeypatch):
     def off_by_one(A, *args):
         changed = rule(A, *args)
         if runs_for(*args):
-            A[0][0] += 1
+            A[0][0] = A[0].get(0, 0) + 1
             changed[0, 0] = changed.get((0, 0), 0) + 1
         return changed
 

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from conftest import random_diagram
+from conftest import position_rows, random_diagram
 from surgerykit import catalog, cli, intlattice, jsonio, linkdiag
 from surgerykit.calculus import AddSplitUnknot
 from surgerykit.cli import main
@@ -67,6 +67,39 @@ def test_lattice_reports_diagonalizability(tmp_path, capsys):
     assert code == 0
     assert rep["result"]["unimodular"] is True
     assert rep["result"]["diagonalizable_over_Z"] is False
+
+
+def test_lattice_and_obstruction_text_output(tmp_path, capsys):
+    path = _write_matrix(tmp_path, e8_matrix())
+    assert main(["lattice", path]) == 0
+    assert "diag/Z     : False (split 0, residual rank 8)\n" in capsys.readouterr().out
+    assert main(["obstruction", path]) == 0
+    assert capsys.readouterr().out == ("positive definite : True\n"
+                                       "unimodular        : True\n"
+                                       "diagonalizable/Z  : False\n"
+                                       "verdict           : OBSTRUCTED\n")
+
+
+def test_even_forms_skip_the_norm_one_search(tmp_path, capsys):
+    # E8^6 after 400 seeded slides: every vector of an even form has even
+    # norm, so both commands answer without a short-vector search
+    L = e8_matrix()
+    for _ in range(5):
+        L = intlattice.direct_sum(L, e8_matrix())
+    rng = random.Random("p6")
+    A = position_rows(L)
+    for _ in range(400):
+        i, j = rng.sample(range(L.n), 2)
+        intlattice._slide_rows(A, i, j, rng.choice((1, -1)))
+    path = _write_matrix(tmp_path, intlattice._lattice(A))
+    start = time.perf_counter()
+    code, rep = _run_json(capsys, ["obstruction", path])
+    assert (code, rep["result"]["verdict"]) == (0, "OBSTRUCTED")
+    code, rep = _run_json(capsys, ["lattice", path])
+    assert code == 0 and rep["result"]["det"] == 1
+    assert (rep["result"]["diagonalizable_over_Z"], rep["result"]["diagonal_part"],
+            rep["result"]["residual_rank"]) == (False, 0, 48)
+    assert time.perf_counter() - start < 1.0
 
 
 # -- unknotify ---------------------------------------------------------------
@@ -167,6 +200,11 @@ def test_verify_tampered_certificate_exits_one(tmp_path, capsys):
     code, rep = _run_json(capsys, ["verify", cert_path])
     assert code == 1
     assert rep["result"]["verdict"] == "FAIL"
+    assert main(["verify", cert_path]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "FAIL  sublink linking matrix equals target -- sublink matrix [[4, 1], [1, 4]], "
+        "target matrix [[9, 1], [1, 4]]",
+        "verdict: FAIL"]
 
 
 def test_verify_non_certificate_move_exits_one(tmp_path, capsys):
@@ -225,7 +263,7 @@ def test_wrong_matrix_rule_is_internal_error_exit_three(tmp_path, capsys, monkey
 
     def off_by_one(A, i, j, s):
         changed = rule(A, i, j, s)
-        A[i][i] += 1
+        A[i][i] = A[i].get(i, 0) + 1
         changed[i, i] = changed.get((i, i), 0) + 1
         return changed
 

@@ -351,8 +351,8 @@ def test_slide_inverse_pair():
 
 def test_stabilize_blow_down_cancel():
     L = IntegralLattice([[3, 1], [1, -2]])
-    assert moved(moved(L, _stabilize_rows, 1), _blow_down_rows, 2) == L
-    assert moved(moved(L, _stabilize_rows, -1), _blow_down_rows, 2) == L
+    assert moved(moved(L, _stabilize_rows, 2, 1), _blow_down_rows, 2) == L
+    assert moved(moved(L, _stabilize_rows, 2, -1), _blow_down_rows, 2) == L
 
 
 def test_blow_down_preserves_cokernel():
@@ -379,7 +379,7 @@ def test_moves_preserve_cokernel():
         hs = homology_from_diagonal(snf_diagonal(Ls))
         assert (h0.rank, h0.torsion) == (hs.rank, hs.torsion)
         eps = rng.choice((1, -1))
-        hst = homology_from_diagonal(snf_diagonal(moved(L, _stabilize_rows, eps)))
+        hst = homology_from_diagonal(snf_diagonal(moved(L, _stabilize_rows, n, eps)))
         assert (h0.rank, h0.torsion) == (hst.rank, hst.torsion)
 
 

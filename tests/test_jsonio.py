@@ -364,6 +364,16 @@ def test_certificate_rejects_non_ascii_sublink_key():
         certificate_from_obj(obj)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("sublink", [[0, 0]], "sublink must be an object"),
+    ("moves", {"0": {"type": "poke"}}, "moves must be a list")])
+def test_certificate_rejects_a_sublink_or_moves_of_the_wrong_type(key, value, message):
+    obj = certificate_to_obj(build_embedding_certificate(catalog.unknot(1)))
+    obj[key] = value
+    with pytest.raises(FormatError, match="^%s$" % message):
+        certificate_from_obj(obj)
+
+
 def test_certificate_rejects_extra_keys():
     obj = certificate_to_obj(build_embedding_certificate(catalog.unknot(1)))
     obj["note"] = "hi"

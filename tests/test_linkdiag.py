@@ -612,3 +612,18 @@ def test_poke_preserves_linking():
     assert linking_matrix(d2) == linking_matrix(d)
     assert d2.crossings[c_main].sign == -1
     assert d2.crossings[c_mate].sign == 1
+
+
+def test_anchor_of_a_component_without_basepoint():
+    # with arcs, the anchor is the smallest of them and no basepoint is
+    # set; with none, a fresh arc becomes the basepoint
+    d = catalog.hopf_link()
+    d.components[1].basepoint = None
+    ed = Editor(d)
+    arcs = {a for a, arc in d.arcs.items() if arc.owner == 1}
+    assert ed.anchor(1) == min(arcs) and d.components[1].basepoint is None
+    d = FramedLinkDiagram(components=[Component(0, 1)])
+    ed = Editor(d)
+    aid = ed.anchor(0)
+    assert d.components[0].basepoint == aid and d.arcs == {aid: Arc(0, aid)}
+    assert validate_diagram(d) == []
