@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import time
 import pytest
 
 from conftest import position_rows, random_diagram
-from surgerykit import catalog, cli, intlattice, jsonio, linkdiag
+from surgerykit import calculus, catalog, cli, intlattice, jsonio, linkdiag
 from surgerykit.calculus import AddSplitUnknot
 from surgerykit.cli import main
 from surgerykit.intlattice import IntegralLattice, e8_matrix
@@ -583,6 +584,98 @@ def test_cached_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
     assert shared == fresh
     assert [o[0] for o in shared] == [0] * 8 + [2, 2, 2, 0, 0]
     assert shared[0][3] is not None and shared[1][3] is None
+
+
+# -- golden text reports and help --------------------------------------------
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json")
+
+# every command in text mode, in the working directory; -o writes out.json
+GOLDEN_ARGVS = [
+    ["invariants", "chain.json"],
+    ["lattice", "e8.json"], ["lattice", "form.json"], ["lattice", "unimodular.json"],
+    ["obstruction", "hyperbolic.json"], ["obstruction", "hopf.json"],
+    ["obstruction", "e8.json"], ["obstruction", "unimodular.json"],
+    ["unknotify", "knot.json"], ["unknotify", "knot.json", "-o", "out.json"],
+    ["unknotify", "chain.json", "--unlink", "--order", "2,1,0"],
+    ["certify-embedding", "hopf.json"],
+    ["certify-embedding", "hopf.json", "-o", "out.json", "--pad-positive"],
+    ["certify-embedding", "knot.json", "--auto-unknotify"],
+    ["certify-embedding", "knot.json"],
+    ["verify", "cert.json"], ["verify", "bad-cert.json"],
+    ["word", "[[0, 1], [1, 1], [0, -1]]"], ["word", "word.json"], ["word", "[]"],
+    ["lattice", "missing.json"],
+]
+
+
+def golden_outcomes(readouterr) -> dict:
+    """Exit code, stdout, stderr and -o file of each golden command, run
+    in the working directory on inputs written there from the catalog;
+    `readouterr()` returns and clears what the command printed."""
+    for name, d in (("knot.json", catalog.trefoil(-1)), ("hopf.json", catalog.hopf_link((4, 4))),
+                    ("chain.json", catalog.chain_link([2, -3, 5]))):
+        jsonio.save_path(name, jsonio.diagram_to_obj(d))
+    for name, L in (("e8.json", e8_matrix()), ("form.json", IntegralLattice.diagonal([2, 3])),
+                    ("unimodular.json", IntegralLattice([[1, 1], [1, 2]])),
+                    ("hyperbolic.json", IntegralLattice([[0, 1], [1, 0]]))):
+        jsonio.save_path(name, jsonio.lattice_to_obj(L))
+    cert = jsonio.certificate_to_obj(
+        calculus.build_embedding_certificate(catalog.hopf_link((4, 4))))
+    jsonio.save_path("cert.json", cert)
+    cert["target"]["components"][0]["framing"] = 9
+    jsonio.save_path("bad-cert.json", cert)
+    with open("word.json", "w") as fh:
+        fh.write("[[0, 1], [0, -1]]")
+    outcomes = {}
+    for argv in GOLDEN_ARGVS:
+        if os.path.exists("out.json"):
+            os.remove("out.json")
+        code = main(argv)
+        stdout, stderr = readouterr()
+        written = None
+        if os.path.exists("out.json"):
+            with open("out.json") as fh:
+                written = fh.read()
+        outcomes[" ".join(argv)] = {"code": code, "stdout": stdout, "stderr": stderr,
+                                    "written": written}
+    return outcomes
+
+
+def _golden() -> dict:
+    with open(GOLDEN) as fh:
+        return json.load(fh)
+
+
+def test_text_reports_match_the_golden_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    want = _golden()["outcomes"]
+    got = golden_outcomes(capsys.readouterr)
+    assert list(got) == list(want)
+    for argv in want:
+        assert got[argv] == want[argv], argv
+
+
+def _help(parse, argv, capsys) -> str:
+    with pytest.raises(SystemExit) as e:
+        parse(argv)
+    assert e.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_matches_the_recorded_parser(capsys):
+    # the golden file records each subcommand's help and arguments in
+    # order; a parser built from that record prints the help the real
+    # one must print, in the running Python's argparse layout
+    spec = _golden()["parser"]
+    ref = argparse.ArgumentParser(prog=spec["prog"], description=spec["description"])
+    sub = ref.add_subparsers(dest="command")
+    for cmd in spec["commands"]:
+        p = sub.add_parser(cmd["name"], help=cmd["help"])
+        for arg in cmd["arguments"]:
+            p.add_argument(*arg["flags"], help=arg["help"],
+                           action="store_true" if arg["store_true"] else "store")
+    for argv in [["--help"]] + [[cmd["name"], "--help"] for cmd in spec["commands"]]:
+        assert _help(main, argv, capsys) == _help(ref.parse_args, argv, capsys), argv
 
 
 # -- no runtime dependencies -------------------------------------------------
