@@ -460,27 +460,27 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
     are report entries, never exceptions."""
     checks: list[CheckResult] = []
 
+    def check(name: str, detail: str = "") -> bool:
+        """Record one check, which passes iff `detail` is empty."""
+        checks.append(CheckResult(name, not detail, detail))
+        return not detail
+
     bad = linkdiag.validate_diagram(cert.initial)
-    unlink = not bad and not cert.initial.crossings and all(
-        c.framing in (1, -1) for c in cert.initial.components)
-    detail = "; ".join(bad) if bad else (
-        "" if unlink else "initial diagram is not a +/-1-framed zero-crossing unlink")
-    checks.append(CheckResult("initial is a +/-1-framed unlink", unlink, detail))
+    if not bad and (cert.initial.crossings or any(
+            c.framing not in (1, -1) for c in cert.initial.components)):
+        bad = ["initial diagram is not a +/-1-framed zero-crossing unlink"]
+    unlink = check("initial is a +/-1-framed unlink", "; ".join(bad))
 
     m = sum(1 for c in cert.initial.components if c.framing == 1)
     n = sum(1 for c in cert.initial.components if c.framing == -1)
-    checks.append(CheckResult(
-        "declared m, n match initial framings",
-        (m, n) == (cert.m, cert.n),
-        "initial has m=%d, n=%d; certificate declares m=%d, n=%d" % (m, n, cert.m, cert.n)
-        if (m, n) != (cert.m, cert.n) else ""))
+    check("declared m, n match initial framings",
+          "" if (m, n) == (cert.m, cert.n) else
+          "initial has m=%d, n=%d; certificate declares m=%d, n=%d" % (m, n, cert.m, cert.n))
 
     gadget_count = sum(1 for mv in cert.moves if isinstance(mv, GadgetSwitch))
-    checks.append(CheckResult(
-        "declared p matches gadget switches",
-        gadget_count == cert.p,
-        "script has %d gadget switches, certificate declares p=%d"
-        % (gadget_count, cert.p) if gadget_count != cert.p else ""))
+    check("declared p matches gadget switches",
+          "" if gadget_count == cert.p else
+          "script has %d gadget switches, certificate declares p=%d" % (gadget_count, cert.p))
 
     if not unlink:
         return VerificationReport(checks)
@@ -489,8 +489,8 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
     # the script witnesses, so it fails before anything is replayed
     for t, mv in enumerate(cert.moves):
         if not isinstance(mv, (Poke, GadgetSwitch, SlideOverUnknot)):
-            checks.append(CheckResult("script replays", False, "move %d (%s) is not a "
-                                      "certificate move" % (t, type(mv).__name__)))
+            check("script replays", "move %d (%s) is not a certificate move"
+                  % (t, type(mv).__name__))
             return VerificationReport(checks)
     # a malformed target fails before the replay, which cannot mend it
     tgt_bad = linkdiag.validate_diagram(cert.target)
@@ -500,30 +500,28 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
         except DiagramError as e:
             tgt_bad = [str(e)]
     if tgt_bad:
-        checks.append(CheckResult("target diagram valid", False, "; ".join(tgt_bad)))
+        check("target diagram valid", "; ".join(tgt_bad))
         return VerificationReport(checks)
     try:
         result = replay(cert.script)
     except MoveError as e:
-        checks.append(CheckResult("script replays", False, str(e)))
+        check("script replays", str(e))
         return VerificationReport(checks)
-    checks.append(CheckResult("script replays", True))
+    check("script replays")
 
     Lf = result.matrix_trace.final  # the final rows, keyed by component id
-    mapped = [cert.sublink.get(cid) for cid in cert.target.component_ids()]
-    ok_map = len(set(mapped)) == len(mapped) and all(x in Lf for x in mapped)
-    checks.append(CheckResult(
-        "sublink designates distinct final components", ok_map,
-        "" if ok_map else "sublink map %r does not inject target components "
-        "into the final diagram" % (cert.sublink,)))
-    if not ok_map:
+    ids = cert.target.component_ids()
+    mapped = [cert.sublink.get(cid) for cid in ids]
+    ok_map = (cert.sublink.keys() == set(ids) and len(set(mapped)) == len(mapped)
+              and all(x in Lf for x in mapped))
+    if not check("sublink designates distinct final components",
+                 "" if ok_map else "sublink map %r does not inject target components "
+                 "into the final diagram" % (cert.sublink,)):
         return VerificationReport(checks)
 
     sub = [[Lf[a].get(b, 0) for b in mapped] for a in mapped]
-    same = sub == Lt
-    checks.append(CheckResult(
-        "sublink linking matrix equals target", same,
-        "" if same else "sublink matrix %r, target matrix %r" % (sub, Lt)))
+    check("sublink linking matrix equals target",
+          "" if sub == Lt else "sublink matrix %r, target matrix %r" % (sub, Lt))
     return VerificationReport(checks)
 
 
@@ -541,14 +539,16 @@ class ObstructionReport:
     residual_rank: int | None = None
 
 
-def donaldson_obstruction(L: IntegralLattice) -> ObstructionReport:
+def donaldson_obstruction(L: IntegralLattice,
+                          inert: intlattice.Inertia | None = None) -> ObstructionReport:
     """Does the presented homology sphere fail to embed separatingly in
     any negative blow-up of the product over the sphere?
 
     OBSTRUCTED iff the form is positive definite, unimodular, and not
-    diagonalizable over the integers.
+    diagonalizable over the integers.  `inert`, if given, is L's inertia.
     """
-    inert = intlattice.inertia(L)
+    if inert is None:
+        inert = intlattice.inertia(L)
     posdef, unimod = inert.positive == L.n, abs(inert.det) == 1
     if not (posdef and unimod):
         return ObstructionReport(positive_definite=posdef, unimodular=unimod,

@@ -33,10 +33,19 @@ def _load_matrix_or_link(args) -> IntegralLattice:
     return linkdiag.linking_matrix(d)
 
 
+def _fields(*pairs) -> str:
+    """`label : value` lines, each label padded to the longest label
+    present; a pair whose value is None is left out."""
+    pairs = [(label, value) for label, value in pairs if value is not None]
+    width = max(len(label) for label, _ in pairs)
+    return "".join("%-*s : %s\n" % (width, label, value) for label, value in pairs)
+
+
 def _lattice_report(L: IntegralLattice) -> dict:
     inert = intlattice.inertia(L)
     diag = intlattice.snf_diagonal(L, inert)
     hom = intlattice.homology_from_diagonal(diag)
+    ob = calculus.donaldson_obstruction(L, inert)
     out = {
         "n": L.n,
         "det": jsonio.encode_int(inert.det),
@@ -46,28 +55,25 @@ def _lattice_report(L: IntegralLattice) -> dict:
         "homology": {"rank": hom.rank,
                      "torsion": [jsonio.encode_int(t) for t in hom.torsion],
                      "pretty": str(hom)},
-        "unimodular": abs(inert.det) == 1,
+        "unimodular": ob.unimodular,
     }
-    if inert.positive == L.n and abs(inert.det) == 1:
-        ok, count = intlattice.diagonalizable_over_Z(L, inert)
-        out["diagonalizable_over_Z"] = ok
-        out["diagonal_part"] = count
-        out["residual_rank"] = L.n - count
+    if ob.diagonalizable is not None:
+        out["diagonalizable_over_Z"] = ob.diagonalizable
+        out["diagonal_part"] = ob.diagonal_part
+        out["residual_rank"] = ob.residual_rank
     return out
 
 
-def _print_lattice_report(rep: dict) -> None:
-    print("rank       : %d" % rep["n"])
-    print("det        : %s" % rep["det"])
+def _lattice_text(rep: dict) -> str:
     i = rep["inertia"]
-    print("inertia    : (%d, %d, %d)" % (i["positive"], i["zero"], i["negative"]))
-    print("SNF diag   : %s" % rep["snf_diagonal"])
-    print("H1         : %s" % rep["homology"]["pretty"])
-    print("unimodular : %s" % rep["unimodular"])
+    diag_z = None
     if "diagonalizable_over_Z" in rep:
-        print("diag/Z     : %s (split %d, residual rank %d)"
-              % (rep["diagonalizable_over_Z"], rep["diagonal_part"],
-                 rep["residual_rank"]))
+        diag_z = "%s (split %d, residual rank %d)" % (
+            rep["diagonalizable_over_Z"], rep["diagonal_part"], rep["residual_rank"])
+    return _fields(("rank", rep["n"]), ("det", rep["det"]),
+                   ("inertia", "(%d, %d, %d)" % (i["positive"], i["zero"], i["negative"])),
+                   ("SNF diag", rep["snf_diagonal"]), ("H1", rep["homology"]["pretty"]),
+                   ("unimodular", rep["unimodular"]), ("diag/Z", diag_z))
 
 
 def _parse_order(text: str | None):
@@ -79,125 +85,78 @@ def _parse_order(text: str | None):
         raise FormatError("--order expects a comma-separated list of component ids")
 
 
-def _emit(args, report: dict, text_printer) -> None:
-    if args.json:
-        print(jsonio.dumps(report), end="")
-    else:
-        text_printer()
+def _output(args, rep: dict, key: str, obj, *pairs) -> str:
+    """Write `obj` to the -o file, or carry it inline in the report under
+    `key`; the text report is `pairs`, then the path written or `obj`."""
+    rep["output"] = args.output
+    if args.output:
+        jsonio.save_path(args.output, obj)
+        return _fields(*pairs, ("written", args.output))
+    rep[key] = obj
+    return _fields(*pairs) + ("" if args.json else jsonio.dumps(obj))  # --json dumps it once
 
 
-def cmd_invariants(args) -> int:
-    d = _load_link(args)
-    L = linkdiag.linking_matrix(d)
+# Each command returns (exit code, result, text report); main prints one.
+
+def cmd_invariants(args):
+    L = linkdiag.linking_matrix(_load_link(args))
     rep = _lattice_report(L)
     rep["linking_matrix"] = jsonio.lattice_to_obj(L)
-    _emit(args, _report(args, rep), lambda: _print_lattice_report(rep))
-    return 0
+    return 0, rep, _lattice_text(rep)
 
 
-def cmd_lattice(args) -> int:
-    L = jsonio.lattice_from_obj(jsonio.load_path(args.matrix, args._inputs))
-    rep = _lattice_report(L)
-    _emit(args, _report(args, rep), lambda: _print_lattice_report(rep))
-    return 0
+def cmd_lattice(args):
+    rep = _lattice_report(jsonio.lattice_from_obj(jsonio.load_path(args.matrix, args._inputs)))
+    return 0, rep, _lattice_text(rep)
 
 
-def cmd_unknotify(args) -> int:
-    d = _load_link(args)
-    res = calculus.unknotify(d, component_order=_parse_order(args.order),
+def cmd_unknotify(args):
+    res = calculus.unknotify(_load_link(args), component_order=_parse_order(args.order),
                              unlink=args.unlink)
-    obj = jsonio.diagram_to_obj(res.diagram)
-    if args.output:
-        jsonio.save_path(args.output, obj)
-    rep = {
-        "p": res.p,
-        "gadget_unknots": [g.unknot for g in res.gadgets],
-        "output": args.output,
-    }
-    if not args.output:
-        rep["link"] = obj
-
-    def text():
-        print("crossing changes (p) : %d" % res.p)
-        print("gadget unknots       : %s" % rep["gadget_unknots"])
-        if args.output:
-            print("written              : %s" % args.output)
-        else:
-            print(jsonio.dumps(obj), end="")
-
-    _emit(args, _report(args, rep), text)
-    return 0
+    rep = {"p": res.p, "gadget_unknots": [g.unknot for g in res.gadgets]}
+    return 0, rep, _output(args, rep, "link", jsonio.diagram_to_obj(res.diagram),
+                           ("crossing changes (p)", res.p),
+                           ("gadget unknots", rep["gadget_unknots"]))
 
 
-def cmd_certify_embedding(args) -> int:
-    d = _load_link(args)
+def cmd_certify_embedding(args):
     cert = calculus.build_embedding_certificate(
-        d, auto_unknotify=args.auto_unknotify, pad_positive=args.pad_positive)
-    obj = jsonio.certificate_to_obj(cert)
-    if args.output:
-        jsonio.save_path(args.output, obj)
-    rep = {"m": cert.m, "n": cert.n, "p": cert.p,
-           "moves": len(cert.moves), "output": args.output}
-    if not args.output:
-        rep["certificate"] = obj
-
-    def text():
-        print("m (+1 handles) : %d" % cert.m)
-        print("n (-1 handles) : %d" % cert.n)
-        print("p (crossings)  : %d" % cert.p)
-        print("moves          : %d" % len(cert.moves))
-        if args.output:
-            print("written        : %s" % args.output)
-        else:
-            print(jsonio.dumps(obj), end="")
-
-    _emit(args, _report(args, rep), text)
-    return 0
+        _load_link(args), auto_unknotify=args.auto_unknotify, pad_positive=args.pad_positive)
+    rep = {"m": cert.m, "n": cert.n, "p": cert.p, "moves": len(cert.moves)}
+    return 0, rep, _output(args, rep, "certificate", jsonio.certificate_to_obj(cert),
+                           ("m (+1 handles)", cert.m), ("n (-1 handles)", cert.n),
+                           ("p (crossings)", cert.p), ("moves", len(cert.moves)))
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     cert = jsonio.certificate_from_obj(jsonio.load_path(args.certificate, args._inputs))
     report = calculus.verify_certificate(cert)
+    verdict = "PASS" if report.passed else "FAIL"
+    rep = {"verdict": verdict, "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
+                                          for c in report.checks]}
+    text = "".join("%s  %s%s\n" % ("PASS" if c.ok else "FAIL", c.name,
+                                   c.detail and " -- " + c.detail) for c in report.checks)
+    return 0 if report.passed else 1, rep, text + "verdict: %s\n" % verdict
+
+
+def cmd_obstruction(args):
+    ob = calculus.donaldson_obstruction(_load_matrix_or_link(args))
     rep = {
-        "verdict": "PASS" if report.passed else "FAIL",
-        "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
-                   for c in report.checks],
+        "positive_definite": ob.positive_definite,
+        "unimodular": ob.unimodular,
+        "diagonalizable_over_Z": ob.diagonalizable,
+        "verdict": ob.verdict,
     }
-
-    def text():
-        for c in report.checks:
-            line = "%s  %s" % ("PASS" if c.ok else "FAIL", c.name)
-            if c.detail:
-                line += " -- " + c.detail
-            print(line)
-        print("verdict: %s" % rep["verdict"])
-
-    _emit(args, _report(args, rep), text)
-    return 0 if report.passed else 1
+    return 0, rep, _fields(("positive definite", ob.positive_definite),
+                           ("unimodular", ob.unimodular),
+                           ("diagonalizable/Z", ob.diagonalizable), ("verdict", ob.verdict))
 
 
-def cmd_obstruction(args) -> int:
-    L = _load_matrix_or_link(args)
-    rep_obj = calculus.donaldson_obstruction(L)
-    rep = {
-        "positive_definite": rep_obj.positive_definite,
-        "unimodular": rep_obj.unimodular,
-        "diagonalizable_over_Z": rep_obj.diagonalizable,
-        "verdict": rep_obj.verdict,
-    }
-
-    def text():
-        print("positive definite : %s" % rep_obj.positive_definite)
-        print("unimodular        : %s" % rep_obj.unimodular)
-        if rep_obj.diagonalizable is not None:
-            print("diagonalizable/Z  : %s" % rep_obj.diagonalizable)
-        print("verdict           : %s" % rep_obj.verdict)
-
-    _emit(args, _report(args, rep), text)
-    return 0
+def _word_text(w) -> str:
+    return " ".join("a%d%s" % (g, "" if e == 1 else "^-1") for g, e in w) or "1"
 
 
-def cmd_word(args) -> int:
+def cmd_word(args):
     if os.path.exists(args.intersections):
         obj = jsonio.load_path(args.intersections, args._inputs)
     else:
@@ -225,20 +184,9 @@ def cmd_word(args) -> int:
         "cyclically_reduced": [[g, e] for g, e in red.cyclically_reduced],
         "trivial": red.trivial,
     }
-
-    def fmt(w):
-        if not w:
-            return "1"
-        return " ".join("a%d%s" % (g, "" if e == 1 else "^-1") for g, e in w)
-
-    def text():
-        print("word               : %s" % fmt(word))
-        print("reduced            : %s" % fmt(red.reduced))
-        print("cyclically reduced : %s" % fmt(red.cyclically_reduced))
-        print("trivial            : %s" % red.trivial)
-
-    _emit(args, _report(args, rep), text)
-    return 0
+    return 0, rep, _fields(("word", _word_text(word)), ("reduced", _word_text(red.reduced)),
+                           ("cyclically reduced", _word_text(red.cyclically_reduced)),
+                           ("trivial", red.trivial))
 
 
 def _report(args, result: dict) -> dict:
@@ -250,69 +198,46 @@ def _report(args, result: dict) -> dict:
     }
 
 
+# name, handler, help, positional argument, options in help order (--json
+# follows them): flags, help, argparse action (None stores a value)
+_COMMANDS = [
+    ("invariants", cmd_invariants, "linking matrix invariants of a link file", "link", []),
+    ("lattice", cmd_lattice, "invariants of a symmetric matrix file", "matrix", []),
+    ("unknotify", cmd_unknotify,
+     "switch crossings via blow-up gadgets until every component is an unknot", "link",
+     [(("-o", "--output"), "write the rewritten link here", None),
+      (("--order",), "comma-separated component order for the descending traversal", None),
+      (("--unlink",), "make the whole link an unlink, not just each component an unknot",
+       "store_true")]),
+    ("certify-embedding", cmd_certify_embedding,
+     "build an embedding certificate for a link of unknots", "link",
+     [(("-o", "--output"), "write the certificate here", None),
+      (("--pad-positive",), "force m > 0 and n > 0 by adding a canceling +1/-1 pair",
+       "store_true"),
+      (("--auto-unknotify",), "run unknotify first if components are not descending",
+       "store_true")]),
+    ("verify", cmd_verify, "replay and audit an embedding certificate", "certificate", []),
+    ("obstruction", cmd_obstruction,
+     "lattice obstruction verdict for a link or matrix file", "input", []),
+    ("word", cmd_word,
+     "reduce the free-group word of an intersection sequence (JSON file or inline list)",
+     "intersections", []),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="surgerykit",
         description="Surgery presentations, Kirby-move certificates and "
                     "integer-lattice obstructions.")
     sub = ap.add_subparsers(dest="command")
-
-    def common(p):
-        p.add_argument("--json", action="store_true",
-                       help="emit a machine-readable JSON report")
-
-    p = sub.add_parser("invariants", help="linking matrix invariants of a link file")
-    p.add_argument("link")
-    common(p)
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("lattice", help="invariants of a symmetric matrix file")
-    p.add_argument("matrix")
-    common(p)
-    p.set_defaults(func=cmd_lattice)
-
-    p = sub.add_parser("unknotify",
-                       help="switch crossings via blow-up gadgets until every "
-                            "component is an unknot")
-    p.add_argument("link")
-    p.add_argument("-o", "--output", help="write the rewritten link here")
-    p.add_argument("--order", help="comma-separated component order for the "
-                                   "descending traversal")
-    p.add_argument("--unlink", action="store_true",
-                   help="make the whole link an unlink, not just each component "
-                        "an unknot")
-    common(p)
-    p.set_defaults(func=cmd_unknotify)
-
-    p = sub.add_parser("certify-embedding",
-                       help="build an embedding certificate for a link of unknots")
-    p.add_argument("link")
-    p.add_argument("-o", "--output", help="write the certificate here")
-    p.add_argument("--pad-positive", action="store_true",
-                   help="force m > 0 and n > 0 by adding a canceling +1/-1 pair")
-    p.add_argument("--auto-unknotify", action="store_true",
-                   help="run unknotify first if components are not descending")
-    common(p)
-    p.set_defaults(func=cmd_certify_embedding)
-
-    p = sub.add_parser("verify", help="replay and audit an embedding certificate")
-    p.add_argument("certificate")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("obstruction",
-                       help="lattice obstruction verdict for a link or matrix file")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=cmd_obstruction)
-
-    p = sub.add_parser("word",
-                       help="reduce the free-group word of an intersection "
-                            "sequence (JSON file or inline list)")
-    p.add_argument("intersections")
-    common(p)
-    p.set_defaults(func=cmd_word)
-
+    for name, func, help_text, positional, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(positional)
+        for flags, option_help, action in options + [
+                (("--json",), "emit a machine-readable JSON report", "store_true")]:
+            p.add_argument(*flags, help=option_help, action=action)
+        p.set_defaults(func=func)
     return ap
 
 
@@ -326,11 +251,11 @@ def main(argv=None) -> int:
     args._t0 = time.monotonic()
     args._inputs = {}  # path -> sha256 of the bytes read there
     try:
-        return args.func(args)
-    except FormatError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except (linkdiag.DiagramError, intlattice.LatticeError, calculus.MoveError) as e:
+        code, result, text = args.func(args)
+        print(jsonio.dumps(_report(args, result)) if args.json else text, end="")
+        return code
+    except (FormatError, linkdiag.DiagramError, intlattice.LatticeError,
+            calculus.MoveError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except Exception as e:  # a fault of the program, not of the input

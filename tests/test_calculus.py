@@ -783,6 +783,11 @@ VERIFY_FAILURES = {
         lambda c: setattr(c, "sublink", {0: 0, 1: 0}),
         "sublink designates distinct final components",
         "sublink map {0: 0, 1: 0} does not inject target components into the final diagram"),
+    "sublink key not a target id": (
+        lambda c: c.sublink.update({7: 0}),
+        "sublink designates distinct final components",
+        "sublink map {0: 0, 1: 1, 7: 0} does not inject target components into the final "
+        "diagram"),
 }
 
 

@@ -239,6 +239,21 @@ def test_verify_unknown_switch_crossing_exits_one(tmp_path, capsys):
         ("script replays", "move 1 (GadgetSwitch): unknown crossing id 99")]
 
 
+def test_verify_sublink_key_that_is_no_target_id_exits_one(tmp_path, capsys):
+    path = _write_link(tmp_path, catalog.hopf_link((1, -1)))
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify-embedding", path, "-o", cert_path]) == 0
+    capsys.readouterr()
+    obj = jsonio.load_path(cert_path)
+    obj["sublink"]["7"] = 0
+    jsonio.save_path(cert_path, obj)
+    assert main(["verify", cert_path]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "FAIL  sublink designates distinct final components -- sublink map "
+        "{0: 0, 1: 1, 7: 0} does not inject target components into the final diagram",
+        "verdict: FAIL"]
+
+
 @pytest.mark.parametrize("side", [["before"], True, 5, None, {}])
 def test_verify_non_string_side_is_exit_two(tmp_path, capsys, side):
     path = _write_link(tmp_path, catalog.hopf_link())
