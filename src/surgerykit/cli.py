@@ -85,29 +85,30 @@ def _parse_order(text: str | None):
         raise FormatError("--order expects a comma-separated list of component ids")
 
 
-def _output(args, rep: dict, key: str, obj, *pairs) -> str:
+def _output(args, rep: dict, key: str, obj, *pairs):
     """Write `obj` to the -o file, or carry it inline in the report under
     `key`; the text report is `pairs`, then the path written or `obj`."""
     rep["output"] = args.output
     if args.output:
         jsonio.save_path(args.output, obj)
-        return _fields(*pairs, ("written", args.output))
+        return lambda: _fields(*pairs, ("written", args.output))
     rep[key] = obj
-    return _fields(*pairs) + ("" if args.json else jsonio.dumps(obj))  # --json dumps it once
+    return lambda: _fields(*pairs) + jsonio.dumps(obj)
 
 
-# Each command returns (exit code, result, text report); main prints one.
+# Each command returns (exit code, result, text report), the text as a
+# function: main prints the result under --json, and only else builds the text.
 
 def cmd_invariants(args):
     L = linkdiag.linking_matrix(_load_link(args))
     rep = _lattice_report(L)
     rep["linking_matrix"] = jsonio.lattice_to_obj(L)
-    return 0, rep, _lattice_text(rep)
+    return 0, rep, lambda: _lattice_text(rep)
 
 
 def cmd_lattice(args):
     rep = _lattice_report(jsonio.lattice_from_obj(jsonio.load_path(args.matrix, args._inputs)))
-    return 0, rep, _lattice_text(rep)
+    return 0, rep, lambda: _lattice_text(rep)
 
 
 def cmd_unknotify(args):
@@ -134,9 +135,9 @@ def cmd_verify(args):
     verdict = "PASS" if report.passed else "FAIL"
     rep = {"verdict": verdict, "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
                                           for c in report.checks]}
-    text = "".join("%s  %s%s\n" % ("PASS" if c.ok else "FAIL", c.name,
-                                   c.detail and " -- " + c.detail) for c in report.checks)
-    return 0 if report.passed else 1, rep, text + "verdict: %s\n" % verdict
+    return 0 if report.passed else 1, rep, lambda: "".join(
+        "%s  %s%s\n" % ("PASS" if c.ok else "FAIL", c.name, c.detail and " -- " + c.detail)
+        for c in report.checks) + "verdict: %s\n" % verdict
 
 
 def cmd_obstruction(args):
@@ -147,9 +148,9 @@ def cmd_obstruction(args):
         "diagonalizable_over_Z": ob.diagonalizable,
         "verdict": ob.verdict,
     }
-    return 0, rep, _fields(("positive definite", ob.positive_definite),
-                           ("unimodular", ob.unimodular),
-                           ("diagonalizable/Z", ob.diagonalizable), ("verdict", ob.verdict))
+    return 0, rep, lambda: _fields(
+        ("positive definite", ob.positive_definite), ("unimodular", ob.unimodular),
+        ("diagonalizable/Z", ob.diagonalizable), ("verdict", ob.verdict))
 
 
 def _word_text(w) -> str:
@@ -184,9 +185,9 @@ def cmd_word(args):
         "cyclically_reduced": [[g, e] for g, e in red.cyclically_reduced],
         "trivial": red.trivial,
     }
-    return 0, rep, _fields(("word", _word_text(word)), ("reduced", _word_text(red.reduced)),
-                           ("cyclically reduced", _word_text(red.cyclically_reduced)),
-                           ("trivial", red.trivial))
+    return 0, rep, lambda: _fields(
+        ("word", _word_text(word)), ("reduced", _word_text(red.reduced)),
+        ("cyclically reduced", _word_text(red.cyclically_reduced)), ("trivial", red.trivial))
 
 
 def _report(args, result: dict) -> dict:
@@ -252,7 +253,7 @@ def main(argv=None) -> int:
     args._inputs = {}  # path -> sha256 of the bytes read there
     try:
         code, result, text = args.func(args)
-        print(jsonio.dumps(_report(args, result)) if args.json else text, end="")
+        print(jsonio.dumps(_report(args, result)) if args.json else text(), end="")
         return code
     except (FormatError, linkdiag.DiagramError, intlattice.LatticeError,
             calculus.MoveError) as e:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from operator import mul
 
 
@@ -344,8 +345,8 @@ def e8_matrix() -> IntegralLattice:
 # short vectors (Fincke-Pohst)
 
 
-def _lll(G):
-    """Exact integral LLL with delta = 3/4 on a Gram matrix G (Cohen,
+def _lll(G, delta=(3, 4)):
+    """Exact integral LLL with delta = num/den on a Gram matrix G (Cohen,
     GTM 138, Alg. 2.6.7).  Returns (H, d, lam): the rows of the
     unimodular H are the reduced basis in the input coordinates, d[t] is
     the Gram determinant of its first t vectors (d[0] = 1), and
@@ -354,7 +355,7 @@ def _lll(G):
     When index k is first reached, d[k+1] is the (k+1)-th leading
     principal minor of G, so it must be > 0 (Sylvester): a form that is
     not positive definite raises there, before any swap can loop."""
-    n = len(G)
+    n, (num, den) = len(G), delta
     H = [[int(i == j) for j in range(n)] for i in range(n)]
     d = [1] + [0] * n
     lam = [[0] * n for _ in range(n)]
@@ -395,7 +396,7 @@ def _lll(G):
                 raise LatticeError("short_vectors needs a positive definite matrix")
         if k:
             red(k, k - 1)
-            if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            if den * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < num * d[k] ** 2:
                 swap(k)
                 k = max(1, k - 1)
                 continue
@@ -447,21 +448,60 @@ def short_vectors(L: IntegralLattice, bound: int) -> list[tuple[int, ...]]:
 # diagonalizability over Z
 
 
+def _pair_reduce(A):
+    """Greedy pair reduction in place: e_i -= round(A_ij / A_jj) e_j while
+    some 2|A_ij| > A_jj.  Each step lowers A_ii alone, so the loop ends."""
+    again = True
+    while again:
+        again = False
+        for i, j in permutations(range(len(A)), 2):
+            a, b = A[i][j], A[j][j]
+            if 2 * abs(a) > b:
+                q = (2 * a + b) // (2 * b)
+                A[i] = [x - q * y for x, y in zip(A[i], A[j])]
+                for row in A:
+                    row[i] -= q * row[j]
+                again = True
+    return A
+
+
+def _lll_gram(A, delta):
+    """The Gram H A H^T of the LLL-reduced basis H of A."""
+    H = _lll(A, delta)[0]
+    HA = [[sum(map(mul, h, row)) for row in A] for h in H]
+    return [[sum(map(mul, r, h)) for h in H] for r in HA]
+
+
+def _split_units(A):
+    """The units of a pair-reduced A split off: a unit e_i has A_ji = 0
+    for j != i (2|A_ji| <= A_ii = 1), so the rest is the Gram of its
+    complement.  Returns that Gram and the number of units."""
+    keep = [t for t, r in enumerate(A) if r[t] != 1]
+    return [[A[j][l] for l in keep] for j in keep], len(A) - len(keep)
+
+
 def diagonalizable_over_Z(L: IntegralLattice, inert: Inertia | None = None):
     """Is a positive definite unimodular form diagonal over Z?  Returns
     (k == n, k), with k its number of norm-one vectors up to sign.
 
-    Those k vectors are orthonormal: |v.w| < 1 by Cauchy-Schwarz, and
-    v.w is an integer.  They span a unimodular <1>^k, so L splits as
-    <1>^k plus its orthogonal complement, of rank n - k and with no
-    norm-one vector.  So L is <1>^n exactly when k == n.  An even form
-    (every diagonal entry even) has v^T L v even for every v, so k = 0
-    there with no search.  `inert` is L's inertia, if the caller holds it.
-    """
+    A norm-one v spans a unimodular <1>, and every other norm-one w is
+    in v^perp (|v.w| < 1 by Cauchy-Schwarz), so k(L) = 1 + k(v^perp).
+    Pair reduction runs alone, then after LLL at delta = 3/4, then after
+    LLL at 99/100; the units on the diagonal split off after each, and a
+    split starts over at the first LLL.  An empty or even residue (all
+    norms even) adds nothing; only an odd one that no step splits is
+    searched, by Fincke-Pohst with no node budget.  `inert` is L's
+    inertia, if the caller has it."""
     inert = inert or inertia(L)
     if inert.positive < L.n:
         raise LatticeError("diagonalizability test needs a positive definite matrix")
     if inert.det != 1:
         raise LatticeError("diagonalizability test needs a unimodular matrix")
-    k = len(short_vectors(L, 1)) if any(r[t] % 2 for t, r in enumerate(L.entries)) else 0
+    A, k, step = [row[:] for row in L.entries], 0, 0
+    while step < 3 and any(r[t] % 2 for t, r in enumerate(A)):
+        A, units = _split_units(_pair_reduce(
+            _lll_gram(A, (3, 4) if step == 1 else (99, 100)) if step else A))
+        k, step = k + units, 1 if units else step + 1
+    if step == 3:  # odd (a reduction keeps parity) and still unsplit
+        k += len(short_vectors(IntegralLattice._trusted(A), 1))
     return k == L.n, k

@@ -1,7 +1,7 @@
 import random
 
 from surgerykit import linkdiag
-from surgerykit.intlattice import IntegralLattice, _lattice
+from surgerykit.intlattice import IntegralLattice, _lattice, _slide_rows, direct_sum, e8_matrix
 from surgerykit.linkdiag import DiagramError, FramedLinkDiagram
 
 
@@ -75,6 +75,24 @@ def moved(L, rule, *args):
     _stabilize_rows, _blow_down_rows), run on its position rows."""
     A = position_rows(L)
     rule(A, *args)
+    return _lattice(A)
+
+
+def e8_sum(k, ones):
+    """E8^k + I_ones, the E8 blocks first."""
+    L = IntegralLattice.diagonal([1] * ones)
+    for _ in range(k):
+        L = direct_sum(e8_matrix(), L)
+    return L
+
+
+def scrambled(L, slides, rng):
+    """L after `slides` seeded handle slides e_i += s e_j, drawn as
+    perfbench/gen.py's `scrambled` draws them."""
+    A = position_rows(L)
+    for _ in range(slides):
+        i, j = rng.sample(range(L.n), 2)
+        _slide_rows(A, i, j, rng.choice((1, -1)))
     return _lattice(A)
 
 

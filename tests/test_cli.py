@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import position_rows, random_diagram
+from conftest import e8_sum, random_diagram, scrambled
 from surgerykit import calculus, catalog, cli, intlattice, jsonio, linkdiag
 from surgerykit.calculus import AddSplitUnknot
 from surgerykit.cli import main
@@ -84,15 +84,7 @@ def test_lattice_and_obstruction_text_output(tmp_path, capsys):
 def test_even_forms_skip_the_norm_one_search(tmp_path, capsys):
     # E8^6 after 400 seeded slides: every vector of an even form has even
     # norm, so both commands answer without a short-vector search
-    L = e8_matrix()
-    for _ in range(5):
-        L = intlattice.direct_sum(L, e8_matrix())
-    rng = random.Random("p6")
-    A = position_rows(L)
-    for _ in range(400):
-        i, j = rng.sample(range(L.n), 2)
-        intlattice._slide_rows(A, i, j, rng.choice((1, -1)))
-    path = _write_matrix(tmp_path, intlattice._lattice(A))
+    path = _write_matrix(tmp_path, scrambled(e8_sum(6, 0), 400, random.Random("p6")))
     start = time.perf_counter()
     code, rep = _run_json(capsys, ["obstruction", path])
     assert (code, rep["result"]["verdict"]) == (0, "OBSTRUCTED")
@@ -101,6 +93,18 @@ def test_even_forms_skip_the_norm_one_search(tmp_path, capsys):
     assert (rep["result"]["diagonalizable_over_Z"], rep["result"]["diagonal_part"],
             rep["result"]["residual_rank"]) == (False, 0, 48)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("s", range(5))
+def test_odd_e8_sums_split_off_their_unit_within_a_second(tmp_path, capsys, s):
+    # E8^6 + I_1 after 400 seeded slides: a search on the delta = 3/4 basis
+    # ran past 10 s on each of these; splitting finds the one unit
+    path = _write_matrix(tmp_path, scrambled(e8_sum(6, 1), 400, random.Random("p6-%d" % s)))
+    for command, want in (("obstruction", ("verdict", "OBSTRUCTED")), ("lattice", ("diagonal_part", 1))):
+        start = time.perf_counter()
+        code, rep = _run_json(capsys, [command, path])
+        assert time.perf_counter() - start < 1.0
+        assert (code, rep["result"][want[0]]) == (0, want[1])
 
 
 # -- unknotify ---------------------------------------------------------------

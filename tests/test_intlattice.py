@@ -3,13 +3,15 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import moved, quad, random_symmetric
+from conftest import e8_sum, moved, quad, random_symmetric, scrambled
 from surgerykit import cli, intlattice, jsonio
 from surgerykit.calculus import donaldson_obstruction
 from surgerykit.intlattice import (AbelianGroupPresentation, IntegralLattice,
@@ -540,11 +542,6 @@ def test_short_vectors_budget_on_scrambled_identities():
     assert time.perf_counter() - start < 2.0
 
 
-def _base_form(e8, k):
-    L = IntegralLattice.diagonal([1] * k)
-    return direct_sum(e8_matrix(), L) if e8 else L
-
-
 @pytest.mark.parametrize("e8, k", [(True, 0), (True, 1), (True, 2), (True, 4),
                                    (False, 4), (False, 7), (False, 10)])
 def test_short_vectors_on_heavily_scrambled_forms(e8, k):
@@ -552,7 +549,7 @@ def test_short_vectors_on_heavily_scrambled_forms(e8, k):
     # vectors are exactly the images E^-1 v of those of the base A, found
     # on the base and mapped, so the oracle does not depend on the order
     # in which any enumeration visits them
-    base = _base_form(e8, k)
+    base = e8_sum(int(e8), k)
     n = base.n
     want = {b: short_vectors(base, b) for b in (1, 2)}
     assert len(want[1]) == k
@@ -680,6 +677,87 @@ def test_one_shot_split_on_scrambled_mixed_forms():
         assert count == k and ok == (not e8)
 
 
+def _check_each_step(monkeypatch, calls):
+    """Wrap the reductions and the split of diagonalizable_over_Z: each
+    call counts in `calls` under (name, arguments after the form), and
+    its output must be a symmetric, positive definite form of det 1, of
+    the input's rank less the units split off."""
+    def wrap(name):
+        step = getattr(intlattice, name)
+
+        def checked(A, *args):
+            n = len(A)
+            out = step(A, *args)
+            B, units = out if name == "_split_units" else (out, 0)
+            inert = inertia(IntegralLattice(B))  # raises if B is not symmetric
+            assert (len(B), inert.positive, inert.det) == (n - units, n - units, 1)
+            calls[name, args] += 1
+            return out
+        monkeypatch.setattr(intlattice, name, checked)
+    for name in ("_pair_reduce", "_lll_gram", "_split_units"):
+        wrap(name)
+
+
+def test_split_count_matches_the_exhaustive_search(monkeypatch):
+    # 300 seeded scrambles (10-160 slides) of I_n, E8 + I_k and E8^2 + I_k,
+    # n <= 20: the split loop counts exactly the norm-one vectors that
+    # Fincke-Pohst finds, and every step keeps a unimodular form
+    calls = Counter()
+    _check_each_step(monkeypatch, calls)
+    rng = random.Random("split-oracle")
+    for trial in range(300):
+        e8s = trial % 3
+        ones = rng.randint(0 if e8s else 2, 20 - 8 * e8s)
+        L = scrambled(e8_sum(e8s, ones), rng.randint(10, 160), rng)
+        assert diagonalizable_over_Z(L) == (not e8s, ones)
+        assert len(short_vectors(L, 1)) == ones
+    assert calls["_pair_reduce", ()] and calls["_lll_gram", ((3, 4),)]
+
+
+def _d12_plus():
+    """D12+ (Conway-Sloane, SPLAG, Ch. 16) on the basis e_i - e_(i+1)
+    (i = 2..11), e_11 + e_12 and (1, ..., 1)/2: the Gram of the doubled
+    vectors, over 4."""
+    e = {i: [2 * int(t == i) for t in range(1, 13)] for i in range(1, 13)}
+    B = [[a - b for a, b in zip(e[i], e[i + 1])] for i in range(2, 12)]
+    B += [[a + b for a, b in zip(e[11], e[12])], [1] * 12]
+    return IntegralLattice([[sum(map(mul, u, v)) // 4 for v in B] for u in B])
+
+
+def test_odd_form_with_no_norm_one_vector_is_searched(monkeypatch):
+    # D12+ is odd and has no norm-one vector, so neither parity nor a
+    # split answers it: k = 0 comes from the one exhaustive search
+    D = _d12_plus()
+    assert inertia(D).det == 1 and 3 in [D.entries[t][t] for t in range(12)]
+    assert short_vectors(D, 1) == [] and len(short_vectors(D, 2)) == 132
+    L = scrambled(D, 120, random.Random("d12+"))
+    assert max(abs(x) for row in L.entries for x in row) > 100
+    searched = []
+    search = intlattice.short_vectors
+
+    def counted(M, bound):
+        searched.append((M.n, bound))
+        return search(M, bound)
+    monkeypatch.setattr(intlattice, "short_vectors", counted)
+    assert diagonalizable_over_Z(L) == (False, 0)
+    assert searched == [(12, 1)]
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_e8_sums_with_one_unit_split_within_a_second(monkeypatch, k):
+    # E8^k + I_1 after 400 seeded slides: the search alone on the
+    # delta = 3/4 basis ran past 10 s on 2 of the 5 forms at k = 5; the
+    # split loop finds the one norm-one vector with no search
+    def no_search(M, bound):
+        raise AssertionError("searched a rank-%d residue" % M.n)
+    monkeypatch.setattr(intlattice, "short_vectors", no_search)
+    for s in range(5):
+        L = scrambled(e8_sum(k, 1), 400, random.Random("p%d-%d" % (k, s)))
+        start = time.perf_counter()
+        assert diagonalizable_over_Z(L) == (False, 1)
+        assert time.perf_counter() - start < 1.0
+
+
 def test_diagonalizable_rejects_bad_input():
     with pytest.raises(LatticeError):
         diagonalizable_over_Z(IntegralLattice([[-1]]))
@@ -695,7 +773,7 @@ def test_residual_forms_are_pinned():
     for trial in range(40):
         e8 = trial % 2 == 1
         k = rng.randint(0, 4) if e8 else rng.randint(2, 8)
-        L = _base_form(e8, k)
+        L = e8_sum(int(e8), k)
         n = L.n
         for _ in range(rng.randint(10, 30)):
             i, j = rng.sample(range(n), 2)
