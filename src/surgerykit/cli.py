@@ -18,7 +18,7 @@ from . import calculus, intlattice, jsonio, linkdiag
 from .intlattice import IntegralLattice
 from .jsonio import FormatError
 
-_parser = None  # built by the first main() call, then reused
+_parser = None  # (parser, its subcommand parsers by name), built by the first main() call
 
 
 def _load_link(args):
@@ -226,7 +226,7 @@ _COMMANDS = [
 ]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     ap = argparse.ArgumentParser(
         prog="surgerykit",
         description="Surgery presentations, Kirby-move certificates and "
@@ -239,13 +239,20 @@ def build_parser() -> argparse.ArgumentParser:
                 (("--json",), "emit a machine-readable JSON report", "store_true")]:
             p.add_argument(*flags, help=option_help, action=action)
         p.set_defaults(func=func)
-    return ap
+    return ap, sub.choices
 
 
 def main(argv=None) -> int:
     global _parser
-    ap = _parser = _parser or build_parser()
-    args = ap.parse_args(argv)
+    ap, commands = _parser = _parser or build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in commands:  # one pass, by the command's own parser
+        args, extra = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:  # the error top-level parse_args would give
+            ap.error("unrecognized arguments: %s" % " ".join(extra))
+    else:  # no command, --help, an unknown name or an option first
+        args = ap.parse_args(argv)
     if not getattr(args, "func", None):
         ap.print_help()
         return 2

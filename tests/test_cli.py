@@ -674,17 +674,28 @@ def test_text_reports_match_the_golden_file(tmp_path, capsys, monkeypatch):
         assert got[argv] == want[argv], argv
 
 
-def _help(parse, argv, capsys) -> str:
+def _exit(parse, argv, capsys):
+    """Exit code, stdout and stderr of a parse that ends the program."""
     with pytest.raises(SystemExit) as e:
         parse(argv)
-    assert e.value.code == 0
-    return capsys.readouterr().out
+    return (e.value.code,) + tuple(capsys.readouterr())
+
+
+# usage errors: an unknown or abbreviated command, an unknown option, an
+# option before the command, a missing argument, an unknown option or extra
+# arguments after the command, an option without its value; then a
+# subcommand's help.  argparse's texts for these vary with the Python
+# version, so they are compared in the running one, not pinned
+USAGE_ARGVS = [["bogus", "m.json"], ["lat", "m.json"], ["-x"],
+               ["--json", "lattice", "m.json"], ["lattice"],
+               ["lattice", "m.json", "--bogus"], ["lattice", "m.json", "x", "y"],
+               ["unknotify", "m.json", "--order"], ["lattice", "-h"]]
 
 
 def test_help_matches_the_recorded_parser(capsys):
     # the golden file records each subcommand's help and arguments in
-    # order; a parser built from that record prints the help the real
-    # one must print, in the running Python's argparse layout
+    # order; a parser built from that record prints the help and usage
+    # errors the real one must print, in the running Python's argparse layout
     spec = _golden()["parser"]
     ref = argparse.ArgumentParser(prog=spec["prog"], description=spec["description"])
     sub = ref.add_subparsers(dest="command")
@@ -693,8 +704,39 @@ def test_help_matches_the_recorded_parser(capsys):
         for arg in cmd["arguments"]:
             p.add_argument(*arg["flags"], help=arg["help"],
                            action="store_true" if arg["store_true"] else "store")
-    for argv in [["--help"]] + [[cmd["name"], "--help"] for cmd in spec["commands"]]:
-        assert _help(main, argv, capsys) == _help(ref.parse_args, argv, capsys), argv
+    helps = [["--help"]] + [[cmd["name"], "--help"] for cmd in spec["commands"]]
+    codes = []
+    for argv in helps + USAGE_ARGVS:
+        got = _exit(main, argv, capsys)
+        assert got == _exit(ref.parse_args, argv, capsys), argv
+        codes.append(got[0])
+    assert codes == [0] * len(helps) + [2] * (len(USAGE_ARGVS) - 1) + [0]
+
+
+def test_a_command_is_parsed_once(tmp_path, capsys, monkeypatch):
+    # argv naming a command goes straight to that command's parser
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda self, *a, **k: calls.append(self.prog) or parse(self, *a, **k))
+    path = _write_matrix(tmp_path, IntegralLattice.diagonal([2, 3]))
+    code, rep = _run_json(capsys, ["lattice", path])
+    assert (code, rep["result"]["det"]) == (0, 6)
+    assert calls == ["surgerykit lattice"]
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    path = _write_matrix(tmp_path, IntegralLattice.diagonal([2, 3]))
+    monkeypatch.setattr(sys, "argv", ["surgerykit", "lattice", path, "--json"])
+    assert main() == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["command"], rep["result"]["det"]) == ("lattice", 6)
+    monkeypatch.setattr(sys, "argv", ["surgerykit", "lattice", path, "--bogus"])
+    with pytest.raises(SystemExit) as e:
+        main()
+    assert e.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "surgerykit: error: unrecognized arguments: --bogus\n")
 
 
 # -- no runtime dependencies -------------------------------------------------
