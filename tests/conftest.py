@@ -125,3 +125,98 @@ def blow_down_gadget(ed, rec):
     ed.excise(u)
     for t, delta in rec.framing_compensations.items():
         ed.set_framing(t, ed.comp(t).framing - delta)
+
+
+def validate_diagram_oracle(d: FramedLinkDiagram) -> list[str]:
+    """linkdiag.validate_diagram as it was before it decided each group of
+    checks in bulk, kept verbatim as the oracle of the differential test.
+    Its successor walk may run len(arcs) + 1 steps per component and counts
+    an arc each time it is reached."""
+    bad: list[str] = []
+    comp_ids = [c.id for c in d.components]
+    if len(set(comp_ids)) != len(comp_ids):
+        bad.append("duplicate component ids")
+    comp_set = set(comp_ids)
+
+    arcs = d.arcs
+    by_owner: dict[int, list[int]] = {}
+    for aid, arc in arcs.items():
+        if arc.owner not in comp_set:
+            bad.append("arc %d owned by unknown component %r" % (aid, arc.owner))
+        if arc.successor not in arcs:
+            bad.append("arc %d has unknown successor %r" % (aid, arc.successor))
+        by_owner.setdefault(arc.owner, []).append(aid)
+
+    # every arc is the in-arc of exactly one crossing and the out-arc of
+    # exactly one, except arcs of zero-crossing loops; the counts and the
+    # components met by a crossing are gathered in the same walk.
+    in_count = dict.fromkeys(arcs, 0)
+    out_count = dict.fromkeys(arcs, 0)
+    busy: set[int] = set()
+    for xid, c in d.crossings.items():
+        if type(c.sign) is not int or c.sign not in (1, -1):  # no bool or float
+            bad.append("crossing %d has sign %r, expected +1 or -1" % (xid, c.sign))
+        # strand owners are read from the in-arcs; a missing in-arc names
+        # no owner
+        for a in (c.over_in, c.under_in):
+            if a in arcs:
+                busy.add(arcs[a].owner)
+        missing = [a for a in c.arc_ids() if a not in arcs]
+        if missing:
+            bad.append("crossing %d references unknown arcs %r" % (xid, missing))
+            continue
+        in_count[c.over_in] += 1
+        in_count[c.under_in] += 1
+        out_count[c.over_out] += 1
+        out_count[c.under_out] += 1
+        # distinctness: the only allowed coincidences are the kink pattern
+        # over_out == under_in / under_out == over_in.
+        if c.over_in == c.under_in or c.over_out == c.under_out:
+            bad.append("crossing %d shares an in-arc or out-arc between strands" % xid)
+        if c.over_in == c.over_out or c.under_in == c.under_out:
+            bad.append("crossing %d has a strand entering and leaving on one arc" % xid)
+        if arcs[c.over_in].successor != c.over_out:
+            bad.append("crossing %d: successor of over_in is not over_out" % xid)
+        if arcs[c.under_in].successor != c.under_out:
+            bad.append("crossing %d: successor of under_in is not under_out" % xid)
+
+    loops = comp_set - busy
+    for aid, arc in arcs.items():
+        if arc.owner in loops:
+            if in_count[aid] or out_count[aid]:
+                bad.append("arc %d of zero-crossing loop appears in a crossing" % aid)
+        else:
+            if in_count[aid] != 1:
+                bad.append("arc %d is the in-arc of %d crossings" % (aid, in_count[aid]))
+            if out_count[aid] != 1:
+                bad.append("arc %d is the out-arc of %d crossings" % (aid, out_count[aid]))
+
+    # per component, the successor map is one cycle through its arcs
+    for comp in d.components:
+        if type(comp.framing) is not int:  # no bool or float
+            bad.append("component %d has framing %r, expected an integer"
+                       % (comp.id, comp.framing))
+        mine = by_owner.get(comp.id, [])
+        if comp.basepoint is not None:
+            if comp.basepoint not in arcs or arcs[comp.basepoint].owner != comp.id:
+                bad.append("component %d basepoint %r is not one of its arcs"
+                           % (comp.id, comp.basepoint))
+        if not mine:
+            continue
+        start = min(mine)
+        seen = [start]
+        cur = start
+        for _ in range(len(arcs) + 1):
+            nxt = arcs[cur].successor if cur in arcs else None
+            if nxt is None or nxt not in arcs or arcs[nxt].owner != comp.id:
+                bad.append("component %d successor chain leaves the component at arc %r"
+                           % (comp.id, cur))
+                break
+            if nxt == start:
+                break
+            seen.append(nxt)
+            cur = nxt
+        if set(seen) != set(mine):
+            bad.append("component %d arcs are not a single successor cycle (%d of %d reached)"
+                       % (comp.id, len(seen), len(mine)))
+    return bad

@@ -139,6 +139,96 @@ def test_validate_diagram_messages(case):
     assert validate_diagram(d) == messages
 
 
+def _mutant(rng, d):
+    """A copy of `d` with one to three seeded faults: an arc's owner or
+    successor, a crossing's arc or sign, a basepoint, a framing or a
+    component id rewritten, or an arc or a crossing deleted."""
+    d = d.copy()
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        arcs, xs, comps = d.arcs, d.crossings, d.components
+        aids, cids = list(arcs), [c.id for c in comps]
+        arc_ids = aids + [max(aids, default=0) + 1]
+        kind = rng.choice(("owner", "successor", "arc", "sign", "basepoint", "framing",
+                           "id", "del arc", "del crossing") if xs else
+                          ("owner", "successor", "basepoint", "framing", "id", "del arc"))
+        if kind in ("owner", "successor", "del arc") and not aids:
+            kind = "framing"
+        if kind == "owner":
+            arcs[rng.choice(aids)].owner = rng.choice(cids + [max(cids, default=0) + 1])
+        elif kind == "successor":
+            arcs[rng.choice(aids)].successor = rng.choice(arc_ids)
+        elif kind == "arc":
+            field = rng.choice(("over_in", "over_out", "under_in", "under_out"))
+            setattr(xs[rng.choice(list(xs))], field, rng.choice(arc_ids))
+        elif kind == "sign":
+            c = xs[rng.choice(list(xs))]
+            c.sign = rng.choice((-c.sign, 0, 2, True, False, 1.0, -1.0))
+        elif kind == "basepoint":
+            rng.choice(comps).basepoint = rng.choice(arc_ids + [None])
+        elif kind == "framing":
+            rng.choice(comps).framing = rng.choice((2.0, True, False, -1.0, 5))
+        elif kind == "id":
+            rng.choice(comps).id = rng.choice(cids + [max(cids) + 1])
+        elif kind == "del arc":
+            del arcs[rng.choice(aids)]
+        else:
+            del xs[rng.choice(list(xs))]
+    return d
+
+
+def _revisit_messages(d):
+    """{component id: the cycle message} for each component whose successor
+    walk from its smallest arc stays in the component and comes back to an
+    arc other than its start; the message counts the distinct arcs reached."""
+    mine = {}
+    for aid, arc in d.arcs.items():
+        mine.setdefault(arc.owner, []).append(aid)
+    out = {}
+    for comp in d.components:
+        if comp.id not in mine:
+            continue
+        start = cur = min(mine[comp.id])
+        seen = {start}
+        while (nxt := d.arcs[cur].successor) in d.arcs and d.arcs[nxt].owner == comp.id:
+            if nxt in seen:
+                if nxt != start:
+                    out[comp.id] = ("component %d arcs are not a single successor cycle "
+                                    "(%d of %d reached)" % (comp.id, len(seen),
+                                                            len(mine[comp.id])))
+                break
+            seen.add(nxt)
+            cur = nxt
+    return out
+
+
+def test_validate_diagram_matches_the_oracle_on_seeded_mutants():
+    """validate_diagram names the oracle's faults in the oracle's order on
+    5,000 mutants of random diagrams and of unknotify outputs.  Where the
+    oracle's walk comes back to an arc other than its start, the cycle
+    message is the one with the distinct count, whatever the oracle says."""
+    from conftest import validate_diagram_oracle
+    from surgerykit.calculus import unknotify
+    bases = [random_diagram(random.Random(s), max_components=4, max_crossings=12)
+             for s in range(150)]
+    bases += [unknotify(random_diagram(random.Random(s), max_components=3,
+                                       max_crossings=10), unlink=s % 2).diagram
+              for s in range(150, 200)]
+    rng = random.Random("validate_diagram mutants")
+    revisits = invalid = 0
+    for t, base in enumerate(bases):
+        for _ in range(25):
+            d = _mutant(rng, base)
+            old, new = validate_diagram_oracle(d), validate_diagram(d)
+            extra = _revisit_messages(d)
+            moved = {"component %d arcs are not a single successor cycle" % c for c in extra}
+            kept = [m for m in old if m.split(" (")[0] not in moved]
+            assert [m for m in new if m.split(" (")[0] not in moved] == kept, t
+            assert [m for m in new if m.split(" (")[0] in moved] == [
+                extra[c.id] for c in d.components if c.id in extra], t
+            revisits += bool(extra)
+            invalid += bool(old)
+    assert revisits >= 50 and 3000 <= invalid < 5000
+
 
 # -- linking numbers ---------------------------------------------------------
 
