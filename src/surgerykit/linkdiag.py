@@ -21,7 +21,9 @@ Conventions fixed here and pinned by the tests:
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter, eq
 
 from .intlattice import IntegralLattice, _lattice
 
@@ -136,96 +138,126 @@ class FramedLinkDiagram:
 # ---------------------------------------------------------------------------
 # validation
 
+_OWNER, _SUCCESSOR = attrgetter("owner"), attrgetter("successor")
+_CROSSING_ROW = attrgetter("over_in", "over_out", "under_in", "under_out", "sign")
+
 
 def validate_diagram(d: FramedLinkDiagram) -> list[str]:
-    """Check every structural invariant; violations are returned, not raised."""
+    """Check every structural invariant; violations are returned, not raised.
+
+    Each group of checks is decided for all records at once, on columns
+    pulled from the arcs and crossings, and only a group that fails walks
+    its records to name the faults.  A component's successor walk is
+    bounded by its own arc count: O(arcs + crossings) on every input."""
     bad: list[str] = []
     comp_ids = [c.id for c in d.components]
-    if len(set(comp_ids)) != len(comp_ids):
-        bad.append("duplicate component ids")
     comp_set = set(comp_ids)
+    if len(comp_set) != len(comp_ids):
+        bad.append("duplicate component ids")
 
     arcs = d.arcs
-    by_owner: dict[int, list[int]] = {}
-    for aid, arc in arcs.items():
+    owners = list(map(_OWNER, arcs.values()))
+    owner, succ = dict(zip(arcs, owners)), dict(zip(arcs, map(_SUCCESSOR, arcs.values())))
+    count = Counter(owners)
+    arcs_ok = comp_set.issuperset(count) and arcs.keys() >= set(succ.values())
+    for aid, arc in arcs.items() if not arcs_ok else ():
         if arc.owner not in comp_set:
             bad.append("arc %d owned by unknown component %r" % (aid, arc.owner))
         if arc.successor not in arcs:
             bad.append("arc %d has unknown successor %r" % (aid, arc.successor))
-        by_owner.setdefault(arc.owner, []).append(aid)
 
     # every arc is the in-arc of exactly one crossing and the out-arc of
-    # exactly one, except arcs of zero-crossing loops; the counts and the
-    # components met by a crossing are gathered in the same walk.
-    in_count = dict.fromkeys(arcs, 0)
-    out_count = dict.fromkeys(arcs, 0)
-    busy: set[int] = set()
-    for xid, c in d.crossings.items():
-        if type(c.sign) is not int or c.sign not in (1, -1):  # no bool or float
+    # exactly one, except arcs of zero-crossing loops: the in-arcs are
+    # distinct, the out-arcs are their successors, and both are the arcs
+    # of the components that cross
+    xs = d.crossings
+    oi, oo, ui, uo, signs = list(zip(*map(_CROSSING_ROW, xs.values()))) or [()] * 5
+    ins, outs = oi + ui, oo + uo
+    in_set = set(ins)
+    xs_ok = (set(map(type, signs)) <= {int} and set(signs) <= {1, -1}  # no bool or float
+             and len(in_set) == len(ins) and arcs.keys() >= in_set and in_set == set(outs)
+             and not any(map(eq, ins, outs)) and tuple(map(succ.get, ins)) == outs)
+    # strand owners are read from the in-arcs; a missing in-arc names no owner
+    busy = set(map(owner.__getitem__, ins)) if xs_ok else {owner[a] for a in ins if a in owner}
+    whole_ins, whole_outs = (ins, outs) if xs_ok else ([], [])
+    for xid, c in xs.items() if not xs_ok else ():
+        if type(c.sign) is not int or c.sign not in (1, -1):
             bad.append("crossing %d has sign %r, expected +1 or -1" % (xid, c.sign))
-        # strand owners are read from the in-arcs; a missing in-arc names
-        # no owner
-        for a in (c.over_in, c.under_in):
-            if a in arcs:
-                busy.add(arcs[a].owner)
         missing = [a for a in c.arc_ids() if a not in arcs]
         if missing:
             bad.append("crossing %d references unknown arcs %r" % (xid, missing))
             continue
-        in_count[c.over_in] += 1
-        in_count[c.under_in] += 1
-        out_count[c.over_out] += 1
-        out_count[c.under_out] += 1
+        whole_ins += c.over_in, c.under_in
+        whole_outs += c.over_out, c.under_out
         # distinctness: the only allowed coincidences are the kink pattern
         # over_out == under_in / under_out == over_in.
         if c.over_in == c.under_in or c.over_out == c.under_out:
             bad.append("crossing %d shares an in-arc or out-arc between strands" % xid)
         if c.over_in == c.over_out or c.under_in == c.under_out:
             bad.append("crossing %d has a strand entering and leaving on one arc" % xid)
-        if arcs[c.over_in].successor != c.over_out:
+        if succ[c.over_in] != c.over_out:
             bad.append("crossing %d: successor of over_in is not over_out" % xid)
-        if arcs[c.under_in].successor != c.under_out:
+        if succ[c.under_in] != c.under_out:
             bad.append("crossing %d: successor of under_in is not under_out" % xid)
 
     loops = comp_set - busy
-    for aid, arc in arcs.items():
-        if arc.owner in loops:
-            if in_count[aid] or out_count[aid]:
-                bad.append("arc %d of zero-crossing loop appears in a crossing" % aid)
-        else:
-            if in_count[aid] != 1:
-                bad.append("arc %d is the in-arc of %d crossings" % (aid, in_count[aid]))
-            if out_count[aid] != 1:
-                bad.append("arc %d is the out-arc of %d crossings" % (aid, out_count[aid]))
+    if not (xs_ok and arcs_ok and len(in_set) == sum(map(count.__getitem__, busy))):
+        in_count, out_count = dict.fromkeys(arcs, 0), dict.fromkeys(arcs, 0)
+        for a, b in zip(whole_ins, whole_outs):
+            in_count[a] += 1
+            out_count[b] += 1
+        for aid, o in owner.items():
+            if o in loops:
+                if in_count[aid] or out_count[aid]:
+                    bad.append("arc %d of zero-crossing loop appears in a crossing" % aid)
+            else:
+                if in_count[aid] != 1:
+                    bad.append("arc %d is the in-arc of %d crossings" % (aid, in_count[aid]))
+                if out_count[aid] != 1:
+                    bad.append("arc %d is the out-arc of %d crossings" % (aid, out_count[aid]))
 
-    # per component, the successor map is one cycle through its arcs
+    # per component, the successor map is one cycle through its arcs.  When
+    # every successor is an arc of the same component, that holds if a walk
+    # from any of its arcs first comes back after as many steps as it has arcs
+    chained = arcs_ok and list(map(owner.__getitem__, succ.values())) == owners
+    first = by_owner = None
     for comp in d.components:
+        cid, bp = comp.id, comp.basepoint
         if type(comp.framing) is not int:  # no bool or float
             bad.append("component %d has framing %r, expected an integer"
-                       % (comp.id, comp.framing))
-        mine = by_owner.get(comp.id, [])
-        if comp.basepoint is not None:
-            if comp.basepoint not in arcs or arcs[comp.basepoint].owner != comp.id:
-                bad.append("component %d basepoint %r is not one of its arcs"
-                           % (comp.id, comp.basepoint))
-        if not mine:
+                       % (cid, comp.framing))
+        on_bp = bp in owner and owner[bp] == cid
+        if bp is not None and not on_bp:
+            bad.append("component %d basepoint %r is not one of its arcs" % (cid, bp))
+        if not count[cid]:
             continue
-        start = min(mine)
-        seen = [start]
-        cur = start
-        for _ in range(len(arcs) + 1):
-            nxt = arcs[cur].successor if cur in arcs else None
-            if nxt is None or nxt not in arcs or arcs[nxt].owner != comp.id:
-                bad.append("component %d successor chain leaves the component at arc %r"
-                           % (comp.id, cur))
-                break
-            if nxt == start:
-                break
-            seen.append(nxt)
+        if chained:  # walk from the basepoint, else from any arc of the component
+            if not on_bp and first is None:
+                first = dict(zip(owners, arcs))
+            start = cur = bp if on_bp else first[cid]
+            for _ in range(count[cid] - 1):
+                cur = succ[cur]
+                if cur == start:
+                    break
+            else:
+                if succ[cur] == start:
+                    continue
+        if by_owner is None:  # name the fault, walking from the smallest arc
+            by_owner = {}
+            for aid, o in owner.items():
+                by_owner.setdefault(o, []).append(aid)
+        mine = by_owner[cid]
+        start = cur = min(mine)
+        seen = {start}
+        while (nxt := succ[cur]) in owner and owner[nxt] == cid and nxt not in seen:
+            seen.add(nxt)
             cur = nxt
-        if set(seen) != set(mine):
+        if nxt not in seen:
+            bad.append("component %d successor chain leaves the component at arc %r"
+                       % (cid, cur))
+        if len(seen) != len(mine) or nxt != start and nxt in seen:
             bad.append("component %d arcs are not a single successor cycle (%d of %d reached)"
-                       % (comp.id, len(seen), len(mine)))
+                       % (cid, len(seen), len(mine)))
     return bad
 
 

@@ -125,6 +125,9 @@ MALFORMED = {
     "successor chain leaves the component": (
         _diagram([(0, 0), (1, 1)], {0: (0, 1), 1: (1, 1)}),
         ["component 0 successor chain leaves the component at arc 0"]),
+    "successor chain loops back short of its start": (
+        _diagram([(0, 0)], {0: (0, 1), 1: (0, 1)}),
+        ["component 0 arcs are not a single successor cycle (2 of 2 reached)"]),
 }
 
 
