@@ -179,7 +179,7 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
              and not any(map(eq, ins, outs)) and tuple(map(succ.get, ins)) == outs)
     # strand owners are read from the in-arcs; a missing in-arc names no owner
     busy = set(map(owner.__getitem__, ins)) if xs_ok else {owner[a] for a in ins if a in owner}
-    whole_ins, whole_outs = (ins, outs) if xs_ok else ([], [])
+    whole_ins, whole_outs = (ins, outs) if xs_ok else ([], [])  # of crossings on known arcs
     for xid, c in xs.items() if not xs_ok else ():
         if type(c.sign) is not int or c.sign not in (1, -1):
             bad.append("crossing %d has sign %r, expected +1 or -1" % (xid, c.sign))
@@ -220,21 +220,18 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
     # every successor is an arc of the same component, that holds if a walk
     # from any of its arcs first comes back after as many steps as it has arcs
     chained = arcs_ok and list(map(owner.__getitem__, succ.values())) == owners
-    first = by_owner = None
+    first, by_owner = dict(zip(owners, arcs)), None
     for comp in d.components:
         cid, bp = comp.id, comp.basepoint
         if type(comp.framing) is not int:  # no bool or float
             bad.append("component %d has framing %r, expected an integer"
                        % (cid, comp.framing))
-        on_bp = bp in owner and owner[bp] == cid
-        if bp is not None and not on_bp:
+        if bp is not None and (bp not in owner or owner[bp] != cid):
             bad.append("component %d basepoint %r is not one of its arcs" % (cid, bp))
         if not count[cid]:
             continue
-        if chained:  # walk from the basepoint, else from any arc of the component
-            if not on_bp and first is None:
-                first = dict(zip(owners, arcs))
-            start = cur = bp if on_bp else first[cid]
+        if chained:
+            start = cur = first[cid]
             for _ in range(count[cid] - 1):
                 cur = succ[cur]
                 if cur == start:
