@@ -166,10 +166,23 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
         if arc.successor not in arcs:
             bad.append("arc %d has unknown successor %r" % (aid, arc.successor))
 
-    # every arc is the in-arc of exactly one crossing and the out-arc of
-    # exactly one, except arcs of zero-crossing loops: the in-arcs are
-    # distinct, the out-arcs are their successors, and both are the arcs
-    # of the components that cross
+    # each component's successor map is one cycle through its arcs when
+    # every successor is an arc of the same component and a walk from any
+    # of its arcs first comes back after as many steps as it has arcs
+    cycles = arcs_ok and list(map(owner.__getitem__, succ.values())) == owners
+    first = dict(zip(owners, arcs)) if cycles else {}
+    for cid, n in count.items() if cycles else ():
+        start = cur = first[cid]
+        for _ in range(n - 1):
+            cur = succ[cur]
+            if cur == start:
+                break
+        else:
+            if succ[cur] == start:
+                continue
+        cycles = False
+        break
+
     xs = d.crossings
     oi, oo, ui, uo, signs = list(zip(*map(_CROSSING_ROW, xs.values()))) or [()] * 5
     ins, outs = oi + ui, oo + uo
@@ -177,8 +190,6 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
     xs_ok = (set(map(type, signs)) <= {int} and set(signs) <= {1, -1}  # no bool or float
              and len(in_set) == len(ins) and arcs.keys() >= in_set and in_set == set(outs)
              and not any(map(eq, ins, outs)) and tuple(map(succ.get, ins)) == outs)
-    # strand owners are read from the in-arcs; a missing in-arc names no owner
-    busy = set(map(owner.__getitem__, ins)) if xs_ok else {owner[a] for a in ins if a in owner}
     whole_ins, whole_outs = (ins, outs) if xs_ok else ([], [])  # of crossings on known arcs
     for xid, c in xs.items() if not xs_ok else ():
         if type(c.sign) is not int or c.sign not in (1, -1):
@@ -200,8 +211,14 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
         if succ[c.under_in] != c.under_out:
             bad.append("crossing %d: successor of under_in is not under_out" % xid)
 
-    loops = comp_set - busy
-    if not (xs_ok and arcs_ok and len(in_set) == sum(map(count.__getitem__, busy))):
+    # every arc is the in-arc of exactly one crossing and the out-arc of
+    # exactly one, except arcs of zero-crossing loops.  When the in-arcs are
+    # distinct, the out-arcs are their successors and the same set, that set
+    # is closed under successors, so with one cycle per component it is all
+    # the arcs of the components that cross
+    if not (arcs_ok and xs_ok and cycles):
+        # strand owners are read from the in-arcs; a missing in-arc names no owner
+        loops = comp_set - {owner[a] for a in ins if a in owner}
         in_count, out_count = dict.fromkeys(arcs, 0), dict.fromkeys(arcs, 0)
         for a, b in zip(whole_ins, whole_outs):
             in_count[a] += 1
@@ -216,11 +233,7 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
                 if out_count[aid] != 1:
                     bad.append("arc %d is the out-arc of %d crossings" % (aid, out_count[aid]))
 
-    # per component, the successor map is one cycle through its arcs.  When
-    # every successor is an arc of the same component, that holds if a walk
-    # from any of its arcs first comes back after as many steps as it has arcs
-    chained = arcs_ok and list(map(owner.__getitem__, succ.values())) == owners
-    first, by_owner = dict(zip(owners, arcs)), None
+    by_owner = None
     for comp in d.components:
         cid, bp = comp.id, comp.basepoint
         if type(comp.framing) is not int:  # no bool or float
@@ -228,17 +241,8 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
                        % (cid, comp.framing))
         if bp is not None and (bp not in owner or owner[bp] != cid):
             bad.append("component %d basepoint %r is not one of its arcs" % (cid, bp))
-        if not count[cid]:
+        if cycles or not count[cid]:
             continue
-        if chained:
-            start = cur = first[cid]
-            for _ in range(count[cid] - 1):
-                cur = succ[cur]
-                if cur == start:
-                    break
-            else:
-                if succ[cur] == start:
-                    continue
         if by_owner is None:  # name the fault, walking from the smallest arc
             by_owner = {}
             for aid, o in owner.items():
