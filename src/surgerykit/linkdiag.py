@@ -157,7 +157,7 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
 
     arcs = d.arcs
     owners = list(map(_OWNER, arcs.values()))
-    owner, succ = dict(zip(arcs, owners)), dict(zip(arcs, map(_SUCCESSOR, arcs.values())))
+    succ = dict(zip(arcs, map(_SUCCESSOR, arcs.values())))
     count = Counter(owners)
     arcs_ok = comp_set.issuperset(count) and arcs.keys() >= set(succ.values())
     for aid, arc in arcs.items() if not arcs_ok else ():
@@ -169,7 +169,7 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
     # each component's successor map is one cycle through its arcs when
     # every successor is an arc of the same component and a walk from any
     # of its arcs first comes back after as many steps as it has arcs
-    cycles = arcs_ok and list(map(owner.__getitem__, succ.values())) == owners
+    cycles = arcs_ok and list(map(_OWNER, map(arcs.__getitem__, succ.values()))) == owners
     first = dict(zip(owners, arcs)) if cycles else {}
     for cid, n in count.items() if cycles else ():
         start = cur = first[cid]
@@ -218,13 +218,13 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
     # the arcs of the components that cross
     if not (arcs_ok and xs_ok and cycles):
         # strand owners are read from the in-arcs; a missing in-arc names no owner
-        loops = comp_set - {owner[a] for a in ins if a in owner}
+        loops = comp_set - {arcs[a].owner for a in ins if a in arcs}
         in_count, out_count = dict.fromkeys(arcs, 0), dict.fromkeys(arcs, 0)
         for a, b in zip(whole_ins, whole_outs):
             in_count[a] += 1
             out_count[b] += 1
-        for aid, o in owner.items():
-            if o in loops:
+        for aid, arc in arcs.items():
+            if arc.owner in loops:
                 if in_count[aid] or out_count[aid]:
                     bad.append("arc %d of zero-crossing loop appears in a crossing" % aid)
             else:
@@ -239,18 +239,18 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
         if type(comp.framing) is not int:  # no bool or float
             bad.append("component %d has framing %r, expected an integer"
                        % (cid, comp.framing))
-        if bp is not None and (bp not in owner or owner[bp] != cid):
+        if bp is not None and (bp not in arcs or arcs[bp].owner != cid):
             bad.append("component %d basepoint %r is not one of its arcs" % (cid, bp))
         if cycles or not count[cid]:
             continue
         if by_owner is None:  # name the fault, walking from the smallest arc
             by_owner = {}
-            for aid, o in owner.items():
+            for aid, o in zip(arcs, owners):
                 by_owner.setdefault(o, []).append(aid)
         mine = by_owner[cid]
         start = cur = min(mine)
         seen = {start}
-        while (nxt := succ[cur]) in owner and owner[nxt] == cid and nxt not in seen:
+        while (nxt := succ[cur]) in arcs and arcs[nxt].owner == cid and nxt not in seen:
             seen.add(nxt)
             cur = nxt
         if nxt not in seen:
