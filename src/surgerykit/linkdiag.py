@@ -21,7 +21,6 @@ Conventions fixed here and pinned by the tests:
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter, eq
 
@@ -158,30 +157,29 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
     arcs = d.arcs
     owners = list(map(_OWNER, arcs.values()))
     succ = dict(zip(arcs, map(_SUCCESSOR, arcs.values())))
-    count = Counter(owners)
-    arcs_ok = comp_set.issuperset(count) and arcs.keys() >= set(succ.values())
+    first, targets = dict(zip(owners, arcs)), set(succ.values())  # an arc of each owner
+    arcs_ok = comp_set.issuperset(first) and arcs.keys() >= targets
     for aid, arc in arcs.items() if not arcs_ok else ():
         if arc.owner not in comp_set:
             bad.append("arc %d owned by unknown component %r" % (aid, arc.owner))
         if arc.successor not in arcs:
             bad.append("arc %d has unknown successor %r" % (aid, arc.successor))
 
-    # each component's successor map is one cycle through its arcs when
-    # every successor is an arc of the same component and a walk from any
-    # of its arcs first comes back after as many steps as it has arcs
-    cycles = arcs_ok and list(map(_OWNER, map(arcs.__getitem__, succ.values()))) == owners
-    first = dict(zip(owners, arcs)) if cycles else {}
-    for cid, n in count.items() if cycles else ():
-        start = cur = first[cid]
-        for _ in range(n - 1):
+    # the successor map is one cycle through each component's arcs when it
+    # permutes the arcs, keeps each arc in its component, and the walks from
+    # one arc of each component reach every arc.  Each walk follows a cycle
+    # of that permutation inside one component, so it comes back to its
+    # start within that component's arc count.
+    cycles = (arcs_ok and len(targets) == len(arcs)
+              and list(map(_OWNER, map(arcs.__getitem__, succ.values()))) == owners)
+    reached = 0
+    for start in first.values() if cycles else ():
+        cur = succ[start]
+        reached += 1
+        while cur != start:
             cur = succ[cur]
-            if cur == start:
-                break
-        else:
-            if succ[cur] == start:
-                continue
-        cycles = False
-        break
+            reached += 1
+    cycles = cycles and reached == len(arcs)
 
     xs = d.crossings
     oi, oo, ui, uo, signs = list(zip(*map(_CROSSING_ROW, xs.values()))) or [()] * 5
@@ -241,7 +239,7 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
                        % (cid, comp.framing))
         if bp is not None and (bp not in arcs or arcs[bp].owner != cid):
             bad.append("component %d basepoint %r is not one of its arcs" % (cid, bp))
-        if cycles or not count[cid]:
+        if cycles or cid not in first:
             continue
         if by_owner is None:  # name the fault, walking from the smallest arc
             by_owner = {}
