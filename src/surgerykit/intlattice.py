@@ -268,10 +268,7 @@ def inertia(L: IntegralLattice) -> Inertia:
 # The rows A are {key: {key': entry}}: the nonzero entries only, one row
 # per component in component order, keyed by component id.  Each rule
 # rewrites A in place and returns the entries it changed, {(p, q): delta}
-# with p <= q; a removed row and column count as changed to zero.  A slide
-# is the basis change E^T A E, E = I + s*e_j e_i^T; a stabilization adds
-# the block <eps>; a blow-down removes a +/-1 diagonal entry and pushes
-# its rank-one correction into the rest, keeping the cokernel.
+# with p <= q.  A slide is the basis change E^T A E, E = I + s*e_j e_i^T.
 
 
 def _lattice(A) -> IntegralLattice:
@@ -307,20 +304,6 @@ def _add_rows(A, entries) -> dict[tuple[int, int], int]:
 def _slide_rows(A, i, j, s):
     entries = [(i, t, s * x) for t, x in A[j].items() if t != i]
     return _add_rows(A, entries + [(i, i, 2 * s * A[i].get(j, 0) + s * s * A[j].get(j, 0))])
-
-
-def _stabilize_rows(A, key, eps):
-    A[key] = {key: eps} if eps else {}
-    return {(key, key): eps}
-
-
-def _blow_down_rows(A, k):
-    eps = A[k].get(k, 0)
-    v = [(t, x) for t, x in A[k].items() if t != k]
-    changed = _add_rows(A, [(p, q, -eps * x * y) for a, (p, x) in enumerate(v)
-                            for q, y in v[a:]] + [(k, t, -x) for t, x in A[k].items()])
-    del A[k]  # every entry of row k was just subtracted
-    return changed
 
 
 def direct_sum(L1: IntegralLattice, L2: IntegralLattice) -> IntegralLattice:

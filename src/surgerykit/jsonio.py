@@ -17,8 +17,7 @@ from dataclasses import fields
 from itertools import chain
 from operator import itemgetter
 
-from .calculus import (AddSplitUnknot, BlowDownIndex, EmbeddingCertificate,
-                       GadgetSwitch, KirbyMove, MatrixSlide, Poke,
+from .calculus import (EmbeddingCertificate, GadgetSwitch, KirbyMove, Poke,
                        SlideOverUnknot)
 from .intlattice import IntegralLattice
 from .linkdiag import Arc, Component, Crossing, FramedLinkDiagram
@@ -185,8 +184,7 @@ def lattice_from_obj(obj) -> IntegralLattice:
 
 
 _MOVE_TYPES = {"gadget_switch": GadgetSwitch, "slide_over_unknot": SlideOverUnknot,
-               "add_split_unknot": AddSplitUnknot, "matrix_slide": MatrixSlide,
-               "blow_down_index": BlowDownIndex, "poke": Poke}
+               "poke": Poke}
 # move class -> (tag, field names); every field is an integer but `side`
 _MOVE_FIELDS = {cls: (tag, tuple(f.name for f in fields(cls)))
                 for tag, cls in _MOVE_TYPES.items()}

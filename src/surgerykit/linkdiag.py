@@ -520,7 +520,7 @@ class Editor:
             self.pos[comps[t].id] = t
         self.cids.give(cid)
 
-    # -- kinks, clasps, pokes, the gadget and blow-downs -------------------
+    # -- kinks, clasps, pokes and the gadget -------------------------------
 
     def kink(self, cid: int, sign: int, first_over: bool = True) -> None:
         """Reidemeister-1 kink on one component (framing is stored data and
@@ -621,24 +621,6 @@ class Editor:
                 comps[t] = delta
         return GadgetRecord(unknot=ucid, crossing=xid, epsilon=eps,
                             passage_signs=(a, b), framing_compensations=comps)
-
-    def blow_down(self, cid: int) -> None:
-        """Raw Kirby blow-down of any +/-1-framed component: it is spliced
-        away and the induced rank-one change of linking numbers is realized
-        by clasps (the local picture is not isotoped)."""
-        eps = self.comp(cid).framing
-        if eps not in (1, -1):
-            raise DiagramError("blow-down needs framing +1 or -1, component %d has %d"
-                               % (cid, eps))
-        v = self.linking(cid)
-        self.excise(cid)
-        js = sorted(v, key=self.pos.get)
-        for j in js:
-            self.set_framing(j, self.comp(j).framing - eps * v[j] * v[j])
-        for a, i in enumerate(js):
-            for j in js[a + 1:]:
-                delta = -eps * v[i] * v[j]
-                self.clasp(i, j, 1 if delta > 0 else -1, abs(delta))
 
 
 # ---------------------------------------------------------------------------

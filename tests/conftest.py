@@ -1,6 +1,7 @@
 import random
 
 from surgerykit import linkdiag
+from surgerykit.calculus import GadgetSwitch, Poke, SlideOverUnknot
 from surgerykit.intlattice import IntegralLattice, _lattice, _slide_rows, direct_sum, e8_matrix
 from surgerykit.linkdiag import DiagramError, FramedLinkDiagram
 
@@ -34,6 +35,42 @@ def random_diagram(rng: random.Random, max_components: int = 3,
             ed.switch(xid)
     assert not linkdiag.validate_diagram(d)
     return d
+
+
+def with_split_unknots(rng: random.Random, d: FramedLinkDiagram,
+                       count: int) -> FramedLinkDiagram:
+    """`d` itself after adding `count` split unknots framed +1 or -1 at
+    random: the slide targets and gadget unknots of a Kirby-move script."""
+    ed = linkdiag.Editor(d)
+    for _ in range(count):
+        ed.split_unknot(rng.choice((1, -1)))
+    return d
+
+
+def random_kirby_move(rng: random.Random, d: FramedLinkDiagram):
+    """A random Poke, SlideOverUnknot or GadgetSwitch that replays on `d`,
+    or None when the pick does not apply to `d`."""
+    ids = d.component_ids()
+    busy = {d.arcs[a].owner for c in d.crossings.values() for a in (c.over_in, c.under_in)}
+    units = [c.id for c in d.components if c.framing in (1, -1) and c.id not in busy]
+    kind = rng.choice(["poke", "slide", "gadget"])
+    if kind == "poke" and len(ids) >= 2:
+        over, under = rng.sample(ids, 2)
+        return Poke(over=over, under=under, sign=rng.choice((1, -1)))
+    if kind == "slide" and units and len(ids) >= 2:
+        u = rng.choice(units)
+        return SlideOverUnknot(component=rng.choice([c for c in ids if c != u]),
+                               unknot=u, s=rng.choice((1, -1)))
+    if kind == "gadget" and d.crossings:
+        xid = rng.choice(sorted(d.crossings))
+        sides = gadget_sides(d, xid)
+        if sides:
+            side = rng.choice(sides)
+            eps = linkdiag.Editor(d.copy()).gadget(xid, side).epsilon
+            fits = [u for u in units if d.component(u).framing == eps]
+            if fits:
+                return GadgetSwitch(crossing=xid, unknot=rng.choice(fits), side=side)
+    return None
 
 
 def random_symmetric(rng: random.Random, n: int, lo: int, hi: int):
@@ -72,7 +109,7 @@ def position_rows(L):
 
 def moved(L, rule, *args):
     """L after one of intlattice's in-place matrix rules (_slide_rows,
-    _stabilize_rows, _blow_down_rows), run on its position rows."""
+    _add_rows), run on its position rows."""
     A = position_rows(L)
     rule(A, *args)
     return _lattice(A)

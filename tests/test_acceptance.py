@@ -14,10 +14,10 @@ from fractions import Fraction
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import blow_down_gadget, gadget_sides, moved, quad, random_diagram
+from conftest import (blow_down_gadget, gadget_sides, moved, quad, random_diagram,
+                      random_kirby_move, with_split_unknots)
 from surgerykit import catalog, jsonio, linkdiag
-from surgerykit.calculus import (AddSplitUnknot, BlowDownIndex, MatrixSlide,
-                                 MoveScript, build_embedding_certificate,
+from surgerykit.calculus import (MoveScript, build_embedding_certificate,
                                  donaldson_obstruction, reduce_free_word,
                                  replay, unknotify, verify_certificate,
                                  word_from_intersections)
@@ -91,39 +91,31 @@ def test_acceptance_3_gadget_soundness():
 
 
 def test_acceptance_4_move_invariance():
-    with _verdict("4 move invariance: 100+ random scripts keep cokernel rank "
-                  "and torsion; diagram and matrix traces agree"):
+    with _verdict("4 move invariance: 100+ random slide sequences and Kirby-move "
+                  "scripts keep cokernel rank and torsion; diagram and matrix traces agree"):
         rng = random.Random(1013)
         for _ in range(100):
-            d = random_diagram(rng, max_components=3, max_crossings=4)
-            h0 = homology_from_diagonal(snf_diagonal(linking_matrix(d)))
-            script = MoveScript(initial=d)
+            d = with_split_unknots(rng, random_diagram(rng, max_components=3, max_crossings=4),
+                                   rng.randint(2, 4))
             L = linking_matrix(d)
+            h0 = homology_from_diagonal(snf_diagonal(L))
             for _ in range(rng.randint(1, 20)):
-                n = L.n
-                kinds = ["stab"]
-                if n >= 2:
-                    kinds.append("slide")
-                units = [k for k in range(n) if L.entries[k][k] in (1, -1)]
-                if units:
-                    kinds.append("blowdown")
-                kind = rng.choice(kinds)
-                if kind == "stab":
-                    mv = AddSplitUnknot(framing=rng.choice((1, -1)))
-                elif kind == "blowdown":
-                    mv = BlowDownIndex(k=rng.choice(units))
-                else:
-                    i, j = rng.sample(range(n), 2)
-                    mv = MatrixSlide(i=i, j=j, s=rng.choice((1, -1)))
-                    # keep clasp realizations cheap: skip slides that blow
-                    # entries up past a small cap
-                    trial = moved(L, _slide_rows, mv.i, mv.j, mv.s)
-                    if max(abs(x) for row in trial.entries for x in row) > 64:
-                        continue
-                script.moves.append(mv)
-                # replay() itself asserts matrix/diagram agreement per move
-                L = replay(script).matrix_trace[-1]
+                i, j = rng.sample(range(L.n), 2)
+                trial = moved(L, _slide_rows, i, j, rng.choice((1, -1)))
+                # keep the entries small: skip slides that blow them up
+                if max(abs(x) for row in trial.entries for x in row) <= 64:
+                    L = trial
             h1 = homology_from_diagonal(snf_diagonal(L))
+            assert (h0.rank, h0.torsion) == (h1.rank, h1.torsion)
+            script = MoveScript(initial=d)
+            state = d
+            for _ in range(rng.randint(1, 20)):
+                mv = random_kirby_move(rng, state)
+                if mv is not None:
+                    script.moves.append(mv)
+                    # replay() itself asserts matrix/diagram agreement per move
+                    state = replay(script).final
+            h1 = homology_from_diagonal(snf_diagonal(replay(script).matrix_trace[-1]))
             assert (h0.rank, h0.torsion) == (h1.rank, h1.torsion)
 
 

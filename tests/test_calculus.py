@@ -6,17 +6,17 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import blow_down_gadget, gadget_sides, moved, random_diagram
+from conftest import (blow_down_gadget, gadget_sides, moved, random_diagram,
+                      random_kirby_move, with_split_unknots)
 from surgerykit import calculus, catalog, intlattice, jsonio, linkdiag
-from surgerykit.calculus import (AddSplitUnknot, BlowDownIndex, GadgetSwitch,
-                                 MatrixSlide, MoveError, MoveScript, Poke,
+from surgerykit.calculus import (GadgetSwitch, MoveError, MoveScript, Poke,
                                  Replayer, SlideOverUnknot,
                                  build_embedding_certificate,
                                  donaldson_obstruction, reduce_free_word,
                                  replay, unknotify, verify_certificate,
                                  word_from_intersections)
 from surgerykit.intlattice import (IntegralLattice, direct_sum, e8_matrix,
-                                   homology_from_diagonal, inertia, snf_diagonal)
+                                   inertia, snf_diagonal)
 from surgerykit.linkdiag import (Arc, Component, Crossing, DiagramError,
                                  Editor, FramedLinkDiagram, linking_matrix)
 
@@ -105,12 +105,6 @@ def test_replay_empty_script():
     assert res.matrix_trace == [linking_matrix(d)]
 
 
-def test_replay_add_split_unknot_trace():
-    res = replay(MoveScript(initial=catalog.unknot(4),
-                            moves=[AddSplitUnknot(framing=-2)]))
-    assert [L.entries for L in res.matrix_trace] == [[[4]], [[4, 0], [0, -2]]]
-
-
 def test_replay_poke_keeps_matrix():
     d = catalog.unlink([1, -1])
     res = replay(MoveScript(initial=d, moves=[Poke(over=0, under=1, sign=1)]))
@@ -119,23 +113,26 @@ def test_replay_poke_keeps_matrix():
 
 
 def test_replay_gadget_switch_then_blow_down():
-    # poke two unknots, gadget-switch the poke crossing, blow the gadget
-    # unknot back down: the matrix returns to the start
+    # poke two unknots and gadget-switch the poke crossing; blowing the
+    # gadget unknot back down returns the matrix to the start
     ed = Editor(catalog.unlink([1, 1]))
     g = ed.split_unknot(-1)
     d = ed.d
-    c_main, _ = Editor(d.copy()).poke(0, 1, 1)
+    ref = Editor(d.copy())
+    c_main, _ = ref.poke(0, 1, 1)
+    rec = ref.gadget(c_main, linkdiag.SIDE_BEFORE, g)
     script = MoveScript(initial=d, moves=[
         Poke(over=0, under=1, sign=1),
         GadgetSwitch(crossing=c_main, unknot=g, side=linkdiag.SIDE_BEFORE),
-        BlowDownIndex(k=2),
     ])
     res = replay(script)
-    L0 = linking_matrix(d).entries
-    assert res.matrix_trace[0].entries == L0
+    assert res.final == ref.d
+    assert res.matrix_trace[0].entries == linking_matrix(d).entries
     # the switch drops lk(0,1) to -1 and compensates framings through g
     assert res.matrix_trace[2].entries[0][1] == -1
-    assert res.matrix_trace[-1].entries == [[1, 0], [0, 1]]
+    ed = Editor(res.final)
+    blow_down_gadget(ed, rec)
+    assert linking_matrix(ed.d).entries == [[1, 0], [0, 1]]
 
 
 @pytest.mark.parametrize("unknot", [None, 2.0, "2"])
@@ -166,30 +163,18 @@ def test_replay_gadget_switch_every_side_and_self_crossing():
         for xid in sorted(d.crossings):
             owners = d._strand_owners(d.crossing(xid))
             for side in gadget_sides(d, xid):
-                # a gadget with a fresh unknot takes the id and framing
-                # that AddSplitUnknot will give
+                # the split unknot takes the id and framing that a gadget
+                # with a fresh unknot would give
                 rec = Editor(d.copy()).gadget(xid, side)
                 eps, u = rec.epsilon, rec.unknot
-                res = replay(MoveScript(initial=d, moves=[
-                    AddSplitUnknot(framing=eps), GadgetSwitch(crossing=xid, unknot=u,
-                                                              side=side)]))
+                ed = Editor(d.copy())
+                assert ed.split_unknot(eps) == u
+                res = replay(MoveScript(initial=ed.d, moves=[
+                    GadgetSwitch(crossing=xid, unknot=u, side=side)]))
                 assert res.final.component(u).framing == eps
                 replays += 1
                 self_crossings += owners[0] == owners[1]
     assert (replays, self_crossings) == (1126, 638)
-
-
-def test_replay_matrix_slide_realizes_congruence():
-    d = catalog.hopf_link((2, 3))
-    res = replay(MoveScript(initial=d, moves=[MatrixSlide(i=0, j=1, s=1)]))
-    assert res.matrix_trace[-1].entries == [[7, 4], [4, 3]]
-    assert linking_matrix(res.final).entries == [[7, 4], [4, 3]]
-
-
-def test_replay_blow_down_needs_unit_framing():
-    d = catalog.unlink([3])
-    with pytest.raises(MoveError, match="move 0"):
-        replay(MoveScript(initial=d, moves=[BlowDownIndex(k=0)]))
 
 
 def test_replay_slide_needs_split_unit_unknot():
@@ -214,19 +199,12 @@ def test_replay_slide_over_unknot():
 def test_replay_error_carries_step_index():
     script = MoveScript(initial=catalog.unlink([1, 1]),
                         moves=[Poke(over=0, under=1, sign=1),
-                               MatrixSlide(i=0, j=5, s=1)])
-    with pytest.raises(MoveError, match="move 1 \\(MatrixSlide\\)"):
+                               SlideOverUnknot(component=0, unknot=5, s=1)])
+    with pytest.raises(MoveError, match="move 1 \\(SlideOverUnknot\\)"):
         replay(script)
 
 
 @pytest.mark.parametrize("move, message", [
-    (MatrixSlide(i=2, j=0, s=1), "slide index out of range"),
-    (MatrixSlide(i=0, j=-1, s=1), "slide index out of range"),
-    (MatrixSlide(i=1, j=1, s=1), "cannot slide a component over itself"),
-    (MatrixSlide(i=0, j=1, s=2), "slide sign must be +1 or -1"),
-    (MatrixSlide(i=1, j=0, s=-2), "slide sign must be +1 or -1"),
-    (BlowDownIndex(k=2), "blow-down index out of range"),
-    (BlowDownIndex(k=-1), "blow-down index out of range"),
     (SlideOverUnknot(component=0, unknot=1, s=2), "slide sign must be +1 or -1"),
     (SlideOverUnknot(component=1, unknot=1, s=1), "cannot slide a component over itself")])
 def test_replay_guards_of_matrix_moves(move, message):
@@ -242,12 +220,8 @@ def test_replay_guards_of_matrix_moves(move, message):
 
 
 @pytest.mark.parametrize("move, message", [
-    (BlowDownIndex(k=True), "k must be an integer, got True"),
     (Poke(over=0.0, under=1, sign=1), "over must be an integer, got 0.0"),
     (SlideOverUnknot(component=0, unknot=1.0, s=1), "unknot must be an integer, got 1.0"),
-    (MatrixSlide(i=0, j=1.0, s=1), "j must be an integer, got 1.0"),
-    (MatrixSlide(i=0, j=1, s=True), "s must be an integer, got True"),
-    (AddSplitUnknot(framing=2.0), "framing must be an integer, got 2.0"),
     (GadgetSwitch(crossing="0", unknot=1, side="before"), "crossing must be an integer, got '0'")])
 def test_replay_refuses_move_fields_that_are_not_ints(move, message):
     # a bool or float is not read as an index, id or sign: the move fails,
@@ -292,64 +266,27 @@ def test_replay_rows_hold_only_nonzero_entries():
     assert rp.result().matrix_trace.final == rp.A
 
 
-def test_replay_random_matrix_scripts_preserve_homology():
-    # slides never change the cokernel; stabilizations and blow-downs by
-    # +/-1 change it only by trivial summands
-    rng = random.Random(223)
-    for _ in range(30):
-        d = random_diagram(rng, max_components=3, max_crossings=4)
-        script = MoveScript(initial=d)
-        h0 = homology_from_diagonal(snf_diagonal(linking_matrix(d)))
-        state = replay(script)
-        k = len(d.components)
-        for _ in range(rng.randint(1, 8)):
-            ids_n = len(state.final.components)
-            kind = rng.choice(["slide", "stab"] + (["slide"] if ids_n >= 2 else []))
-            if kind == "slide" and ids_n >= 2:
-                i, j = rng.sample(range(ids_n), 2)
-                script.moves.append(MatrixSlide(i=i, j=j, s=rng.choice((1, -1))))
-            else:
-                script.moves.append(AddSplitUnknot(framing=rng.choice((1, -1))))
-            state = replay(script)
-        h1 = homology_from_diagonal(snf_diagonal(state.matrix_trace[-1]))
-        assert (h0.rank, h0.torsion) == (h1.rank, h1.torsion)
-
-
 # -- the per-move check and the in-place engine ------------------------------
-
-def _gadget_script():
-    # two +1 unknots and a -1 unknot; poke, switch the poke crossing through
-    # the -1 unknot, blow that unknot down
-    d = catalog.unlink([1, 1, -1])
-    c_main = Editor(d.copy()).poke(0, 1, 1)[0]
-    return d, [Poke(over=0, under=1, sign=1),
-               GadgetSwitch(crossing=c_main, unknot=2, side=linkdiag.SIDE_BEFORE),
-               BlowDownIndex(k=2)]
-
 
 def _one_move_scripts():
     """(initial, moves) per move type, with that move last."""
-    d, gadget = _gadget_script()
+    # two +1 unknots and a -1 unknot; poke, switch the poke crossing
+    # through the -1 unknot
+    d = catalog.unlink([1, 1, -1])
+    c_main = Editor(d.copy()).poke(0, 1, 1)[0]
     return {
-        "AddSplitUnknot": (catalog.unlink([1]), [AddSplitUnknot(framing=2)]),
         "Poke": (catalog.unlink([1, 1]), [Poke(over=0, under=1, sign=-1)]),
-        "SlideOverUnknot": (catalog.unlink([0]), [AddSplitUnknot(framing=1),
-                                                  SlideOverUnknot(component=0, unknot=1, s=1)]),
-        "GadgetSwitch": (d, gadget[:2]),
-        "MatrixSlide": (catalog.hopf_link((2, 3)), [AddSplitUnknot(framing=1),
-                                                    MatrixSlide(i=0, j=1, s=1)]),
-        "BlowDownIndex": (d, gadget),
+        "SlideOverUnknot": (catalog.unlink([0, 1]), [SlideOverUnknot(component=0, unknot=1, s=1)]),
+        "GadgetSwitch": (d, [Poke(over=0, under=1, sign=1),
+                             GadgetSwitch(crossing=c_main, unknot=2, side=linkdiag.SIDE_BEFORE)]),
     }
 
 
 # the matrix rule of each move type, and when it runs for that move
 RULES = {
-    "AddSplitUnknot": ("_stabilize_rows", lambda *args: True),
     "Poke": ("_add_rows", lambda entries: not entries),
     "SlideOverUnknot": ("_slide_rows", lambda *args: True),
     "GadgetSwitch": ("_add_rows", lambda entries: bool(entries)),
-    "MatrixSlide": ("_slide_rows", lambda *args: True),
-    "BlowDownIndex": ("_blow_down_rows", lambda *args: True),
 }
 
 
@@ -372,8 +309,7 @@ def test_wrong_matrix_rule_is_caught_at_its_move(kind, monkeypatch):
         replay(MoveScript(initial=d, moves=moves))
 
 
-@pytest.mark.parametrize("kind", ["Poke", "SlideOverUnknot", "GadgetSwitch",
-                                  "MatrixSlide", "BlowDownIndex"])
+@pytest.mark.parametrize("kind", ["Poke", "SlideOverUnknot", "GadgetSwitch"])
 def test_crossing_missing_from_the_log_is_caught_at_its_move(kind, monkeypatch):
     d, moves = _one_move_scripts()[kind]
     rp = Replayer(d.copy())
@@ -399,67 +335,15 @@ def _reference_step(d, move):
     """One move on a copy of `d`, with the matrix recomputed in full."""
     ed = Editor(d.copy())
     d = ed.d
-    if isinstance(move, AddSplitUnknot):
-        ed.split_unknot(move.framing)
-    elif isinstance(move, Poke):
+    if isinstance(move, Poke):
         ed.poke(move.over, move.under, move.sign)
     elif isinstance(move, SlideOverUnknot):
         f = d.component(move.unknot).framing
         ed.clasp(move.component, move.unknot, move.s * f)
         d.component(move.component).framing += f
-    elif isinstance(move, GadgetSwitch):
-        ed.gadget(move.crossing, move.side, move.unknot)
-    elif isinstance(move, MatrixSlide):
-        ids, L = d.component_ids(), linking_matrix(d).entries
-        L2 = moved(IntegralLattice(L), intlattice._slide_rows, move.i, move.j, move.s).entries
-        d.component(ids[move.i]).framing = L2[move.i][move.i]
-        for t, ct in enumerate(ids):
-            delta = L2[move.i][t] - L[move.i][t]
-            if t != move.i and delta:
-                for _ in range(abs(delta)):
-                    ed.clasp(ids[move.i], ct, 1 if delta > 0 else -1)
     else:
-        ed.blow_down(d.component_ids()[move.k])
+        ed.gadget(move.crossing, move.side, move.unknot)
     return d, linking_matrix(d)
-
-
-def _fresh_id(d):
-    """The smallest component id `d` does not use."""
-    ids = set(d.component_ids())
-    return min(set(range(len(ids) + 1)) - ids)
-
-
-def _random_moves(rng, d):
-    """A valid move or two for the state `d`, or [] when the pick does not apply."""
-    ids = d.component_ids()
-    kind = rng.choice(["stab", "poke", "slide_over", "gadget", "slide", "down"])
-    if kind == "stab":
-        return [AddSplitUnknot(framing=rng.randint(-2, 2))]
-    if kind == "poke" and len(ids) >= 2:
-        over, under = rng.sample(ids, 2)
-        return [Poke(over=over, under=under, sign=rng.choice((1, -1)))]
-    if kind == "slide_over" and ids:
-        u = _fresh_id(d)
-        return [AddSplitUnknot(framing=rng.choice((1, -1))),
-                SlideOverUnknot(component=rng.choice(ids), unknot=u, s=rng.choice((1, -1)))]
-    if kind == "gadget" and d.crossings:
-        xid = rng.choice(sorted(d.crossings))
-        sides = gadget_sides(d, xid)
-        if not sides:
-            return []
-        side = rng.choice(sides)
-        rec = Editor(d.copy()).gadget(xid, side)
-        return [AddSplitUnknot(framing=rec.epsilon),
-                GadgetSwitch(crossing=xid, unknot=rec.unknot, side=side)]
-    if kind == "slide" and len(ids) >= 2:
-        if max(abs(x) for row in linking_matrix(d).entries for x in row) <= 6:
-            i, j = rng.sample(range(len(ids)), 2)
-            return [MatrixSlide(i=i, j=j, s=rng.choice((1, -1)))]
-    if kind == "down":
-        units = [k for k, c in enumerate(d.components) if c.framing in (1, -1)]
-        if units:
-            return [BlowDownIndex(k=rng.choice(units))]
-    return []
 
 
 def test_in_place_replay_matches_copying_reference():
@@ -468,10 +352,11 @@ def test_in_place_replay_matches_copying_reference():
     rng = random.Random(307)
     kinds = {}
     for _ in range(120):
-        d = random_diagram(rng, 3, 6)
+        d = with_split_unknots(rng, random_diagram(rng, 3, 6), rng.randint(2, 6))
         ref, mats, moves = d, [linking_matrix(d)], []
         while len(moves) < 6:
-            for move in _random_moves(rng, ref):
+            move = random_kirby_move(rng, ref)
+            if move is not None:
                 ref, L = _reference_step(ref, move)
                 mats.append(L)
                 moves.append(move)
@@ -482,7 +367,7 @@ def test_in_place_replay_matches_copying_reference():
         assert res.matrix_trace == mats
         assert [res.matrix_trace[t] for t in range(len(mats))] == mats
         assert res.matrix_trace[1:] == mats[1:] and res.matrix_trace[::-2] == mats[::-2]
-    assert len(kinds) == 6 and min(kinds.values()) >= 50, kinds
+    assert len(kinds) == 3 and min(kinds.values()) >= 50, kinds
 
 
 def test_alternating_slides_copy_the_diagram_once(monkeypatch):
@@ -490,11 +375,13 @@ def test_alternating_slides_copy_the_diagram_once(monkeypatch):
     copy = FramedLinkDiagram.copy
     monkeypatch.setattr(FramedLinkDiagram, "copy",
                         lambda self: copies.append(len(self.crossings)) or copy(self))
-    moves = [MatrixSlide(i=t % 2, j=1 - t % 2, s=1) for t in range(10)]
-    res = replay(MoveScript(initial=catalog.unlink([1, -1]), moves=moves))
-    L = IntegralLattice.diagonal([1, -1])
+    # component 0 slides over +1 and -1 unknots in turn
+    moves = [SlideOverUnknot(component=0, unknot=t, s=1) for t in range(1, 11)]
+    framings = [0] + [1, -1] * 5
+    res = replay(MoveScript(initial=catalog.unlink(framings), moves=moves))
+    L = IntegralLattice.diagonal(framings)
     for mv in moves:
-        L = moved(L, intlattice._slide_rows, mv.i, mv.j, mv.s)
+        L = moved(L, intlattice._slide_rows, mv.component, mv.unknot, mv.s)
     assert res.matrix_trace[-1] == L
     assert copies == [0]
 
@@ -650,10 +537,27 @@ def test_certificate_builder_validates_its_target_once(monkeypatch):
     monkeypatch.setattr(linkdiag, "validate_diagram",
                         lambda d: seen.append(len(d.components)) or validate(d))
     build_embedding_certificate(hopf)
-    assert seen == [2, 7]            # the target, then the initial unlink
+    assert seen == [2]               # the target; the initial unlink is valid as built
     seen.clear()
     build_embedding_certificate(trefoil, auto_unknotify=True)
-    assert seen == [1, 3]            # the target (unknotify), then the unlink
+    assert seen == [1]               # the target, in unknotify
+
+
+def test_verify_validates_each_diagram_once(monkeypatch):
+    cert = build_embedding_certificate(catalog.hopf_link((2, 3)))
+    seen = []
+    validate = linkdiag.validate_diagram
+    monkeypatch.setattr(linkdiag, "validate_diagram",
+                        lambda d: seen.append(len(d.components)) or validate(d))
+    assert verify_certificate(cert).passed
+    assert seen == [4, 2, 4]         # the initial unlink, the target, the final diagram
+    seen.clear()
+    replay(MoveScript(initial=cert.initial, moves=cert.moves))
+    assert seen == [4, 4]            # the initial and the final diagram
+    bad = cert.initial.copy()
+    bad.arcs[0].owner = 9
+    with pytest.raises(DiagramError, match="arc 0 owned by unknown component 9"):
+        replay(MoveScript(initial=bad, moves=cert.moves))
 
 
 def test_tampered_certificate_fails():
@@ -668,7 +572,7 @@ def test_target_naming_missing_arc_fails_report(monkeypatch):
     cert = build_embedding_certificate(catalog.hopf_link((1, -1)))
     obj = jsonio.certificate_to_obj(cert)
     obj["target"]["crossings"][0]["over_in"] = 99
-    monkeypatch.setattr(calculus, "replay", None)  # the target fails before the replay
+    monkeypatch.setattr(calculus, "Replayer", None)  # the target fails before the replay
     rep = verify_certificate(jsonio.certificate_from_obj(obj))
     assert [c.name for c in rep.failures()] == ["target diagram valid"]
     assert "crossing 0 references unknown arcs [99]" in rep.failures()[0].detail
@@ -687,7 +591,7 @@ def test_target_with_odd_pair_fails_report(monkeypatch):
     cert = build_embedding_certificate(catalog.hopf_link())
     cert.target = target
     cert.sublink = {0: 0, 1: 1, 2: 2}
-    monkeypatch.setattr(calculus, "replay", None)
+    monkeypatch.setattr(calculus, "Replayer", None)
     rep = verify_certificate(cert)
     assert [(c.name, c.detail) for c in rep.failures()] == [
         ("target diagram valid", "components 0 and 1 share an odd number of crossings")]
@@ -805,28 +709,27 @@ def test_verify_failure_is_the_last_check(case):
 @pytest.mark.parametrize("make", [catalog.hopf_link, lambda: catalog.unknot(3),
                                   catalog.e8_link], ids=["hopf", "unknot3", "e8"])
 def test_split_unknot_move_is_not_a_certificate_move(make):
-    # AddSplitUnknot attaches a 2-handle: framed 0 or 5 the witnessed
-    # 4-manifold is not W, framed +/-1 it has one more summand than m, n say
+    # a split-unknot move would attach a 2-handle: framed 0 or 5 the
+    # witnessed 4-manifold is not W, framed +/-1 it has one more summand
+    # than m, n say.  No script can name one, so the certificate is refused
     for f in (0, 1, -1, 5):
         for first in (True, False):
-            cert = build_embedding_certificate(make())
-            t = 0 if first else len(cert.moves)
-            cert.moves.insert(t, AddSplitUnknot(framing=f))
-            rep = verify_certificate(cert)
-            assert [(c.name, c.detail) for c in rep.failures()] == [
-                ("script replays", "move %d (AddSplitUnknot) is not a certificate move" % t)]
-            assert rep.checks[-1].name == "script replays"
+            obj = jsonio.certificate_to_obj(build_embedding_certificate(make()))
+            obj["moves"].insert(0 if first else len(obj["moves"]),
+                                {"type": "add_split_unknot", "framing": f})
+            with pytest.raises(jsonio.FormatError,
+                               match="^unknown move type 'add_split_unknot'$"):
+                jsonio.certificate_from_obj(obj)
 
 
-def test_hostile_slides_fail_without_a_replay(monkeypatch):
-    # alternating slides would grow the entries like Fibonacci numbers
-    cert = build_embedding_certificate(catalog.hopf_link())
-    cert.moves += [MatrixSlide(i=t % 2, j=1 - t % 2, s=1) for t in range(60)]
-    monkeypatch.setattr(calculus, "replay", None)
-    rep = verify_certificate(cert)
-    assert [(c.name, c.detail) for c in rep.failures()] == [
-        ("script replays", "move %d (MatrixSlide) is not a certificate move"
-         % (len(cert.moves) - 60))]
+def test_hostile_slides_fail_without_a_replay():
+    # alternating general slides would grow the entries like Fibonacci
+    # numbers; no script can name one, so nothing is replayed
+    obj = jsonio.certificate_to_obj(build_embedding_certificate(catalog.hopf_link()))
+    obj["moves"] += [{"type": "matrix_slide", "i": t % 2, "j": 1 - t % 2, "s": 1}
+                     for t in range(60)]
+    with pytest.raises(jsonio.FormatError, match="^unknown move type 'matrix_slide'$"):
+        jsonio.certificate_from_obj(obj)
 
 
 # -- obstruction -------------------------------------------------------------

@@ -11,7 +11,6 @@ import pytest
 
 from conftest import e8_sum, random_diagram, scrambled
 from surgerykit import calculus, catalog, cli, intlattice, jsonio, linkdiag
-from surgerykit.calculus import AddSplitUnknot
 from surgerykit.cli import main
 from surgerykit.intlattice import IntegralLattice, e8_matrix
 
@@ -212,19 +211,19 @@ def test_verify_tampered_certificate_exits_one(tmp_path, capsys):
         "verdict: FAIL"]
 
 
-def test_verify_non_certificate_move_exits_one(tmp_path, capsys):
+def test_verify_move_that_is_not_a_kirby_move_exits_two(tmp_path, capsys):
+    # a split-unknot move would attach a 2-handle the certificate does not
+    # count; its tag is no move at all, so the file is refused unread
     path = _write_link(tmp_path, catalog.hopf_link())
     cert_path = str(tmp_path / "cert.json")
     assert main(["certify-embedding", path, "-o", cert_path]) == 0
     capsys.readouterr()
     obj = jsonio.load_path(cert_path)
-    obj["moves"].insert(0, jsonio.move_to_obj(AddSplitUnknot(framing=1)))
+    obj["moves"].insert(0, {"type": "add_split_unknot", "framing": 1})
     jsonio.save_path(cert_path, obj)
-    code, rep = _run_json(capsys, ["verify", cert_path])
-    assert code == 1
-    assert rep["result"]["verdict"] == "FAIL"
-    assert [c["detail"] for c in rep["result"]["checks"] if not c["ok"]] == [
-        "move 0 (AddSplitUnknot) is not a certificate move"]
+    for json_flag in ([], ["--json"]):
+        assert main(["verify", cert_path] + json_flag) == 2
+        assert capsys.readouterr() == ("", "error: unknown move type 'add_split_unknot'\n")
 
 
 def test_verify_unknown_switch_crossing_exits_one(tmp_path, capsys):

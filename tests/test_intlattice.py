@@ -15,9 +15,8 @@ from conftest import e8_sum, moved, quad, random_symmetric, scrambled
 from surgerykit import cli, intlattice, jsonio
 from surgerykit.calculus import donaldson_obstruction
 from surgerykit.intlattice import (AbelianGroupPresentation, IntegralLattice,
-                                   LatticeError, _blow_down_rows, _slide_rows,
-                                   _stabilize_rows, diagonalizable_over_Z,
-                                   direct_sum, e8_matrix,
+                                   LatticeError, _slide_rows,
+                                   diagonalizable_over_Z, direct_sum, e8_matrix,
                                    homology_from_diagonal, inertia,
                                    short_vectors, snf_diagonal)
 
@@ -351,25 +350,6 @@ def test_slide_inverse_pair():
         assert moved(moved(L, _slide_rows, i, j, s), _slide_rows, i, j, -s) == L
 
 
-def test_stabilize_blow_down_cancel():
-    L = IntegralLattice([[3, 1], [1, -2]])
-    assert moved(moved(L, _stabilize_rows, 2, 1), _blow_down_rows, 2) == L
-    assert moved(moved(L, _stabilize_rows, 2, -1), _blow_down_rows, 2) == L
-
-
-def test_blow_down_preserves_cokernel():
-    rng = random.Random(113)
-    for _ in range(40):
-        n = rng.randint(2, 5)
-        A = random_symmetric(rng, n, -4, 4)
-        k = rng.randrange(n)
-        A[k][k] = rng.choice((1, -1))
-        L = IntegralLattice(A)
-        h1 = homology_from_diagonal(snf_diagonal(L))
-        h2 = homology_from_diagonal(snf_diagonal(moved(L, _blow_down_rows, k)))
-        assert (h1.rank, h1.torsion) == (h2.rank, h2.torsion)
-
-
 def test_moves_preserve_cokernel():
     rng = random.Random(127)
     for _ in range(40):
@@ -381,7 +361,7 @@ def test_moves_preserve_cokernel():
         hs = homology_from_diagonal(snf_diagonal(Ls))
         assert (h0.rank, h0.torsion) == (hs.rank, hs.torsion)
         eps = rng.choice((1, -1))
-        hst = homology_from_diagonal(snf_diagonal(moved(L, _stabilize_rows, n, eps)))
+        hst = homology_from_diagonal(snf_diagonal(direct_sum(L, IntegralLattice.diagonal([eps]))))
         assert (h0.rank, h0.torsion) == (hst.rank, hst.torsion)
 
 

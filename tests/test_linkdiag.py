@@ -465,17 +465,6 @@ def _gadget_record(**change):
     return GadgetRecord(**{**rec, **change})
 
 
-def _odd_pairs(framing):
-    """Three components of two arcs each; every pair shares one crossing."""
-    d = FramedLinkDiagram(
-        components=[Component(k, framing, basepoint=2 * k) for k in range(3)],
-        arcs={0: Arc(0, 1), 1: Arc(0, 0), 2: Arc(1, 3), 3: Arc(1, 2),
-              4: Arc(2, 5), 5: Arc(2, 4)},
-        crossings={0: Crossing(0, 1, 2, 3, 1), 1: Crossing(3, 2, 4, 5, 1),
-                   2: Crossing(5, 4, 1, 0, 1)})
-    return Editor(d)
-
-
 # (editor, the rewrite whose precondition fails on it, the error it raises)
 FAILED_PRECONDITIONS = {
     "switch unknown crossing": (lambda: _editor(catalog.hopf_link()),
@@ -510,12 +499,6 @@ FAILED_PRECONDITIONS = {
                               lambda ed: ed.gadget(0, "before", 2), "has framing 5, need -1"),
     "gadget unknot not split": (lambda: _editor(catalog.chain_link([0, 0, -1])),
                                 lambda ed: ed.gadget(0, "before", 2), "is not split"),
-    "blow_down unknown component": (lambda: _editor(catalog.hopf_link()),
-                                    lambda ed: ed.blow_down(5), "unknown component id 5"),
-    "blow_down framing": (lambda: _editor(catalog.hopf_link((2, 1))),
-                          lambda ed: ed.blow_down(0), "needs framing"),
-    "blow_down odd pair": (lambda: _odd_pairs(1),
-                           lambda ed: ed.blow_down(0), "odd number of crossings"),
     "blow_down_gadget unknown unknot": (
         _hopf_gadget, lambda ed: blow_down_gadget(ed, _gadget_record(unknot=5)),
         "unknown component id 5"),
