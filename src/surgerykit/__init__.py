@@ -2,7 +2,7 @@
 exact integer-lattice invariants, certified Kirby-move scripts, and the
 Donaldson-type diagonalizability obstruction."""
 
-from .calculus import (EmbeddingCertificate, MoveScript, ObstructionReport,
+from .calculus import (EmbeddingCertificate, ObstructionReport,
                        build_embedding_certificate, donaldson_obstruction,
                        reduce_free_word, replay, unknotify, verify_certificate,
                        word_from_intersections)

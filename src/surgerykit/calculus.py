@@ -3,20 +3,19 @@ free-group-word triviality, unknotification of surgery links, and
 embedding certificates with their replay verifier, plus the lattice
 obstruction verdict.
 
-A move script is replayed in place against two parallel states -- the
-diagram and its linking matrix -- at a cost that follows the size of
-each move's change.  After every move the crossings and framings the
-diagram rewrite logged are checked against the entries the move's matrix
-rule changed, in O(change); one full linking matrix of the final diagram
-is checked at the end.  A mismatch is a hard internal error, never a
-report entry.
+A move script is replayed in place on the diagram and on its linking
+matrix, kept as rows of nonzero entries keyed by component id -- the
+one matrix form that the builder, the replay and the verifier share --
+at a cost that follows the size of each move's change.  After every move
+the crossings and framings the diagram rewrite logged are checked
+against the entries the move's matrix rule changed, in O(change); the
+rows of the final diagram are checked once at the end.  A mismatch is a
+hard internal error, never a report entry.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
 from typing import Union, get_args
 
 from . import catalog, intlattice, linkdiag
@@ -114,43 +113,9 @@ KirbyMove = Union[GadgetSwitch, SlideOverUnknot, Poke]
 
 
 @dataclass
-class MoveScript:
-    initial: FramedLinkDiagram
-    moves: list[KirbyMove] = field(default_factory=list)
-
-
-class MatrixTrace(Sequence):
-    """The linking matrix after each move of a replay, as a view: entry t
-    is rebuilt on demand from the start rows by the first t matrix rules;
-    the last entry is made from the final rows."""
-
-    def __init__(self, start: dict, ops: list, final: dict):
-        self.start, self.ops, self.final = start, ops, final
-
-    def __len__(self) -> int:
-        return len(self.ops) + 1
-
-    def __getitem__(self, t):
-        if isinstance(t, slice):
-            return list(self)[t]
-        t = range(len(self))[t]
-        return _lattice(self.final) if t == len(self.ops) else next(islice(self, t, None))
-
-    def __iter__(self):
-        A = {key: dict(row) for key, row in self.start.items()}
-        yield _lattice(A)
-        for rule, args in self.ops:
-            rule(A, *args)
-            yield _lattice(A)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sequence) and list(self) == list(other)
-
-
-@dataclass
 class ReplayResult:
     final: FramedLinkDiagram
-    matrix_trace: MatrixTrace
+    rows: dict[int, dict[int, int]]  # its linking matrix's nonzeros, {id: {id': entry}}
 
 
 class Replayer:
@@ -168,15 +133,12 @@ class Replayer:
         """Rewrites `d` itself, which must be a valid diagram."""
         self.ed = linkdiag.Editor(d)
         self.A = linkdiag._linking_rows(d)
-        self.start = {key: dict(row) for key, row in self.A.items()}
-        self.ops: list = []
 
     def apply(self, t: int, move: KirbyMove) -> None:
         try:
             rule, args = self._rewrite(move)
         except (MoveError, DiagramError) as e:
             raise MoveError("move %d (%s): %s" % (t, type(move).__name__, e)) from None
-        self.ops.append((rule, args))
         # by component id: twice each linking number (a crossing sign sum), once each framing
         want = intlattice._pair_sums((p, q, v if p == q else 2 * v)
                                      for (p, q), v in rule(self.A, *args).items())
@@ -244,15 +206,14 @@ class Replayer:
             raise AssertionError("the final diagram's linking matrix %r differs from "
                                  "the tracked matrix %r"
                                  % (_lattice(final).entries, _lattice(self.A).entries))
-        return ReplayResult(final=self.ed.d,
-                            matrix_trace=MatrixTrace(self.start, self.ops, final))
+        return ReplayResult(final=self.ed.d, rows=final)
 
 
-def replay(script: MoveScript) -> ReplayResult:
+def replay(initial: FramedLinkDiagram, moves) -> ReplayResult:
     """Deterministic replay on a copy of the initial diagram, once that
     is validated, checked after every move and once in full at the end."""
-    linkdiag.require_valid(script.initial)
-    return _replay(script.initial, script.moves)
+    linkdiag.require_valid(initial)
+    return _replay(initial, moves)
 
 
 def _replay(initial: FramedLinkDiagram, moves) -> ReplayResult:
@@ -336,20 +297,22 @@ def build_embedding_certificate(d: FramedLinkDiagram,
                 "(crossings %r need switching); pass auto_unknotify=True"
                 % (sorted(switches),))
 
-    A = _lattice(linkdiag._linking_rows(d)).entries  # d is valid: checked, or unknotify's
-    sublink = {cid: t for t, cid in enumerate(d.component_ids())}
+    rows = linkdiag._linking_rows(d)  # d is valid: checked, or unknotify's
+    sublink = {cid: t for t, cid in enumerate(rows)}
     k = len(sublink)
 
     # The initial unlink, in id order: one unknot per target component,
     # one gadget unknot per unit of linking, then the framing-fix
     # unknots.  A poke plus a 'before'-side gadget switch between a and b
     # adds sign(lam) to lk(a, b) and to both framings, so the framing
-    # left to fix on t is A[t][t] - sign(A[t][t]) - sum_u A[t][u].
-    framings = [_sign_or_plus(A[t][t]) for t in range(k)]
-    pairs = [(a, b, A[a][b]) for a in range(k) for b in range(a + 1, k) if A[a][b]]
+    # left to fix on t is 2 A[t][t] - sign(A[t][t]) - (the sum of row t).
+    diagonal = [row.get(cid, 0) for cid, row in rows.items()]
+    framings = [_sign_or_plus(x) for x in diagonal]
+    pairs = sorted((sublink[a], sublink[b], lam) for a, row in rows.items()
+                   for b, lam in row.items() if sublink[a] < sublink[b])
     framings += [_sign_or_plus(lam) for _, _, lam in pairs for _ in range(abs(lam))]
-    deficits = [A[t][t] - framings[t] - sum(A[t][u] for u in range(k) if u != t)
-                for t in range(k)]
+    deficits = [2 * x - f - sum(row.values())
+                for x, f, row in zip(diagonal, framings, rows.values())]
     if sum(map(abs, deficits)) > MAX_FRAMING_FIXES:
         raise DiagramError("the framings need %d framing-fix unknots, over the limit of %d"
                            % (sum(map(abs, deficits)), MAX_FRAMING_FIXES))
@@ -439,7 +402,7 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
     tgt_bad = linkdiag.validate_diagram(cert.target)
     if not tgt_bad:
         try:
-            Lt = _lattice(linkdiag._linking_rows(cert.target)).entries
+            Lt = linkdiag._linking_rows(cert.target)
         except DiagramError as e:
             tgt_bad = [str(e)]
     if tgt_bad:
@@ -452,7 +415,7 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
         return VerificationReport(checks)
     check("script replays")
 
-    Lf = result.matrix_trace.final  # the final rows, keyed by component id
+    Lf = result.rows
     ids = cert.target.component_ids()
     mapped = [cert.sublink.get(cid) for cid in ids]
     ok_map = (cert.sublink.keys() == set(ids) and len(set(mapped)) == len(mapped)
@@ -462,9 +425,13 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
                  "into the final diagram" % (cert.sublink,)):
         return VerificationReport(checks)
 
-    sub = [[Lf[a].get(b, 0) for b in mapped] for a in mapped]
+    # the target's rows carried to final ids, against the final rows on the sublink
+    want = {cert.sublink[a]: {cert.sublink[b]: v for b, v in row.items()}
+            for a, row in Lt.items()}
+    got = {a: {b: v for b, v in Lf[a].items() if b in want} for a in want}
     check("sublink linking matrix equals target",
-          "" if sub == Lt else "sublink matrix %r, target matrix %r" % (sub, Lt))
+          "" if got == want else "sublink matrix %r, target matrix %r"
+          % ([[Lf[a].get(b, 0) for b in mapped] for a in mapped], _lattice(Lt).entries))
     return VerificationReport(checks)
 
 

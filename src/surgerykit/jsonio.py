@@ -236,7 +236,10 @@ def certificate_from_obj(obj) -> EmbeddingCertificate:
     if not isinstance(obj["sublink"], dict):
         raise FormatError("sublink must be an object")
     for k, v in obj["sublink"].items():
-        sublink[decode_int(k, "sublink key")] = decode_int(v, "sublink value")
+        cid = decode_int(k, "sublink key")
+        if cid in sublink:  # "01" and "-0" name the ids of "1" and "0"
+            raise FormatError("duplicate sublink key %d (%r)" % (cid, k))
+        sublink[cid] = decode_int(v, "sublink value")
     if not isinstance(obj["moves"], list):
         raise FormatError("moves must be a list")
     return EmbeddingCertificate(

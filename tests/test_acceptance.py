@@ -17,12 +17,12 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from conftest import (blow_down_gadget, gadget_sides, moved, quad, random_diagram,
                       random_kirby_move, with_split_unknots)
 from surgerykit import catalog, jsonio, linkdiag
-from surgerykit.calculus import (MoveScript, build_embedding_certificate,
+from surgerykit.calculus import (Replayer, build_embedding_certificate,
                                  donaldson_obstruction, reduce_free_word,
-                                 replay, unknotify, verify_certificate,
+                                 unknotify, verify_certificate,
                                  word_from_intersections)
 from surgerykit.cli import main as cli_main
-from surgerykit.intlattice import (IntegralLattice, _slide_rows,
+from surgerykit.intlattice import (IntegralLattice, _lattice, _slide_rows,
                                    diagonalizable_over_Z, e8_matrix,
                                    homology_from_diagonal, inertia,
                                    snf_diagonal)
@@ -107,15 +107,13 @@ def test_acceptance_4_move_invariance():
                     L = trial
             h1 = homology_from_diagonal(snf_diagonal(L))
             assert (h0.rank, h0.torsion) == (h1.rank, h1.torsion)
-            script = MoveScript(initial=d)
-            state = d
+            rp, t = Replayer(d.copy()), 0
             for _ in range(rng.randint(1, 20)):
-                mv = random_kirby_move(rng, state)
+                mv = random_kirby_move(rng, rp.ed.d)
                 if mv is not None:
-                    script.moves.append(mv)
-                    # replay() itself asserts matrix/diagram agreement per move
-                    state = replay(script).final
-            h1 = homology_from_diagonal(snf_diagonal(replay(script).matrix_trace[-1]))
+                    rp.apply(t, mv)  # asserts matrix/diagram agreement at the move
+                    t += 1
+            h1 = homology_from_diagonal(snf_diagonal(_lattice(rp.result().rows)))
             assert (h0.rank, h0.torsion) == (h1.rank, h1.torsion)
 
 

@@ -257,6 +257,34 @@ def test_verify_sublink_key_that_is_no_target_id_exits_one(tmp_path, capsys):
         "verdict: FAIL"]
 
 
+def test_verify_sublink_keys_naming_one_id_exit_two(tmp_path, capsys):
+    # read as last-key-wins, "01" and "-0" would swap the Hopf link's two
+    # components and the certificate would pass
+    path = _write_link(tmp_path, catalog.hopf_link())
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify-embedding", path, "-o", cert_path]) == 0
+    capsys.readouterr()
+    obj = jsonio.load_path(cert_path)
+    obj["sublink"] = {"0": 0, "1": 1, "01": 0, "-0": 1}
+    with open(cert_path, "w") as fh:  # in this key order, not sorted
+        json.dump(obj, fh)
+    for json_flag in ([], ["--json"]):
+        assert main(["verify", cert_path] + json_flag) == 2
+        assert capsys.readouterr() == ("", "error: duplicate sublink key 1 ('01')\n")
+
+
+def test_certify_and_verify_of_a_large_unlink_are_linear(tmp_path, capsys):
+    # 8,000 split +/-1 unknots: a dense 8,000 x 8,000 matrix anywhere would
+    # take seconds and hundreds of MB
+    path = _write_link(tmp_path, catalog.unlink([1, -1] * 4000))
+    cert_path = str(tmp_path / "cert.json")
+    for argv in (["certify-embedding", path, "-o", cert_path], ["verify", cert_path]):
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out.endswith("verdict: PASS\n")
+
+
 @pytest.mark.parametrize("side", [["before"], True, 5, None, {}])
 def test_verify_non_string_side_is_exit_two(tmp_path, capsys, side):
     path = _write_link(tmp_path, catalog.hopf_link())

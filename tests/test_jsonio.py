@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -364,6 +365,16 @@ def test_certificate_rejects_non_ascii_sublink_key():
     obj = certificate_to_obj(build_embedding_certificate(catalog.unknot(1)))
     obj["sublink"] = {"\u00b2": 0}
     with pytest.raises(FormatError, match="sublink key"):
+        certificate_from_obj(obj)
+
+
+@pytest.mark.parametrize("alias, cid", [("01", 1), ("-0", 0), ("000", 0)])
+def test_certificate_rejects_two_sublink_keys_naming_one_id(alias, cid):
+    # a later key that decodes to an earlier key's id must not overwrite it
+    obj = certificate_to_obj(build_embedding_certificate(catalog.hopf_link()))
+    obj["sublink"][alias] = 1 - cid
+    with pytest.raises(FormatError, match="^duplicate sublink key %d %s$"
+                                          % (cid, re.escape("(%r)" % alias))):
         certificate_from_obj(obj)
 
 
