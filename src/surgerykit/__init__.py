@@ -9,7 +9,7 @@ from .calculus import (EmbeddingCertificate, ObstructionReport,
 from .intlattice import (AbelianGroupPresentation, Inertia, IntegralLattice,
                          diagonalizable_over_Z, direct_sum, e8_matrix,
                          inertia, short_vectors)
-from .linkdiag import (Editor, FramedLinkDiagram, GadgetRecord,
-                       descending_switch_set, linking_matrix, validate_diagram)
+from .linkdiag import (Editor, FramedLinkDiagram, descending_switch_set,
+                       linking_matrix, validate_diagram)
 
 __version__ = "0.1.0"

@@ -6,11 +6,13 @@ obstruction verdict.
 A move script is replayed in place on the diagram and on its linking
 matrix, kept as rows of nonzero entries keyed by component id -- the
 one matrix form that the builder, the replay and the verifier share --
-at a cost that follows the size of each move's change.  After every move
-the crossings and framings the diagram rewrite logged are checked
-against the entries the move's matrix rule changed, in O(change); the
-rows of the final diagram are checked once at the end.  A mismatch is a
-hard internal error, never a report entry.
+at a cost that follows the size of each move's change.  Each move's
+matrix rule is read off the move and the diagram before the rewrite,
+never from what the rewrite returns.  After every move the crossings and
+framings the diagram rewrite logged are checked against the entries the
+rule changed, in O(change); the rows of the final diagram are checked
+once at the end.  A mismatch is a hard internal error, never a report
+entry.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Union, get_args
 
 from . import catalog, intlattice, linkdiag
 from .intlattice import IntegralLattice, _lattice
-from .linkdiag import DiagramError, FramedLinkDiagram, GadgetRecord
+from .linkdiag import Crossing, DiagramError, FramedLinkDiagram
 
 
 class MoveError(ValueError):
@@ -123,7 +125,8 @@ class Replayer:
 
     Each move rewrites the diagram through a `linkdiag.Editor` core and
     the matrix rows (nonzero entries keyed by component id) through the
-    move's own matrix rule, which touches only the entries it changes.
+    move's own matrix rule, which is read off the move and the diagram
+    before the rewrite and touches only the entries it changes.
     After every move the two are checked against each other in O(change):
     the crossings and framings the diagram's log says changed must give
     exactly the entries the rule changed; `result` checks all once.
@@ -151,9 +154,10 @@ class Replayer:
                 % (t, type(move).__name__, want, got))
 
     def _rewrite(self, move: KirbyMove):
-        """The move applied to the diagram; returns its matrix rule.  A
-        failed precondition, such as a field other than a gadget's side
-        that is not an int, raises before any change."""
+        """The move applied to the diagram; returns its matrix rule, read
+        off the move and the diagram before the rewrite.  A failed
+        precondition, such as a field other than a gadget's side that is
+        not an int, raises before any change."""
         if not isinstance(move, get_args(KirbyMove)):
             raise MoveError("unknown move %r" % (move,))
         for name in move.__dataclass_fields__:  # a poke's sign is left to the editor's check
@@ -187,15 +191,16 @@ class Replayer:
             return intlattice._slide_rows, (c, move.unknot, move.s)
 
         d = ed.d  # GadgetSwitch
-        x, y = d._strand_owners(d.crossing(move.crossing))
-        rec = ed.gadget(move.crossing, move.side, move.unknot)
-        # the switch moves lk(x, y) by eps*a*b; the unknot links the over
-        # strand's component a times and the under strand's b times
-        a, b = rec.passage_signs
-        entries = [(rec.unknot, x, a), (rec.unknot, y, b)]
-        entries += [(c, c, v) for c, v in rec.framing_compensations.items()]
-        if x != y:
-            entries.append((x, y, rec.epsilon * a * b))
+        c = d.crossing(move.crossing)
+        x, y = d._strand_owners(c)
+        _, _, a, b, eps = linkdiag._side_arcs(c, move.side)
+        ed.gadget(move.crossing, move.side, move.unknot)
+        # the blow-up of the eps-framed unknot whose row is w = a e_x + b e_y
+        # (the over strand's component x, the under strand's y): A gains eps w w^T
+        w = {x: a}
+        w[y] = w.get(y, 0) + b
+        entries = [(move.unknot, t, wt) for t, wt in w.items()]
+        entries += [(p, q, eps * w[p] * w[q]) for p in w for q in w if p <= q]
         return intlattice._add_rows, (entries,)
 
     def result(self) -> ReplayResult:
@@ -231,12 +236,10 @@ def _replay(initial: FramedLinkDiagram, moves) -> ReplayResult:
 @dataclass
 class UnknotifyResult:
     diagram: FramedLinkDiagram
-    gadgets: list[GadgetRecord]
-    p: int
+    unknots: list[int]  # the gadget unknots, one per switched crossing, in crossing id order
 
 
-def _gadget_side_for(d: FramedLinkDiagram, xid: int) -> str:
-    c = d.crossing(xid)
+def _gadget_side_for(c: Crossing) -> str:
     # antiparallel passages keep the gadget unknot unlinked (the
     # canceling-curve picture); fall back to the parallel side when the
     # mixed side degenerates on a kink.
@@ -249,12 +252,17 @@ def unknotify(d: FramedLinkDiagram, component_order=None,
               unlink: bool = False) -> UnknotifyResult:
     """Make every component an unknot (or the whole link an unlink, with
     `unlink=True`) by switching the descending switch set, each switch
-    paid for by a +/-1-framed gadget unknot."""
+    paid for by a +/-1-framed gadget unknot, added just before it."""
     switches = linkdiag.descending_switch_set(d, component_order,
                                               self_only=not unlink)
     ed = linkdiag.Editor(d.copy())
-    gadgets = [ed.gadget(xid, _gadget_side_for(ed.d, xid)) for xid in sorted(switches)]
-    return UnknotifyResult(diagram=ed.d, gadgets=gadgets, p=len(gadgets))
+    unknots = []
+    for xid in sorted(switches):
+        c = ed.d.crossings[xid]
+        side = _gadget_side_for(c)
+        unknots.append(ed.add_component(linkdiag._side_arcs(c, side)[4]))
+        ed.gadget(xid, side, unknots[-1])
+    return UnknotifyResult(diagram=ed.d, unknots=unknots)
 
 
 # ---------------------------------------------------------------------------

@@ -114,9 +114,9 @@ def cmd_lattice(args):
 def cmd_unknotify(args):
     res = calculus.unknotify(_load_link(args), component_order=_parse_order(args.order),
                              unlink=args.unlink)
-    rep = {"p": res.p, "gadget_unknots": [g.unknot for g in res.gadgets]}
+    rep = {"p": len(res.unknots), "gadget_unknots": res.unknots}
     return 0, rep, _output(args, rep, "link", jsonio.diagram_to_obj(res.diagram),
-                           ("crossing changes (p)", res.p),
+                           ("crossing changes (p)", rep["p"]),
                            ("gadget unknots", rep["gadget_unknots"]))
 
 

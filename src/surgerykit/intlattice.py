@@ -105,15 +105,6 @@ def _ints(entries) -> list[list[int]]:
     return rows
 
 
-def _int_rows(A):
-    """A copy of the integer rows of A, with its shape (m, n)."""
-    rows = _ints(getattr(A, "entries", A))
-    n = len(rows[0]) if rows else 0
-    if any(len(row) != n for row in rows):
-        raise LatticeError("ragged matrix")
-    return rows, len(rows), n
-
-
 def _smith(S, mod):
     """The smallest-pivot Euclidean loop, in place on the rows S, with
     every entry kept in the symmetric residue range mod `mod`: they end
@@ -181,32 +172,24 @@ def _smith(S, mod):
             row_add(bad, t, 1)
 
 
-def snf_diagonal(A, inert: Inertia | None = None) -> list[int]:
-    """The Smith diagonal of an integer matrix A, computed modulo a
+def snf_diagonal(L: IntegralLattice, inert: Inertia | None = None) -> list[int]:
+    """The Smith diagonal of the symmetric form L, computed modulo a
     nonzero maximal minor so that no entry grows (Kannan-Bachem 1979;
     Cohen, GTM 138, Sec. 2.4).
 
-    For a symmetric A of rank r, the last nonzero pivot D of `inertia`
-    is a nonzero r x r minor of a congruent form, so every invariant
-    factor d_i divides D.  The columns of A and D*Z^m span a lattice with
-    invariant factors (d_1..d_r, D, .., D), so the loop may reduce every
-    entry mod D, and d_i = gcd(pivot_i, D).  `inert` is A's inertia, if
-    the caller holds it.  Any other A is read through the symmetric
-    [[0, A], [A^T, 0]]: its rank is 2r, and its 2r-th determinantal
-    divisor is the square of A's r-th.
+    For L of rank r, the last nonzero pivot D of `inertia` is a nonzero
+    r x r minor of a congruent form, so every invariant factor d_i
+    divides D.  The columns of L and D*Z^n span a lattice with invariant
+    factors (d_1..d_r, D, .., D), so the loop may reduce every entry mod
+    D, and d_i = gcd(pivot_i, D).  `inert` is L's inertia, if the caller
+    holds it.
     """
-    S, m, n = _int_rows(A)
-    if inert is None and S != [list(col) for col in zip(*S)]:
-        inert = inertia(IntegralLattice._trusted(
-            [[0] * m + row for row in S] + [list(col) + [0] * n for col in zip(*S)]))
-        r = (m + n - inert.zero) // 2
-    else:
-        inert = inert or inertia(IntegralLattice._trusted(S))
-        r = n - inert.zero
+    inert = inert or inertia(L)
+    S, r = [list(row) for row in L.entries], L.n - inert.zero
     D = abs(inert.pivot)
     if D > 1:  # else every gcd below is 1, whatever the loop would leave
         _smith(S, D)
-    return [math.gcd(S[i][i], D) for i in range(r)] + [0] * (min(m, n) - r)
+    return [math.gcd(S[i][i], D) for i in range(r)] + [0] * (L.n - r)
 
 
 def homology_from_diagonal(diag) -> AbelianGroupPresentation:

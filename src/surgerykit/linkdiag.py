@@ -40,19 +40,22 @@ SIDE_RIGHT = "right"     # over_out + under_in   (antiparallel passages)
 SIDES = (SIDE_BEFORE, SIDE_AFTER, SIDE_LEFT, SIDE_RIGHT)
 
 
-def _side_arcs(c: Crossing, side: str) -> tuple[int, int, int, int]:
-    """Arcs encircled on `side` plus the passage signs (a for the over
-    strand's arc, b for the under strand's).  A passage counts +1 when the
-    arc is directed into the crossing."""
+def _side_arcs(c: Crossing, side: str) -> tuple[int, int, int, int, int]:
+    """Arcs encircled on `side`, the passage signs (a for the over
+    strand's arc, b for the under strand's) and the framing epsilon =
+    -s*a*b of the gadget unknot there, s the crossing's sign.  A passage
+    counts +1 when the arc is directed into the crossing."""
     if side == SIDE_BEFORE:
-        return c.over_in, c.under_in, 1, 1
-    if side == SIDE_AFTER:
-        return c.over_out, c.under_out, -1, -1
-    if side == SIDE_LEFT:
-        return c.over_in, c.under_out, 1, -1
-    if side == SIDE_RIGHT:
-        return c.over_out, c.under_in, -1, 1
-    raise DiagramError("unknown side selector %r (expected one of %r)" % (side, SIDES))
+        x, y, a, b = c.over_in, c.under_in, 1, 1
+    elif side == SIDE_AFTER:
+        x, y, a, b = c.over_out, c.under_out, -1, -1
+    elif side == SIDE_LEFT:
+        x, y, a, b = c.over_in, c.under_out, 1, -1
+    elif side == SIDE_RIGHT:
+        x, y, a, b = c.over_out, c.under_in, -1, 1
+    else:
+        raise DiagramError("unknown side selector %r (expected one of %r)" % (side, SIDES))
+    return x, y, a, b, -c.sign * a * b
 
 
 @dataclass
@@ -78,17 +81,6 @@ class Crossing:
 
     def arc_ids(self):
         return (self.over_in, self.over_out, self.under_in, self.under_out)
-
-
-@dataclass
-class GadgetRecord:
-    """Replayable record of one crossing change realized by a blow-up."""
-
-    unknot: int
-    crossing: int | None
-    epsilon: int
-    passage_signs: tuple[int, int]
-    framing_compensations: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -123,12 +115,6 @@ class FramedLinkDiagram:
             return self.crossings[xid]
         except KeyError:
             raise DiagramError("unknown crossing id %r" % (xid,)) from None
-
-    def arc(self, aid: int) -> Arc:
-        try:
-            return self.arcs[aid]
-        except KeyError:
-            raise DiagramError("unknown arc id %r" % (aid,)) from None
 
     def _strand_owners(self, c: Crossing) -> tuple[int, int]:
         return (self.arcs[c.over_in].owner, self.arcs[c.under_in].owner)
@@ -474,7 +460,7 @@ class Editor:
         out-arcs of the k-th new passage, in order along the strand.  The
         original arc keeps its id as the first segment.
         """
-        arc = self.d.arc(aid)
+        arc = self.d.arcs[aid]
         loop = arc.successor == aid and aid not in self.in_x
         chain = [aid] + [self.new_arc(arc.owner) for _ in range(count - loop)]
         if loop:
@@ -559,47 +545,40 @@ class Editor:
         self.put(c2, Crossing(pi[1], po[1], qi[1], qo[1], -sign))
         return c1, c2
 
-    def gadget(self, xid: int, side: str, unknot: int | None = None) -> GadgetRecord:
-        """Switch crossing `xid` and wire an unknot around the two adjacent
-        strands on `side`, so that blowing the unknot down restores the
-        original linking matrix exactly.
+    def gadget(self, xid: int, side: str, unknot: int) -> None:
+        """Switch crossing `xid` and wire the split zero-crossing component
+        `unknot`, other than the two encircled ones, around the two
+        adjacent strands on `side`, so that blowing the unknot down
+        restores the original linking matrix exactly.
 
-        With `unknot=None` the unknot is a fresh component.  Otherwise
-        `unknot` names an existing split zero-crossing component, other than
-        the two encircled ones, whose framing already equals the required
-        epsilon = -s*a*b (s the crossing sign, a and b the passage signs);
-        its arcs are replaced by the gadget's and its id is kept.
+        The unknot must already be framed epsilon (see `_side_arcs`); its
+        arcs are replaced by the gadget's and its id is kept.  It then
+        links the over strand's component a times and the under strand's
+        b times, and each of those components t gains framing
+        epsilon*v_t^2, v_t its total linking with the unknot.
         """
         d = self.d
         c = d.crossing(xid)
-        s = c.sign
-        x, y, a, b = _side_arcs(c, side)
+        x, y, a, b, eps = _side_arcs(c, side)
         if x == y:
             raise DiagramError("side %r of crossing %d selects one arc twice "
                                "(kink); use 'before' or 'after'" % (side, xid))
-        eps = -s * a * b
         comp_x = d.arcs[x].owner
         comp_y = d.arcs[y].owner
-
-        if unknot is None:
-            ucid = self.add_component(eps)
-        else:
-            ucomp = self.comp(unknot)
-            if unknot in (comp_x, comp_y):
-                raise DiagramError("gadget unknot %d is one of the encircled components" % unknot)
-            if ucomp.framing != eps:
-                raise DiagramError("gadget unknot %d has framing %d, need %d"
-                                   % (unknot, ucomp.framing, eps))
-            if self.xs_of[unknot]:
-                raise DiagramError("gadget unknot %d is not split" % unknot)
-            for aid in list(self.arcs_of[unknot]):
-                self.drop_arc(aid)
-            ucomp.basepoint = None
-            ucid = unknot
+        ucomp = self.comp(unknot)
+        if unknot in (comp_x, comp_y):
+            raise DiagramError("gadget unknot %d is one of the encircled components" % unknot)
+        if ucomp.framing != eps:
+            raise DiagramError("gadget unknot %d has framing %d, need %d"
+                               % (unknot, ucomp.framing, eps))
+        if self.xs_of[unknot]:
+            raise DiagramError("gadget unknot %d is not split" % unknot)
+        for aid in list(self.arcs_of[unknot]):
+            self.drop_arc(aid)
 
         self.switch(xid)
         (ex, xx), (ey, yy) = self.subdivide(x, 2), self.subdivide(y, 2)
-        u = [self.new_arc(ucid) for _ in range(4)]
+        u = [self.new_arc(unknot) for _ in range(4)]
         for k in range(4):
             d.arcs[u[k]].successor = u[(k + 1) % 4]
         cx1, cx2, cy1, cy2 = (self.xids.take() for _ in range(4))
@@ -609,18 +588,13 @@ class Editor:
         self.put(cy1, Crossing(ey[0], yy[0], u[0], u[1], b))
         self.put(cy2, Crossing(u[1], u[2], ey[1], yy[1], b))
         self.put(cx2, Crossing(u[2], u[3], ex[1], xx[1], a))
-        self.comp(ucid).basepoint = u[0]
+        ucomp.basepoint = u[0]
 
         v = {comp_x: a}
         v[comp_y] = v.get(comp_y, 0) + b
-        comps: dict[int, int] = {}
         for t, vt in v.items():
-            delta = eps * vt * vt
-            if delta:
-                self.set_framing(t, self.comp(t).framing + delta)
-                comps[t] = delta
-        return GadgetRecord(unknot=ucid, crossing=xid, epsilon=eps,
-                            passage_signs=(a, b), framing_compensations=comps)
+            if vt:
+                self.set_framing(t, self.comp(t).framing + eps * vt * vt)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import random
 
-from surgerykit import linkdiag
+from surgerykit import calculus, linkdiag
 from surgerykit.calculus import GadgetSwitch, Poke, SlideOverUnknot
 from surgerykit.intlattice import IntegralLattice, _lattice, _slide_rows, direct_sum, e8_matrix
 from surgerykit.linkdiag import DiagramError, FramedLinkDiagram
@@ -66,7 +66,7 @@ def random_kirby_move(rng: random.Random, d: FramedLinkDiagram):
         sides = gadget_sides(d, xid)
         if sides:
             side = rng.choice(sides)
-            eps = linkdiag.Editor(d.copy()).gadget(xid, side).epsilon
+            eps = linkdiag._side_arcs(d.crossing(xid), side)[4]
             fits = [u for u in units if d.component(u).framing == eps]
             if fits:
                 return GadgetSwitch(crossing=xid, unknot=rng.choice(fits), side=side)
@@ -86,11 +86,7 @@ def gadget_sides(d, xid):
     out = []
     for side in linkdiag.SIDES:
         c = d.crossing(xid)
-        try:
-            linkdiag._side_arcs(c, side)
-            x, y, _, _ = linkdiag._side_arcs(c, side)
-        except DiagramError:
-            continue
+        x, y = linkdiag._side_arcs(c, side)[:2]
         if x != y:
             out.append(side)
     return out
@@ -133,35 +129,70 @@ def scrambled(L, slides, rng):
     return _lattice(A)
 
 
-def blow_down_gadget(ed, rec):
-    """Kirby blow-down of a gadget unknot, the oracle for the crossing-change
-    gadget: re-switch the recorded crossing, splice the unknot out, undo the
-    framing compensations.  Like every Editor rewrite, a failed check raises
-    before the first change."""
-    d, u = ed.d, rec.unknot
+def gadget(ed, xid, side):
+    """Editor.gadget(xid, side, u) on a new component u, framed as the
+    gadget needs, added just before, as `calculus.unknotify` adds them; u."""
+    u = ed.add_component(linkdiag._side_arcs(ed.d.crossing(xid), side)[4])
+    ed.gadget(xid, side, u)
+    return u
+
+
+#: the passage signs (a, b) of the over and under strands on each side
+PASSAGE_SIGNS = {"before": (1, 1), "after": (-1, -1), "left": (1, -1), "right": (-1, 1)}
+
+
+def blow_down_gadget(ed, xid, side, u):
+    """Kirby blow-down of the gadget unknot `u` that Editor.gadget(xid,
+    side, u) wired, the oracle for the crossing-change gadget.  The unknot
+    must be framed eps = -s*a*b (s the crossing's sign before the switch,
+    a and b the side's passage signs) and link the crossing's over and
+    under strands a and b times.  The oracle re-switches the crossing,
+    splices the unknot out and moves each framing f_t by -eps*lk(u, t)^2,
+    the blow-down formula.  Like every Editor rewrite, a failed check
+    raises before the first change."""
+    d = ed.d
     comp = ed.comp(u)
-    if rec.epsilon not in (1, -1) or comp.framing != rec.epsilon:
-        raise DiagramError("gadget unknot %d has framing %d, record says %d"
-                           % (u, comp.framing, rec.epsilon))
+    c = d.crossing(xid)
+    a, b = PASSAGE_SIGNS[side]
+    eps = c.sign * a * b  # the switched crossing has sign -s
+    if comp.framing != eps:
+        raise DiagramError("gadget unknot %d has framing %d, side %r of crossing %d needs %d"
+                           % (u, comp.framing, side, xid, eps))
     xids = ed.xs_of[u]
-    if xids and len(xids) != 4:
+    if len(xids) != 4:
         raise DiagramError("component %d has %d crossings, not the 4-crossing "
                            "gadget shape" % (u, len(xids)))
-    for xid in sorted(xids):
-        over, under = d._strand_owners(d.crossings[xid])
+    for x in sorted(xids):
+        over, under = d._strand_owners(d.crossings[x])
         if (over == u) == (under == u):
             raise DiagramError("crossing %d is not a single passage of the "
-                               "gadget unknot" % xid)
-    if rec.crossing in xids or u in rec.framing_compensations:
-        raise DiagramError("gadget record of unknot %d names a crossing or a "
-                           "component that the blow-down removes" % u)
-    for t in rec.framing_compensations:
-        ed.comp(t)  # raises for an unknown component, before any change
-    if rec.crossing is not None:
-        ed.switch(rec.crossing)
+                               "gadget unknot" % x)
+    if xid in xids:
+        raise DiagramError("crossing %d is one of the gadget unknot %d's, which the "
+                           "blow-down removes" % (xid, u))
+    # the switch swapped the strands: the over strand's component is now under
+    over, under = d._strand_owners(c)
+    want = {under: a}
+    want[over] = want.get(over, 0) + b
+    w = ed.linking(u)
+    if w != {t: v for t, v in want.items() if v}:
+        raise DiagramError("gadget unknot %d links %r, side %r of crossing %d needs %r"
+                           % (u, w, side, xid, want))
+    ed.switch(xid)
     ed.excise(u)
-    for t, delta in rec.framing_compensations.items():
-        ed.set_framing(t, ed.comp(t).framing - delta)
+    for t, wt in w.items():
+        ed.set_framing(t, ed.comp(t).framing - eps * wt * wt)
+
+
+def blow_down_unknotify(d, res, unlink=False):
+    """res.diagram, for res = calculus.unknotify(d, unlink=unlink), after
+    each gadget unknot is blown back down, the last first."""
+    switches = sorted(linkdiag.descending_switch_set(d, self_only=not unlink))
+    assert len(switches) == len(res.unknots)
+    ed = linkdiag.Editor(res.diagram)
+    for xid, u in reversed(list(zip(switches, res.unknots))):
+        blow_down_gadget(ed, xid, calculus._gadget_side_for(d.crossing(xid)), u)
+    return ed.d
 
 
 def validate_diagram_oracle(d: FramedLinkDiagram) -> list[str]:

@@ -14,8 +14,9 @@ from fractions import Fraction
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import (blow_down_gadget, gadget_sides, moved, quad, random_diagram,
-                      random_kirby_move, with_split_unknots)
+from conftest import (blow_down_gadget, blow_down_unknotify, gadget, gadget_sides, moved,
+                      quad, random_diagram, random_kirby_move, random_symmetric,
+                      with_split_unknots)
 from surgerykit import catalog, jsonio, linkdiag
 from surgerykit.calculus import (Replayer, build_embedding_certificate,
                                  donaldson_obstruction, reduce_free_word,
@@ -81,9 +82,9 @@ def test_acceptance_3_gadget_soundness():
             for xid in d.crossings:
                 for side in gadget_sides(d, xid):
                     ed = Editor(d.copy())
-                    rec = ed.gadget(xid, side)
+                    u = gadget(ed, xid, side)
                     assert not linkdiag.validate_diagram(ed.d)
-                    blow_down_gadget(ed, rec)
+                    blow_down_gadget(ed, xid, side, u)
                     assert linking_matrix(ed.d).entries == L.entries
                     cases += 1
             diagrams += 1
@@ -118,12 +119,12 @@ def test_acceptance_4_move_invariance():
 
 
 def test_acceptance_5_snf_oracle():
-    with _verdict("5 SNF: 500+ random 4x4 matrices give sympy's invariant "
+    with _verdict("5 SNF: 500+ random symmetric 4x4 forms give sympy's invariant "
                   "factors, divisibility chain, zeros last, product == |det A|"):
         rng = random.Random(1019)
         for _ in range(500):
-            A = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
-            diag = snf_diagonal(A)
+            A = random_symmetric(rng, 4, -5, 5)
+            diag = snf_diagonal(IntegralLattice(A))
             want = [abs(int(x)) for x in sympy_snf(sympy.Matrix(A)).diagonal()]
             assert diag == want + [0] * (4 - len(want))
             assert all(x >= 0 for x in diag)
@@ -218,10 +219,8 @@ def test_acceptance_8_unknotify():
             for c in res.diagram.components:
                 if c.id not in original:
                     assert c.framing in (1, -1)
-            ed = Editor(res.diagram)
-            for rec in reversed(res.gadgets):
-                blow_down_gadget(ed, rec)
-            assert linking_matrix(ed.d).entries == linking_matrix(d).entries
+            assert (linking_matrix(blow_down_unknotify(d, res)).entries
+                    == linking_matrix(d).entries)
 
 
 def test_acceptance_9_free_group_lemma():

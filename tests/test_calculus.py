@@ -6,8 +6,8 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import (blow_down_gadget, gadget_sides, moved, random_diagram,
-                      random_kirby_move, with_split_unknots)
+from conftest import (PASSAGE_SIGNS, blow_down_gadget, blow_down_unknotify, gadget_sides,
+                      moved, random_diagram, random_kirby_move, with_split_unknots)
 from surgerykit import calculus, catalog, intlattice, jsonio, linkdiag
 from surgerykit.calculus import (GadgetSwitch, MoveError, Poke,
                                  Replayer, SlideOverUnknot,
@@ -120,7 +120,7 @@ def test_replay_gadget_switch_then_blow_down():
     d = ed.d
     ref = Editor(d.copy())
     c_main, _ = ref.poke(0, 1, 1)
-    rec = ref.gadget(c_main, linkdiag.SIDE_BEFORE, g)
+    ref.gadget(c_main, linkdiag.SIDE_BEFORE, g)
     res = replay(d, [
         Poke(over=0, under=1, sign=1),
         GadgetSwitch(crossing=c_main, unknot=g, side=linkdiag.SIDE_BEFORE),
@@ -130,14 +130,14 @@ def test_replay_gadget_switch_then_blow_down():
     # the switch drops lk(0,1) to -1 and compensates framings through g
     assert res.rows[0][1] == -1
     ed = Editor(res.final)
-    blow_down_gadget(ed, rec)
+    blow_down_gadget(ed, c_main, linkdiag.SIDE_BEFORE, g)
     assert linking_matrix(ed.d).entries == [[1, 0], [0, 1]]
 
 
 @pytest.mark.parametrize("unknot", [None, 2.0, "2"])
 def test_replay_gadget_switch_needs_a_component_id(unknot):
-    # the editor would wire a fresh unknot for None, which the matrix rule
-    # has no row for; the move fails before it changes anything
+    # the move names its unknot by id; any other value fails before the
+    # move changes anything
     d = catalog.unlink([1, 1, -1])
     rp = Replayer(d.copy())
     rp.apply(0, Poke(over=0, under=1, sign=1))
@@ -162,18 +162,38 @@ def test_replay_gadget_switch_every_side_and_self_crossing():
         for xid in sorted(d.crossings):
             owners = d._strand_owners(d.crossing(xid))
             for side in gadget_sides(d, xid):
-                # the split unknot takes the id and framing that a gadget
-                # with a fresh unknot would give
-                rec = Editor(d.copy()).gadget(xid, side)
-                eps, u = rec.epsilon, rec.unknot
+                a, b = PASSAGE_SIGNS[side]
+                eps = -d.crossing(xid).sign * a * b
                 ed = Editor(d.copy())
-                assert ed.split_unknot(eps) == u
+                u = ed.split_unknot(eps)
                 res = replay(ed.d, [
                     GadgetSwitch(crossing=xid, unknot=u, side=side)])
                 assert res.final.component(u).framing == eps
                 replays += 1
                 self_crossings += owners[0] == owners[1]
     assert (replays, self_crossings) == (1126, 638)
+
+
+@pytest.mark.parametrize("side", linkdiag.SIDES)
+def test_gadget_framing_fault_is_caught_at_its_move(monkeypatch, side):
+    # a gadget that, after its real rewrite, moves the over strand's
+    # component's framing by one: the rule is read off the move, not from
+    # the editor, so the replay names the move on every side
+    gadget = Editor.gadget
+
+    def faulty(self, xid, side, unknot):
+        over = self.d._strand_owners(self.d.crossing(xid))[0]
+        gadget(self, xid, side, unknot)
+        self.set_framing(over, self.comp(over).framing + 1)
+
+    d = catalog.hopf_link((0, 0))
+    a, b = PASSAGE_SIGNS[side]
+    Editor(d).split_unknot(-d.crossing(0).sign * a * b)
+    moves = [Poke(over=0, under=1, sign=1), GadgetSwitch(crossing=0, unknot=2, side=side)]
+    assert replay(d, moves).final.component(2).framing in (1, -1)
+    monkeypatch.setattr(Editor, "gadget", faulty)
+    with pytest.raises(AssertionError, match=r"after move 1 \(GadgetSwitch\)"):
+        replay(d, moves)
 
 
 def test_replay_slide_needs_split_unit_unknot():
@@ -382,25 +402,22 @@ def test_alternating_slides_copy_the_diagram_once(monkeypatch):
 def test_unknotify_trefoil():
     d = catalog.trefoil(-1)
     res = unknotify(d)
-    assert res.p == 1
+    assert len(res.unknots) == 1
     assert linkdiag.descending_switch_set(res.diagram, self_only=True) == set()
-    ed = Editor(res.diagram)
-    for rec in reversed(res.gadgets):
-        blow_down_gadget(ed, rec)
-    assert linking_matrix(ed.d) == linking_matrix(d)
+    assert linking_matrix(blow_down_unknotify(d, res)) == linking_matrix(d)
 
 
 def test_unknotify_descending_input_is_noop():
     d = catalog.hopf_link((2, 3))
     res = unknotify(d)
-    assert res.p == 0
+    assert res.unknots == []
     assert res.diagram == d
 
 
 def test_unknotify_unlink_mode_also_switches_mixed_crossings():
     d = catalog.hopf_link((0, 0))
     res = unknotify(d, unlink=True)
-    assert res.p == 1
+    assert res.unknots == [2]
     assert linkdiag.linking_matrix(res.diagram).entries[0][1] == 0
 
 
@@ -411,12 +428,9 @@ def test_unknotify_random_round_trip():
         d = random_diagram(rng)
         res = unknotify(d)
         assert linkdiag.descending_switch_set(res.diagram, self_only=True) == set()
-        for rec in res.gadgets:
-            assert res.diagram.component(rec.unknot).framing in (1, -1)
-        ed = Editor(res.diagram)
-        for rec in reversed(res.gadgets):
-            blow_down_gadget(ed, rec)
-        assert linking_matrix(ed.d) == linking_matrix(d)
+        for u in res.unknots:
+            assert res.diagram.component(u).framing in (1, -1)
+        assert linking_matrix(blow_down_unknotify(d, res)) == linking_matrix(d)
         done += 1
 
 
@@ -683,6 +697,34 @@ def test_certificate_json_is_byte_identical(make, args, kwargs, digest):
     cert = build_embedding_certificate(make(*args), **kwargs)
     text = jsonio.dumps(jsonio.certificate_to_obj(cert))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_unknotify_outputs_are_byte_identical():
+    # every unknotified link and its gadget unknots, in both modes, on 600
+    # seeded diagrams of up to 40 crossings: 9,426 gadgets in all
+    h, gadgets = hashlib.sha256(), 0
+    for seed in range(600):
+        d = random_diagram(random.Random(seed), 4, 40)
+        for unlink in (False, True):
+            res = unknotify(d, unlink=unlink)
+            gadgets += len(res.unknots)
+            h.update(jsonio.dumps({"link": jsonio.diagram_to_obj(res.diagram),
+                                   "unknots": res.unknots}).encode())
+    assert gadgets == 9426
+    assert h.hexdigest() == "57b231aa9d99b1af3a94cc0b46d191f3bfd797d990e6c551f6ab20e8b7facc7c"
+
+
+def test_auto_unknotify_certificates_are_byte_identical():
+    # 300 seeded certificates built through unknotify, 5,700 moves in all
+    h, moves = hashlib.sha256(), 0
+    for seed in range(300):
+        cert = build_embedding_certificate(random_diagram(random.Random(seed), 4, 12),
+                                           auto_unknotify=True)
+        assert verify_certificate(cert).passed, seed
+        moves += len(cert.moves)
+        h.update(jsonio.dumps(jsonio.certificate_to_obj(cert)).encode())
+    assert moves == 5700
+    assert h.hexdigest() == "9a3fc574279521a6c07a8fc543d7706b3d777094529698b8d397cf37aa5b3723"
 
 
 def test_wrong_initial_framing_fails():

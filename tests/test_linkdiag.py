@@ -1,11 +1,12 @@
 import random
+import re
 
 import pytest
 
-from conftest import blow_down_gadget, gadget_sides, random_diagram
+from conftest import blow_down_gadget, gadget, gadget_sides, random_diagram
 from surgerykit import catalog, intlattice, linkdiag
 from surgerykit.linkdiag import (Arc, Component, Crossing, DiagramError,
-                                 Editor, FramedLinkDiagram, GadgetRecord,
+                                 Editor, FramedLinkDiagram,
                                  descending_switch_set, linking_matrix,
                                  validate_diagram)
 
@@ -364,33 +365,31 @@ def test_many_split_unknots_are_zero_crossing_loops():
 
 def test_self_crossing_antiparallel_side_has_no_compensation():
     ed = Editor(catalog.trefoil(0))
-    rec = ed.gadget(0, linkdiag.SIDE_LEFT)
-    d2 = ed.d
-    a, b = rec.passage_signs
+    _, _, a, b, _ = linkdiag._side_arcs(ed.d.crossing(0), linkdiag.SIDE_LEFT)
     assert a == -b
-    assert rec.framing_compensations == {}
-    assert _lk(d2, 0, rec.unknot) == 0
+    u = gadget(ed, 0, linkdiag.SIDE_LEFT)
+    d2 = ed.d
+    assert d2.component(0).framing == 0
+    assert _lk(d2, 0, u) == 0
 
 
 def test_hopf_gadget_compensations():
     ed = Editor(catalog.hopf_link((0, 0)))
     xid = min(ed.d.crossings)  # sign +1
-    rec = ed.gadget(xid, linkdiag.SIDE_BEFORE)
-    assert rec.epsilon == -1
-    assert rec.framing_compensations == {0: -1, 1: -1}
-    blow_down_gadget(ed, rec)
+    u = gadget(ed, xid, linkdiag.SIDE_BEFORE)
+    assert [c.framing for c in ed.d.components] == [-1, -1, -1]  # 0, 1 and the unknot
+    blow_down_gadget(ed, xid, linkdiag.SIDE_BEFORE, u)
     assert linking_matrix(ed.d).entries == [[0, 1], [1, 0]]
 
 
 def test_gadget_unknot_shape():
     ed = Editor(catalog.trefoil(0))
-    rec = ed.gadget(1, linkdiag.SIDE_BEFORE)
+    u = gadget(ed, 1, linkdiag.SIDE_BEFORE)
     d2 = ed.d
-    assert d2.component(rec.unknot).framing == rec.epsilon
-    assert rec.epsilon in (1, -1)
+    assert d2.component(u).framing in (1, -1)
     owners = [(d2.arcs[c.over_in].owner, d2.arcs[c.under_in].owner)
               for c in d2.crossings.values()]
-    assert sum(rec.unknot in pair for pair in owners) == 4
+    assert sum(u in pair for pair in owners) == 4
 
 
 def test_gadget_round_trip_randomized():
@@ -404,29 +403,26 @@ def test_gadget_round_trip_randomized():
         for xid in d.crossings:
             for side in gadget_sides(d, xid):
                 ed = Editor(d.copy())
-                rec = ed.gadget(xid, side)
+                u = gadget(ed, xid, side)
                 assert not validate_diagram(ed.d)
-                blow_down_gadget(ed, rec)
+                blow_down_gadget(ed, xid, side, u)
                 assert not validate_diagram(ed.d)
                 assert linking_matrix(ed.d) == L
         done += 1
 
 
 def test_blow_down_split_unknot():
+    # a split +/-1 unknot links nothing: its blow-down is its excision
     ed = Editor(catalog.hopf_link((0, 0)))
     cid = ed.split_unknot(1)
-    rec = GadgetRecord(unknot=cid, crossing=None, epsilon=1,
-                       passage_signs=(1, 1), framing_compensations={})
-    blow_down_gadget(ed, rec)
+    ed.excise(cid)
     assert linking_matrix(ed.d).entries == [[0, 1], [1, 0]]
 
 
 def test_blow_down_wrong_record_errors():
-    rec = GadgetRecord(unknot=0, crossing=None, epsilon=1,
-                       passage_signs=(1, 1), framing_compensations={})
     ed = Editor(catalog.hopf_link((0, 0)))
     with pytest.raises(DiagramError):
-        blow_down_gadget(ed, rec)  # framing 0, not gadget shaped
+        blow_down_gadget(ed, 0, linkdiag.SIDE_BEFORE, 0)  # framing 0, not gadget shaped
 
 
 def test_degenerate_side_on_kink_errors():
@@ -434,8 +430,9 @@ def test_degenerate_side_on_kink_errors():
     ed.kink(0, 1)
     xid = next(iter(ed.d.crossings))
     c = ed.d.crossings[xid]
-    with pytest.raises(DiagramError):
-        ed.gadget(xid, linkdiag.SIDE_LEFT if c.over_in == c.under_out else linkdiag.SIDE_RIGHT)
+    u = ed.split_unknot(-1)
+    with pytest.raises(DiagramError, match="selects one arc twice"):
+        ed.gadget(xid, linkdiag.SIDE_LEFT if c.over_in == c.under_out else linkdiag.SIDE_RIGHT, u)
 
 
 # -- failed preconditions ----------------------------------------------------
@@ -452,17 +449,11 @@ def _editor(d, kinks=0, unknots=()):
 
 
 def _hopf_gadget():
-    """The Hopf link with a gadget on crossing 0: the unknot is component 2
-    on crossings 2-5, with the record _gadget_record()."""
+    """The Hopf link with a gadget on crossing 0, side 'before': the
+    unknot is component 2, framed -1, on crossings 2-5."""
     ed = Editor(catalog.hopf_link((0, 0)))
-    ed.gadget(0, linkdiag.SIDE_BEFORE)
+    gadget(ed, 0, linkdiag.SIDE_BEFORE)
     return ed
-
-
-def _gadget_record(**change):
-    rec = dict(unknot=2, crossing=0, epsilon=-1, passage_signs=(1, 1),
-               framing_compensations={0: -1, 1: -1})
-    return GadgetRecord(**{**rec, **change})
 
 
 # (editor, the rewrite whose precondition fails on it, the error it raises)
@@ -486,11 +477,11 @@ FAILED_PRECONDITIONS = {
     "poke unknown component": (lambda: _editor(catalog.hopf_link()),
                                lambda ed: ed.poke(5, 0, -1), "unknown component id 5"),
     "gadget unknown crossing": (lambda: _editor(catalog.hopf_link()),
-                                lambda ed: ed.gadget(9, "before"), "unknown crossing id 9"),
+                                lambda ed: ed.gadget(9, "before", 2), "unknown crossing id 9"),
     "gadget unknown side": (lambda: _editor(catalog.hopf_link()),
-                            lambda ed: ed.gadget(0, "up"), "unknown side selector"),
+                            lambda ed: ed.gadget(0, "up", 2), "unknown side selector"),
     "gadget degenerate side": (lambda: _editor(catalog.unknot(0), kinks=1),
-                               lambda ed: ed.gadget(0, "left"), "selects one arc twice"),
+                               lambda ed: ed.gadget(0, "left", 1), "selects one arc twice"),
     "gadget unknown unknot": (lambda: _editor(catalog.hopf_link()),
                               lambda ed: ed.gadget(0, "before", 5), "unknown component id 5"),
     "gadget encircled unknot": (lambda: _editor(catalog.hopf_link()),
@@ -500,33 +491,27 @@ FAILED_PRECONDITIONS = {
     "gadget unknot not split": (lambda: _editor(catalog.chain_link([0, 0, -1])),
                                 lambda ed: ed.gadget(0, "before", 2), "is not split"),
     "blow_down_gadget unknown unknot": (
-        _hopf_gadget, lambda ed: blow_down_gadget(ed, _gadget_record(unknot=5)),
+        _hopf_gadget, lambda ed: blow_down_gadget(ed, 0, "before", 5),
         "unknown component id 5"),
     "blow_down_gadget epsilon": (
-        _hopf_gadget, lambda ed: blow_down_gadget(ed, _gadget_record(epsilon=1)),
-        "has framing -1, record says 1"),
+        _hopf_gadget, lambda ed: blow_down_gadget(ed, 0, "left", 2),
+        "has framing -1, side 'left' of crossing 0 needs 1"),
     "blow_down_gadget shape": (
         lambda: _editor(catalog.hopf_link((1, 0))),
-        lambda ed: blow_down_gadget(ed, _gadget_record(unknot=0, epsilon=1)),
+        lambda ed: blow_down_gadget(ed, 0, "before", 0),
         "not the 4-crossing gadget shape"),
     "blow_down_gadget self-crossings": (
         lambda: _editor(catalog.unknot(1), kinks=4),
-        lambda ed: blow_down_gadget(ed, _gadget_record(unknot=0, epsilon=1, crossing=None)),
-        "not a single passage"),
+        lambda ed: blow_down_gadget(ed, 0, "before", 0), "not a single passage"),
     "blow_down_gadget missing crossing": (
-        _hopf_gadget, lambda ed: blow_down_gadget(ed, _gadget_record(crossing=9)),
+        _hopf_gadget, lambda ed: blow_down_gadget(ed, 9, "before", 2),
         "unknown crossing id 9"),
     "blow_down_gadget crossing of the unknot": (
-        _hopf_gadget, lambda ed: blow_down_gadget(ed, _gadget_record(crossing=3)),
-        "blow-down removes"),
-    "blow_down_gadget missing compensation target": (
-        _hopf_gadget,
-        lambda ed: blow_down_gadget(ed, _gadget_record(framing_compensations={0: -1, 7: -1})),
-        "unknown component id 7"),
-    "blow_down_gadget compensation of the unknot": (
-        _hopf_gadget,
-        lambda ed: blow_down_gadget(ed, _gadget_record(framing_compensations={2: -1})),
-        "blow-down removes"),
+        _hopf_gadget, lambda ed: blow_down_gadget(ed, 3, "left", 2), "blow-down removes"),
+    "blow_down_gadget linking row": (
+        _hopf_gadget, lambda ed: blow_down_gadget(ed, 0, "after", 2),
+        re.escape("gadget unknot 2 links {0: 1, 1: 1}, side 'after' of crossing 0 "
+                  "needs {0: -1, 1: -1}")),
 }
 
 
@@ -548,9 +533,9 @@ def test_failed_precondition_changes_nothing(case):
 
 def test_blow_down_gadget_record_and_log():
     ed = _hopf_gadget()
-    assert ed.gadget(1, linkdiag.SIDE_BEFORE) == _gadget_record(unknot=3, crossing=1)
-    blow_down_gadget(ed, _gadget_record(unknot=3, crossing=1))
-    blow_down_gadget(ed, _gadget_record())
+    assert gadget(ed, 1, linkdiag.SIDE_BEFORE) == 3
+    blow_down_gadget(ed, 1, linkdiag.SIDE_BEFORE, 3)
+    blow_down_gadget(ed, 0, linkdiag.SIDE_BEFORE, 2)
     assert ed.d == catalog.hopf_link((0, 0))
     # every crossing and framing change was logged, so the log nets to zero
     assert intlattice._pair_sums(ed.log) == {}
