@@ -17,11 +17,8 @@ entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union, get_args
-
 from . import catalog, intlattice, linkdiag
-from .intlattice import IntegralLattice, _lattice
+from .intlattice import IntegralLattice, Record, _lattice
 from .linkdiag import Crossing, DiagramError, FramedLinkDiagram
 
 
@@ -33,11 +30,12 @@ class MoveError(ValueError):
 # free words
 
 
-@dataclass
-class ReducedWord:
-    reduced: list[tuple[int, int]]
-    cyclically_reduced: list[tuple[int, int]]
-    trivial: bool
+class ReducedWord(Record):
+    __slots__ = ("reduced", "cyclically_reduced", "trivial")
+
+    def __init__(self, reduced: list[tuple[int, int]],
+                 cyclically_reduced: list[tuple[int, int]], trivial: bool):
+        self.reduced, self.cyclically_reduced, self.trivial = reduced, cyclically_reduced, trivial
 
 
 def _free_reduce(letters):
@@ -84,40 +82,41 @@ def word_from_intersections(seq) -> list[tuple[int, int]]:
 # moves
 
 
-@dataclass
-class GadgetSwitch:
+class GadgetSwitch(Record):
     """Switch an existing crossing, wiring an existing split +/-1 unknot
     around the two strands on `side`."""
-    crossing: int
-    unknot: int
-    side: str
+    __slots__ = ("crossing", "unknot", "side")
+
+    def __init__(self, crossing: int, unknot: int, side: str):
+        self.crossing, self.unknot, self.side = crossing, unknot, side
 
 
-@dataclass
-class SlideOverUnknot:
+class SlideOverUnknot(Record):
     """Slide `component` over a split +/-1-framed unknot: framing changes
     by that +/-1 without changing the rest of the link."""
-    component: int
-    unknot: int
-    s: int
+    __slots__ = ("component", "unknot", "s")
+
+    def __init__(self, component: int, unknot: int, s: int):
+        self.component, self.unknot, self.s = component, unknot, s
 
 
-@dataclass
-class Poke:
+class Poke(Record):
     """Reidemeister-2 poke of `over` across `under`; creates a canceling
     crossing pair and changes no linking data."""
-    over: int
-    under: int
-    sign: int
+    __slots__ = ("over", "under", "sign")
+
+    def __init__(self, over: int, under: int, sign: int):
+        self.over, self.under, self.sign = over, under, sign
 
 
-KirbyMove = Union[GadgetSwitch, SlideOverUnknot, Poke]
+KirbyMove = (GadgetSwitch, SlideOverUnknot, Poke)  # the move classes, for isinstance
 
 
-@dataclass
-class ReplayResult:
-    final: FramedLinkDiagram
-    rows: dict[int, dict[int, int]]  # its linking matrix's nonzeros, {id: {id': entry}}
+class ReplayResult(Record):
+    __slots__ = ("final", "rows")  # rows: final's linking matrix's nonzeros, {id: {id': entry}}
+
+    def __init__(self, final: FramedLinkDiagram, rows: dict[int, dict[int, int]]):
+        self.final, self.rows = final, rows
 
 
 class Replayer:
@@ -158,9 +157,9 @@ class Replayer:
         off the move and the diagram before the rewrite.  A failed
         precondition, such as a field other than a gadget's side that is
         not an int, raises before any change."""
-        if not isinstance(move, get_args(KirbyMove)):
+        if not isinstance(move, KirbyMove):
             raise MoveError("unknown move %r" % (move,))
-        for name in move.__dataclass_fields__:  # a poke's sign is left to the editor's check
+        for name in move.__slots__:  # a poke's sign is left to the editor's check
             v = getattr(move, name)
             if type(v) is not int and name != "side" and (type(move), name) != (Poke, "sign"):
                 raise MoveError("gadget unknot must be a component id, got %r" % (v,)
@@ -233,10 +232,11 @@ def _replay(initial: FramedLinkDiagram, moves) -> ReplayResult:
 # unknotification (crossing changes realized by blow-up gadgets)
 
 
-@dataclass
-class UnknotifyResult:
-    diagram: FramedLinkDiagram
-    unknots: list[int]  # the gadget unknots, one per switched crossing, in crossing id order
+class UnknotifyResult(Record):
+    __slots__ = ("diagram", "unknots")  # unknots: the gadget unknots, in switched crossing id order
+
+    def __init__(self, diagram: FramedLinkDiagram, unknots: list[int]):
+        self.diagram, self.unknots = diagram, unknots
 
 
 def _gadget_side_for(c: Crossing) -> str:
@@ -269,15 +269,13 @@ def unknotify(d: FramedLinkDiagram, component_order=None,
 # embedding certificates
 
 
-@dataclass
-class EmbeddingCertificate:
-    target: FramedLinkDiagram
-    initial: FramedLinkDiagram
-    moves: list[KirbyMove]
-    sublink: dict[int, int]
-    m: int
-    n: int
-    p: int
+class EmbeddingCertificate(Record):
+    __slots__ = ("target", "initial", "moves", "sublink", "m", "n", "p")
+
+    def __init__(self, target: FramedLinkDiagram, initial: FramedLinkDiagram,
+                 moves: list[KirbyMove], sublink: dict[int, int], m: int, n: int, p: int):
+        self.target, self.initial, self.moves, self.sublink = target, initial, moves, sublink
+        self.m, self.n, self.p = m, n, p
 
 
 MAX_FRAMING_FIXES = 2000  # framing-fix unknots per certificate: a budget against hostile framings
@@ -355,16 +353,18 @@ def build_embedding_certificate(d: FramedLinkDiagram,
                                 n=framings.count(-1), p=p)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name, self.ok, self.detail = name, ok, detail
 
 
-@dataclass
-class VerificationReport:
-    checks: list[CheckResult]
+class VerificationReport(Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[CheckResult]):
+        self.checks = checks
 
     @property
     def passed(self) -> bool:
@@ -447,14 +447,16 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
 # the lattice obstruction
 
 
-@dataclass
-class ObstructionReport:
-    positive_definite: bool
-    unimodular: bool
-    diagonalizable: bool | None
-    verdict: str  # OBSTRUCTED / NOT_OBSTRUCTED / NOT_APPLICABLE
-    diagonal_part: int | None = None
-    residual_rank: int | None = None
+class ObstructionReport(Record):
+    __slots__ = ("positive_definite", "unimodular", "diagonalizable", "verdict",
+                 "diagonal_part", "residual_rank")
+
+    def __init__(self, positive_definite: bool, unimodular: bool, diagonalizable: bool | None,
+                 verdict: str, diagonal_part: int | None = None, residual_rank: int | None = None):
+        self.positive_definite, self.unimodular = positive_definite, unimodular
+        self.diagonalizable = diagonalizable
+        self.verdict = verdict  # OBSTRUCTED / NOT_OBSTRUCTED / NOT_APPLICABLE
+        self.diagonal_part, self.residual_rank = diagonal_part, residual_rank
 
 
 def donaldson_obstruction(L: IntegralLattice,

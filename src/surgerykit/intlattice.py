@@ -14,13 +14,29 @@ the entries and rows that an update would leave as they are.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
 from operator import mul
 
 
 class LatticeError(ValueError):
     """Raised when an operation's precondition on a matrix fails."""
+
+
+class Record:
+    """Base of the result and move records: each holds its `__slots__`
+    alone and writes its own `__init__`; == is field-wise within one
+    class, repr is ClassName(field=value, ...), and there is no hash."""
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
 
 
 class IntegralLattice:
@@ -62,24 +78,24 @@ class IntegralLattice:
         return "IntegralLattice(%r)" % (self.entries,)
 
 
-@dataclass
-class Inertia:
+class Inertia(Record):
     """Eigenvalue sign counts of a symmetric form, its determinant, and
     the last nonzero pivot of its elimination (the Smith modulus)."""
 
-    positive: int
-    zero: int
-    negative: int
-    det: int
-    pivot: int
+    __slots__ = ("positive", "zero", "negative", "det", "pivot")
+
+    def __init__(self, positive: int, zero: int, negative: int, det: int, pivot: int):
+        self.positive, self.zero, self.negative = positive, zero, negative
+        self.det, self.pivot = det, pivot
 
 
-@dataclass
-class AbelianGroupPresentation:
+class AbelianGroupPresentation(Record):
     """rank + invariant factors d1 | d2 | ..., each >= 2."""
 
-    rank: int
-    torsion: list[int]
+    __slots__ = ("rank", "torsion")
+
+    def __init__(self, rank: int, torsion: list[int]):
+        self.rank, self.torsion = rank, torsion
 
     def __str__(self) -> str:
         parts = []

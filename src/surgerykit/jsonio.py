@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import fields
 from itertools import chain
 from operator import itemgetter
 
@@ -186,8 +185,7 @@ def lattice_from_obj(obj) -> IntegralLattice:
 _MOVE_TYPES = {"gadget_switch": GadgetSwitch, "slide_over_unknot": SlideOverUnknot,
                "poke": Poke}
 # move class -> (tag, field names); every field is an integer but `side`
-_MOVE_FIELDS = {cls: (tag, tuple(f.name for f in fields(cls)))
-                for tag, cls in _MOVE_TYPES.items()}
+_MOVE_FIELDS = {cls: (tag, cls.__slots__) for tag, cls in _MOVE_TYPES.items()}
 _MOVE_KEYS = {cls: frozenset(("type",) + names) for cls, (_, names) in _MOVE_FIELDS.items()}
 
 

@@ -21,10 +21,9 @@ Conventions fixed here and pinned by the tests:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from operator import attrgetter, eq
 
-from .intlattice import IntegralLattice, _lattice
+from .intlattice import IntegralLattice, Record, _lattice
 
 
 class DiagramError(ValueError):
@@ -58,36 +57,40 @@ def _side_arcs(c: Crossing, side: str) -> tuple[int, int, int, int, int]:
     return x, y, a, b, -c.sign * a * b
 
 
-@dataclass
-class Component:
-    id: int
-    framing: int
-    basepoint: int | None = None
+class Component(Record):
+    __slots__ = ("id", "framing", "basepoint")
+
+    def __init__(self, id: int, framing: int, basepoint: int | None = None):
+        self.id, self.framing, self.basepoint = id, framing, basepoint
 
 
-@dataclass
-class Arc:
-    owner: int
-    successor: int
+class Arc(Record):
+    __slots__ = ("owner", "successor")
+
+    def __init__(self, owner: int, successor: int):
+        self.owner, self.successor = owner, successor
 
 
-@dataclass
-class Crossing:
-    over_in: int
-    over_out: int
-    under_in: int
-    under_out: int
-    sign: int
+class Crossing(Record):
+    __slots__ = ("over_in", "over_out", "under_in", "under_out", "sign")
+
+    def __init__(self, over_in: int, over_out: int, under_in: int, under_out: int, sign: int):
+        self.over_in, self.over_out, self.under_in, self.under_out, self.sign = (
+            over_in, over_out, under_in, under_out, sign)
 
     def arc_ids(self):
         return (self.over_in, self.over_out, self.under_in, self.under_out)
 
 
-@dataclass
-class FramedLinkDiagram:
-    components: list[Component] = field(default_factory=list)
-    arcs: dict[int, Arc] = field(default_factory=dict)
-    crossings: dict[int, Crossing] = field(default_factory=dict)
+class FramedLinkDiagram(Record):
+    __slots__ = ("components", "arcs", "crossings")
+
+    def __init__(self, components: list[Component] | None = None,
+                 arcs: dict[int, Arc] | None = None,
+                 crossings: dict[int, Crossing] | None = None):
+        self.components = [] if components is None else components
+        self.arcs = {} if arcs is None else arcs
+        self.crossings = {} if crossings is None else crossings
 
     # -- basic accessors -------------------------------------------------
 

@@ -1,6 +1,6 @@
 import random
 
-from surgerykit import calculus, linkdiag
+from surgerykit import calculus, catalog, linkdiag
 from surgerykit.calculus import GadgetSwitch, Poke, SlideOverUnknot
 from surgerykit.intlattice import IntegralLattice, _lattice, _slide_rows, direct_sum, e8_matrix
 from surgerykit.linkdiag import DiagramError, FramedLinkDiagram
@@ -15,9 +15,25 @@ def random_diagram(rng: random.Random, max_components: int = 3,
     ed = linkdiag.Editor(FramedLinkDiagram())
     for _ in range(k):
         ed.split_unknot(rng.randint(-3, 3))
+    return _grown(rng, ed, rng.randint(0, max_crossings))
+
+
+def random_trefoil_diagram(rng: random.Random, max_components: int = 3,
+                           max_crossings: int = 12) -> FramedLinkDiagram:
+    """A trefoil of random framing with up to `max_components - 1` split
+    unknots added, grown and switched by the steps of `random_diagram`.
+    Unlike that family, not every self-crossing here is a kink."""
+    ed = linkdiag.Editor(catalog.trefoil(rng.randint(-3, 3)))
+    for _ in range(rng.randint(0, max_components - 1)):
+        ed.split_unknot(rng.randint(-3, 3))
+    return _grown(rng, ed, rng.randint(3, max_crossings))
+
+
+def _grown(rng: random.Random, ed: linkdiag.Editor, target: int) -> FramedLinkDiagram:
+    """The editor's diagram grown by kinks, clasps and pokes to `target`
+    crossings, then each crossing switched with probability 0.3."""
     d = ed.d
     ids = d.component_ids()
-    target = rng.randint(0, max_crossings)
     while len(d.crossings) < target:
         room = target - len(d.crossings)
         choices = ["kink"] if room < 2 else ["kink", "kink", "clasp", "poke"]

@@ -7,16 +7,17 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conftest import (PASSAGE_SIGNS, blow_down_gadget, blow_down_unknotify, gadget_sides,
-                      moved, random_diagram, random_kirby_move, with_split_unknots)
+                      moved, random_diagram, random_kirby_move, random_trefoil_diagram,
+                      with_split_unknots)
 from surgerykit import calculus, catalog, intlattice, jsonio, linkdiag
-from surgerykit.calculus import (GadgetSwitch, MoveError, Poke,
+from surgerykit.calculus import (CheckResult, GadgetSwitch, MoveError, ObstructionReport, Poke,
                                  Replayer, SlideOverUnknot,
                                  build_embedding_certificate,
                                  donaldson_obstruction, reduce_free_word,
                                  replay, unknotify, verify_certificate,
                                  word_from_intersections)
-from surgerykit.intlattice import (IntegralLattice, _lattice, direct_sum,
-                                   e8_matrix, inertia, snf_diagonal)
+from surgerykit.intlattice import (AbelianGroupPresentation, IntegralLattice, Record,
+                                   _lattice, direct_sum, e8_matrix, inertia, snf_diagonal)
 from surgerykit.linkdiag import (Arc, Component, Crossing, DiagramError,
                                  Editor, FramedLinkDiagram, linking_matrix)
 
@@ -727,6 +728,25 @@ def test_auto_unknotify_certificates_are_byte_identical():
     assert h.hexdigest() == "9a3fc574279521a6c07a8fc543d7706b3d777094529698b8d397cf37aa5b3723"
 
 
+def test_auto_unknotify_certificates_of_grown_trefoils(monkeypatch):
+    # 300 seeded trefoils grown by kinks, clasps and pokes: their switched
+    # crossings are not all kinks, so unknotify's gadgets take the 'left'
+    # side too, where random_diagram's take only 'before'
+    sides = []
+    side_for = calculus._gadget_side_for
+    monkeypatch.setattr(calculus, "_gadget_side_for",
+                        lambda c: sides.append(side_for(c)) or sides[-1])
+    h, moves = hashlib.sha256(), 0
+    for seed in range(300):
+        cert = build_embedding_certificate(random_trefoil_diagram(random.Random(seed), 3, 12),
+                                           auto_unknotify=True)
+        assert verify_certificate(cert).passed, seed
+        moves += len(cert.moves)
+        h.update(jsonio.dumps(jsonio.certificate_to_obj(cert)).encode())
+    assert (moves, sides.count("before"), sides.count("left")) == (4205, 410, 402)
+    assert h.hexdigest() == "0fdcf9eef194fa93ea1905f78af0aaaa7bb79d61f7fa15628c72ca10a5f7daf9"
+
+
 def test_wrong_initial_framing_fails():
     cert = build_embedding_certificate(catalog.unknot(1))
     cert.initial.component(0).framing = 0
@@ -838,3 +858,70 @@ def test_obstruction_e8_plus_identity_still_obstructed():
                                            IntegralLattice.diagonal([1])))
     assert rep.verdict == "OBSTRUCTED"
     assert rep.diagonal_part == 1 and rep.residual_rank == 8
+
+
+# -- records -----------------------------------------------------------------
+
+
+def _one_record_of_each_class():
+    d = catalog.hopf_link((1, -1))
+    cert = build_embedding_certificate(d)
+    return [inertia(e8_matrix()), AbelianGroupPresentation(1, [2]),
+            d.components[0], d.arcs[0], d.crossings[0], d, reduce_free_word([(0, 1)]),
+            *cert.moves[:3], replay(cert.initial, cert.moves), unknotify(catalog.trefoil()),
+            cert, CheckResult("x", True), verify_certificate(cert),
+            donaldson_obstruction(e8_matrix())]
+
+
+def test_records_are_slotted_unhashable_and_compare_field_by_field():
+    records = _one_record_of_each_class()
+    assert {type(r) for r in records} == set(Record.__subclasses__())
+    assert len(records) == 16
+    for r in records:
+        assert r == r and not r != r
+        with pytest.raises(TypeError):
+            hash(r)
+        with pytest.raises(AttributeError):  # a misspelt field is refused, not added
+            r.misspelt = 3
+    d = catalog.trefoil(2)
+    assert d.copy() == d
+    e = d.copy()
+    e.crossings[1].sign = -1
+    assert e != d and e.crossings[1] != d.crossings[1]
+    assert Poke(0, 1, 1) == Poke(over=0, under=1, sign=1)
+    assert Poke(0, 1, 1) != SlideOverUnknot(0, 1, 1)
+    assert Poke(0, 1, 1) != (0, 1, 1)
+    cert = build_embedding_certificate(catalog.unknot(1))
+    with pytest.raises(AttributeError):
+        cert.mm = 3
+    assert cert.m == 1
+
+
+def test_record_repr_names_each_field():
+    assert repr(Poke(over=0, under=1, sign=1)) == "Poke(over=0, under=1, sign=1)"
+    assert repr(catalog.unknot(1)) == (
+        "FramedLinkDiagram(components=[Component(id=0, framing=1, basepoint=0)], "
+        "arcs={0: Arc(owner=0, successor=0)}, crossings={})")
+    check = CheckResult("x", True)
+    with pytest.raises(MoveError, match=re.escape(
+            "move 0 (CheckResult): unknown move CheckResult(name='x', ok=True, detail='')")):
+        replay(catalog.unknot(1), [check])
+    with pytest.raises(jsonio.FormatError, match=re.escape("unknown move " + repr(check))):
+        jsonio.move_to_obj(check)
+
+
+def test_record_constructors_take_the_fields_and_their_defaults():
+    with pytest.raises(TypeError):
+        Poke(over=0, under=1)
+    with pytest.raises(TypeError):
+        Poke(over=0, under=1, sign=1, side="left")
+    with pytest.raises(TypeError):
+        Component(framing=1)
+    assert CheckResult("x", True).detail == ""
+    assert Component(0, 1).basepoint is None
+    rep = ObstructionReport(False, True, None, "NOT_APPLICABLE")
+    assert rep.diagonal_part is None and rep.residual_rank is None
+    a, b = FramedLinkDiagram(), FramedLinkDiagram()
+    assert a == b
+    assert a.components is not b.components and a.arcs is not b.arcs
+    assert a.crossings is not b.crossings

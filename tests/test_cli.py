@@ -796,12 +796,15 @@ from surgerykit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in json.loads(sys.argv[2])]
 tops = {name.partition(".")[0] for name in sys.modules}
-print(json.dumps([codes, sorted(tops - set(sys.stdlib_module_names) - {"__main__"})]))
+print(json.dumps([codes, sorted(tops - set(sys.stdlib_module_names) - {"__main__"}),
+                  sorted({"dataclasses", "inspect", "typing"} & sys.modules.keys())]))
 """
 
 
 def test_every_command_loads_only_the_standard_library(tmp_path):
-    # -I -S: no environment, no user or site packages; only the source tree
+    # -I -S: no environment, no user or site packages; only the source tree.
+    # The records are plain classes, so no command loads dataclasses,
+    # inspect or typing, which were about half of a cold start's import.
     knot = _write_link(tmp_path, catalog.trefoil(-1), "knot.json")
     link = _write_link(tmp_path, catalog.chain_link([2, -3, 5]))
     form = _write_matrix(tmp_path, intlattice.direct_sum(e8_matrix(),
@@ -814,6 +817,7 @@ def test_every_command_loads_only_the_standard_library(tmp_path):
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", _LOADED_MODULES, src,
                            json.dumps(argvs)], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    codes, foreign = json.loads(proc.stdout)
+    codes, foreign, heavy = json.loads(proc.stdout)
     assert codes == [0] * len(argvs)
     assert foreign == ["surgerykit"]
+    assert heavy == []
