@@ -1,5 +1,13 @@
 """Command-line front end.
 
+A well-formed argument list is parsed straight from `_COMMANDS`: the
+command name first, then its one positional argument (not starting
+with `-`) and its options, each spelled exactly, with a value option's
+value not starting with `-`.  Every other list (no command, `--help`,
+an abbreviation, `--output=x`, `--`, an unknown name or a usage error)
+goes to argparse, which is imported only then, so help texts, usage
+errors and their exit code 2 are argparse's own.
+
 Exit status: 0 success (and PASS for `verify`), 1 verification failure,
 2 malformed input, usage error or unwritable output file, 3 internal
 error (a fault of the program).  Every command is deterministic for a
@@ -8,18 +16,15 @@ fixed input; `--json` switches the report to machine-readable form.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from . import calculus, intlattice, jsonio, linkdiag
 from .intlattice import IntegralLattice
 from .jsonio import FormatError
-
-_parser = None  # (parser, its subcommand parsers by name), built by the first main() call
-
 
 def _load_link(args):
     return jsonio.diagram_from_obj(jsonio.load_path(args.link, args._inputs))
@@ -79,10 +84,10 @@ def _lattice_text(rep: dict) -> str:
 def _parse_order(text: str | None):
     if text is None:
         return None
-    try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise FormatError("--order expects a comma-separated list of component ids")
+    try:  # ASCII decimal ids, as in the JSON files
+        return [jsonio.decode_int(x.strip()) for x in text.split(",") if x.strip() != ""]
+    except FormatError:
+        raise FormatError("--order expects a comma-separated list of component ids") from None
 
 
 def _output(args, rep: dict, key: str, obj, *pairs):
@@ -199,7 +204,7 @@ def _report(args, result: dict) -> dict:
     }
 
 
-# name, handler, help, positional argument, options in help order (--json
+# name, handler, help, positional argument, options in help order (_JSON
 # follows them): flags, help, argparse action (None stores a value)
 _COMMANDS = [
     ("invariants", cmd_invariants, "linking matrix invariants of a link file", "link", []),
@@ -224,9 +229,55 @@ _COMMANDS = [
      "reduce the free-group word of an intersection sequence (JSON file or inline list)",
      "intersections", []),
 ]
+_JSON = (("--json",), "emit a machine-readable JSON report", "store_true")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def _table() -> dict:
+    """name -> (positional, {exact flag: (dest, takes a value)}, the
+    attributes argparse sets before parsing: command, func and each
+    option's default, under the dest of its first long flag)."""
+    table = {}
+    for name, func, _, positional, options in _COMMANDS:
+        flags, defaults = {}, {"command": name, "func": func}
+        for names, _, action in options + [_JSON]:
+            dest = next(f for f in names if f[:2] == "--")[2:].replace("-", "_")
+            defaults[dest] = False if action else None
+            flags.update(dict.fromkeys(names, (dest, action is None)))
+        table[name] = positional, flags, defaults
+    return table
+
+
+_TABLE = _table()
+
+
+def _parse(argv):
+    """The namespace argparse gives a well-formed argv, or None for any
+    other argv."""
+    if not argv or argv[0] not in _TABLE:
+        return None
+    positional, flags, defaults = _TABLE[argv[0]]
+    attrs, it = dict(defaults), iter(argv[1:])
+    for tok in it:
+        if tok[:1] != "-":
+            if positional in attrs:  # a second positional
+                return None
+            attrs[positional] = tok
+        elif tok in flags:
+            dest, takes_value = flags[tok]
+            if takes_value:
+                tok = next(it, "-")  # a missing value fails as "-" does
+                if tok[:1] == "-":
+                    return None
+            attrs[dest] = tok if takes_value else True
+        else:
+            return None
+    return SimpleNamespace(**attrs) if positional in attrs else None
+
+
+def build_parser():
+    """argparse's parser and its subcommand parsers by name, built from
+    `_COMMANDS`; only help and usage errors need it."""
+    import argparse
     ap = argparse.ArgumentParser(
         prog="surgerykit",
         description="Surgery presentations, Kirby-move certificates and "
@@ -235,27 +286,28 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     for name, func, help_text, positional, options in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument(positional)
-        for flags, option_help, action in options + [
-                (("--json",), "emit a machine-readable JSON report", "store_true")]:
+        for flags, option_help, action in options + [_JSON]:
             p.add_argument(*flags, help=option_help, action=action)
         p.set_defaults(func=func)
     return ap, sub.choices
 
 
 def main(argv=None) -> int:
-    global _parser
-    ap, commands = _parser = _parser or build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in commands:  # one pass, by the command's own parser
-        args, extra = commands[argv[0]].parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-        if extra:  # the error top-level parse_args would give
-            ap.error("unrecognized arguments: %s" % " ".join(extra))
-    else:  # no command, --help, an unknown name or an option first
-        args = ap.parse_args(argv)
-    if not getattr(args, "func", None):
-        ap.print_help()
-        return 2
+    args = _parse(argv)
+    if args is None:  # help, a usage error or a spelling only argparse reads
+        import argparse
+        ap, commands = build_parser()
+        if argv and argv[0] in commands:  # one pass, by the command's own parser
+            args, extra = commands[argv[0]].parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+            if extra:  # the error top-level parse_args would give
+                ap.error("unrecognized arguments: %s" % " ".join(extra))
+        else:  # no command, --help, an unknown name or an option first
+            args = ap.parse_args(argv)
+        if not getattr(args, "func", None):
+            ap.print_help()
+            return 2
     args._t0 = time.monotonic()
     args._inputs = {}  # path -> sha256 of the bytes read there
     try:

@@ -161,9 +161,16 @@ def test_unknotify_writes_ids_past_64_bits_back_as_read(tmp_path, capsys):
     assert shifted.crossings.keys() <= d2.crossings.keys()
 
 
-def test_unknotify_bad_order_is_usage_error(tmp_path):
-    path = _write_link(tmp_path, catalog.unknot(0))
-    assert main(["unknotify", path, "--order", "0,zap"]) == 2
+def test_unknotify_bad_order_is_usage_error(tmp_path, capsys):
+    path = _write_link(tmp_path, catalog.hopf_link())
+    # every id is ASCII decimal, as in the JSON files: int() would read
+    # "0_0" and the Arabic-Indic one as 0 and 1
+    for order in ("0,zap", "1,0_0", "\u0661,0"):
+        assert main(["unknotify", path, "--order", order]) == 2
+        assert capsys.readouterr().err == (
+            "error: --order expects a comma-separated list of component ids\n")
+    for order in ("1, 0", "1,,0"):
+        assert main(["unknotify", path, "--order", order]) == 0
 
 
 # -- certify-embedding / verify ----------------------------------------------
@@ -594,18 +601,20 @@ def test_no_command_prints_help(capsys):
     assert "usage" in capsys.readouterr().out
 
 
-# -- one parser per process --------------------------------------------------
+# -- the command table and argparse -----------------------------------------
 
 def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    # a well-formed command builds no parser; an abbreviation builds one
     calls = []
     build = cli.build_parser
-    monkeypatch.setattr(cli, "_parser", None)
     monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
     link = _write_link(tmp_path, catalog.hopf_link())
     for _ in range(4):
         for argv in (["invariants", link], ["obstruction", link, "--json"], ["lattice", link]):
             main(argv)
-    assert len(calls) == 1
+    assert calls == []
+    assert main(["obstruction", link, "--js"]) == 0
+    assert calls == [1]
 
 
 def _outcome(argv, out_path, capsys):
@@ -628,6 +637,7 @@ def _outcome(argv, out_path, capsys):
 
 
 def test_cached_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
+    # the same calls give the same outcomes with argparse parsing every argv
     knot = _write_link(tmp_path, catalog.trefoil(-1), "knot.json")
     link = _write_link(tmp_path, catalog.hopf_link((1, 1)))
     out = str(tmp_path / "out.json")
@@ -643,14 +653,11 @@ def test_cached_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
         ["invariants"], ["verify", cert, "--bogus"], [],
         ["verify", cert, "--json"], ["verify", cert],
     ]
-    shared = [_outcome(argv, out, capsys) for argv in calls]
-    fresh = []
-    for argv in calls:
-        monkeypatch.setattr(cli, "_parser", None)
-        fresh.append(_outcome(argv, out, capsys))
-    assert shared == fresh
-    assert [o[0] for o in shared] == [0] * 8 + [2, 2, 2, 0, 0]
-    assert shared[0][3] is not None and shared[1][3] is None
+    table = [_outcome(argv, out, capsys) for argv in calls]
+    monkeypatch.setattr(cli, "_parse", lambda argv: None)
+    assert [_outcome(argv, out, capsys) for argv in calls] == table
+    assert [o[0] for o in table] == [0] * 8 + [2, 2, 2, 0, 0]
+    assert table[0][3] is not None and table[1][3] is None
 
 
 # -- golden text reports and help --------------------------------------------
@@ -731,13 +738,16 @@ def _exit(parse, argv, capsys):
 
 # usage errors: an unknown or abbreviated command, an unknown option, an
 # option before the command, a missing argument, an unknown option or extra
-# arguments after the command, an option without its value; then a
+# arguments after the command, an option without its value or with one
+# that starts with -, another command's flag, a flag given a value; then a
 # subcommand's help.  argparse's texts for these vary with the Python
 # version, so they are compared in the running one, not pinned
 USAGE_ARGVS = [["bogus", "m.json"], ["lat", "m.json"], ["-x"],
                ["--json", "lattice", "m.json"], ["lattice"],
                ["lattice", "m.json", "--bogus"], ["lattice", "m.json", "x", "y"],
-               ["unknotify", "m.json", "--order"], ["lattice", "-h"]]
+               ["unknotify", "m.json", "--order"], ["unknotify", "m.json", "-o", "-x"],
+               ["lattice", "m.json", "--unlink"], ["lattice", "m.json", "--json=1"],
+               ["lattice", "-h"]]
 
 
 def test_help_matches_the_recorded_parser(capsys):
@@ -762,15 +772,50 @@ def test_help_matches_the_recorded_parser(capsys):
 
 
 def test_a_command_is_parsed_once(tmp_path, capsys, monkeypatch):
-    # argv naming a command goes straight to that command's parser
+    # a well-formed argv never reaches argparse; an abbreviation goes
+    # straight to its command's parser
     calls = []
     parse = argparse.ArgumentParser.parse_known_args
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
                         lambda self, *a, **k: calls.append(self.prog) or parse(self, *a, **k))
     path = _write_matrix(tmp_path, IntegralLattice.diagonal([2, 3]))
-    code, rep = _run_json(capsys, ["lattice", path])
-    assert (code, rep["result"]["det"]) == (0, 6)
-    assert calls == ["surgerykit lattice"]
+    reports = []
+    for flag, want in (("--json", []), ("--js", ["surgerykit lattice"])):
+        assert main(["lattice", path, flag]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+        assert isinstance(reports[-1].pop("elapsed_s"), float)
+        assert calls == want
+        calls.clear()
+    assert reports[0] == reports[1] and reports[0]["result"]["det"] == 6
+
+
+# tokens of the argvs compared below: paths, "" and the dash forms;
+# every flag of every command; spellings only argparse reads
+_TOKENS = (["m.json", "dir/out.json", "", "-", "--", "-5"]
+           + sorted({f for c in cli._COMMANDS for flags, _, _ in c[4] for f in flags})
+           + ["--json", "-o", "--order", "--js", "--output=x", "-ox", "-h", "--bogus"])
+
+
+def test_table_parse_matches_argparse(capsys):
+    # whenever the table takes an argv, the command's own argparse parser
+    # takes it too, with no extras, and sets the same attributes
+    _, commands = cli.build_parser()
+    names = [c[0] for c in cli._COMMANDS] + ["bogus"]
+    rng = random.Random(20260)
+    taken = {}
+    for _ in range(100_000):
+        argv = [rng.choice(names)] + [rng.choice(_TOKENS) for _ in range(rng.randint(0, 5))]
+        ns = cli._parse(argv)
+        if ns is None:
+            continue
+        try:
+            args, extra = commands[argv[0]].parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+        except SystemExit:
+            pytest.fail("argparse refuses %r: %s" % (argv, capsys.readouterr().err))
+        assert (extra, vars(args)) == ([], vars(ns)), argv
+        taken[argv[0]] = taken.get(argv[0], 0) + 1
+    assert sorted(taken) == sorted(names[:-1]) and sum(taken.values()) > 2_000, taken
 
 
 def test_main_without_argv_reads_sys_argv(tmp_path, capsys, monkeypatch):
@@ -797,14 +842,16 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in json.loads(sys.argv[2])]
 tops = {name.partition(".")[0] for name in sys.modules}
 print(json.dumps([codes, sorted(tops - set(sys.stdlib_module_names) - {"__main__"}),
-                  sorted({"dataclasses", "inspect", "typing"} & sys.modules.keys())]))
+                  sorted({"argparse", "dataclasses", "inspect", "typing"}
+                         & sys.modules.keys())]))
 """
 
 
 def test_every_command_loads_only_the_standard_library(tmp_path):
     # -I -S: no environment, no user or site packages; only the source tree.
     # The records are plain classes, so no command loads dataclasses,
-    # inspect or typing, which were about half of a cold start's import.
+    # inspect or typing, which were about half of a cold start's import;
+    # a well-formed command is parsed without argparse.
     knot = _write_link(tmp_path, catalog.trefoil(-1), "knot.json")
     link = _write_link(tmp_path, catalog.chain_link([2, -3, 5]))
     form = _write_matrix(tmp_path, intlattice.direct_sum(e8_matrix(),
