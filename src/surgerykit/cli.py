@@ -212,7 +212,8 @@ _COMMANDS = [
     ("unknotify", cmd_unknotify,
      "switch crossings via blow-up gadgets until every component is an unknot", "link",
      [(("-o", "--output"), "write the rewritten link here", None),
-      (("--order",), "comma-separated component order for the descending traversal", None),
+      (("--order",), "comma-separated component order for the descending traversal; write "
+       "--order=-1,-2 when the first id is negative", None),
       (("--unlink",), "make the whole link an unlink, not just each component an unknot",
        "store_true")]),
     ("certify-embedding", cmd_certify_embedding,

@@ -1,14 +1,15 @@
 """Exact integer symmetric-bilinear-form engine, in unbounded integers
 only.  One fraction-free symmetric elimination gives the inertia, the
 determinant and the last nonzero pivot D; callers that hold it pass it
-to the Smith diagonal, taken modulo D (Kannan-Bachem 1979; Cohen, GTM
-138, Sec. 2.4), and to the diagonalizability test.  No transform U, V
-is kept: the commands read only the diagonal.  Short vectors come from
-Fincke-Pohst on an exact integral LLL reduction, in its own integers;
-that reduction is also their positive-definiteness check.  Every entry
-must be an int; a bool, float or string is refused, not truncated.
-The loops go a row at a time, with dot products through `map`, and skip
-the entries and rows that an update would leave as they are.
+to the Smith diagonal and to the diagonalizability test.  The Smith
+diagonal is taken modulo D, which every invariant factor divides, by
+extended-gcd steps whose pivot strictly shrinks at each refill, then
+put in order by (gcd, lcm) pairs.  No transform U, V is kept.  Short
+vectors come from Fincke-Pohst on an exact integral LLL reduction, in
+its own integers; that reduction is also their positive-definiteness
+check.  Every entry must be an int; a bool, float or string is refused,
+not truncated.  The loops go a row at a time, with dot products through
+`map`, and skip the entries and rows an update would leave as they are.
 """
 
 from __future__ import annotations
@@ -121,71 +122,44 @@ def _ints(entries) -> list[list[int]]:
     return rows
 
 
-def _smith(S, mod):
-    """The smallest-pivot Euclidean loop, in place on the rows S, with
-    every entry kept in the symmetric residue range mod `mod`: they end
-    diagonal, each pivot dividing every entry below-right of it.  Pivots
-    are chosen by smallest nonzero absolute value, ties broken by
-    row-major scan, which stops at the first +/-1."""
-    m, n = len(S), len(S[0]) if S else 0
-    h = mod // 2
-    S[:] = [[(x + h) % mod - h for x in row] for row in S]
+def _step(p, b):
+    """A unimodular [[u, v], [s, t]] taking (p, b), b != 0, to (g, 0): a
+    subtraction (v = 0) when p | b, else g = gcd(p, b) by extended gcd."""
+    if p and not b % p:
+        return 1, 0, -(b // p), 1
+    g = math.gcd(p, b)
+    u = pow(p // g, -1, b // g)
+    return u, (g - u * p) // b, -(b // g), p // g
 
-    def row_add(i, j, k):  # row j += k * row i, whose entries left of t are 0
-        src, dst = S[i], S[j]
-        for c in range(t, n):
-            if src[c]:
-                dst[c] = (dst[c] + k * src[c] + h) % mod - h
 
-    def col_add(i, j, k):  # col j += k * col i; a row with no col i entry keeps its residue
-        for row in S:
-            if row[i]:
-                row[j] = (row[j] + k * row[i] + h) % mod - h
-
-    def col_swap(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while True:
-        nz = []  # each row's smallest nonzero |entry|, at its first column
-        for i in range(t, m):
-            a = list(map(abs, S[i][t:]))
-            v = min(filter(None, a), default=0)
-            nz += [(v, i, t + a.index(v))] if v else []
-            if v == 1:
-                break
-        if not nz:
-            return
-        _, pi, pj = min(nz)
-        S[t], S[pi] = S[pi], S[t]
-        col_swap(t, pj)
-        while True:
-            # clear column t then row t by division steps; if a remainder
-            # appears it becomes the new, smaller pivot.
-            again = False
-            for i in range(t + 1, m):
-                if S[i][t]:
-                    row_add(t, i, -(S[i][t] // S[t][t]))
-                    if S[i][t]:
-                        S[t], S[i] = S[i], S[t]
-                        again = True
-            for j in range(t + 1, n):
-                if S[t][j]:
-                    col_add(t, j, -(S[t][j] // S[t][t]))
-                    if S[t][j]:
-                        col_swap(t, j)
-                        again = True
-            if not again:
-                break
-        # divisibility: S[t][t] must divide everything below-right
-        p = S[t][t]
-        bad = next((i for i in range(t + 1, m) if any(x % p for x in S[i][t + 1:])),
-                   None) if abs(p) > 1 else None
-        if bad is None:
-            t += 1
-        else:
-            row_add(bad, t, 1)
+def _diagonal_mod(S, mod):
+    """A diagonal congruent mod `mod` to U S V, U and V unimodular.  On
+    a shrinking trailing block, row steps clear column 0, then column
+    steps clear row 0.  A column step with v = 0 changes row 0 alone;
+    any other puts a proper divisor of the pivot in its place and
+    refills column 0, which is cleared again, so the loop ends."""
+    S, diag = [[x % mod for x in row] for row in S], []
+    while S:
+        refill = True
+        while refill:
+            for i in range(1, len(S)):
+                if S[i][0]:
+                    u, v, s, t = _step(S[0][0], S[i][0])
+                    top, row = S[0], S[i]
+                    if v:
+                        S[0] = [(u * x + v * y) % mod for x, y in zip(top, row)]
+                    S[i] = [(s * x + t * y) % mod for x, y in zip(top, row)]
+            top, refill = S[0], False
+            for j in range(1, len(top)):
+                if top[j] and not refill:
+                    u, v, s, t = _step(top[0], top[j])
+                    refill = bool(v)  # else: column 0 is 0 below the pivot
+                    for row in S if v else [top]:
+                        row[0], row[j] = ((u * row[0] + v * row[j]) % mod,
+                                          (s * row[0] + t * row[j]) % mod)
+        diag.append(S[0][0])
+        S = [row[1:] for row in S[1:]]
+    return diag
 
 
 def snf_diagonal(L: IntegralLattice, inert: Inertia | None = None) -> list[int]:
@@ -196,16 +170,22 @@ def snf_diagonal(L: IntegralLattice, inert: Inertia | None = None) -> list[int]:
     For L of rank r, the last nonzero pivot D of `inertia` is a nonzero
     r x r minor of a congruent form, so every invariant factor d_i
     divides D.  The columns of L and D*Z^n span a lattice with invariant
-    factors (d_1..d_r, D, .., D), so the loop may reduce every entry mod
-    D, and d_i = gcd(pivot_i, D).  `inert` is L's inertia, if the caller
-    holds it.
-    """
+    factors (d_1..d_r, D, .., D), and so do those of any diagonal
+    (s_1..s_n) congruent mod D to U L V, which `_diagonal_mod` finds (its
+    pivot strictly shrinks at each refill): the gcd(s_i, D), put in the
+    order d_1 | d_2 | .. by replacing each pair with its (gcd, lcm).
+    `inert` is L's inertia, if the caller holds it."""
     inert = inert or inertia(L)
-    S, r = [list(row) for row in L.entries], L.n - inert.zero
-    D = abs(inert.pivot)
-    if D > 1:  # else every gcd below is 1, whatever the loop would leave
-        _smith(S, D)
-    return [math.gcd(S[i][i], D) for i in range(r)] + [0] * (L.n - r)
+    n, D = L.n, abs(inert.pivot)
+    r = n - inert.zero
+    if D == 1:  # every gcd below is 1, whatever the diagonal
+        return [1] * r + [0] * (n - r)
+    g = [math.gcd(s, D) for s in _diagonal_mod(L.entries, D)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if g[j] % g[i]:
+                g[i], g[j] = math.gcd(g[i], g[j]), math.lcm(g[i], g[j])
+    return g[:r] + [0] * (n - r)
 
 
 def homology_from_diagonal(diag) -> AbelianGroupPresentation:

@@ -533,12 +533,11 @@ class Editor:
         p, q = self.anchor(i), self.anchor(j)
         return self.subdivide(p, 2), self.subdivide(q, 2), self.xids.take(), self.xids.take()
 
-    def clasp(self, i: int, j: int, sign: int, count: int = 1) -> None:
-        """`count` clasps of two same-sign crossings: lk(i, j) += count*sign."""
-        for _ in range(count):
-            (pi, po), (qi, qo), c1, c2 = self._crossing_pair(i, j, sign, "clasp")
-            self.put(c1, Crossing(pi[0], po[0], qi[0], qo[0], sign))
-            self.put(c2, Crossing(qi[1], qo[1], pi[1], po[1], sign))
+    def clasp(self, i: int, j: int, sign: int) -> None:
+        """A clasp of two same-sign crossings: lk(i, j) += sign."""
+        (pi, po), (qi, qo), c1, c2 = self._crossing_pair(i, j, sign, "clasp")
+        self.put(c1, Crossing(pi[0], po[0], qi[0], qo[0], sign))
+        self.put(c2, Crossing(qi[1], qo[1], pi[1], po[1], sign))
 
     def poke(self, over: int, under: int, sign: int) -> tuple[int, int]:
         """Reidemeister-2 poke of `over` across `under`, linking numbers

@@ -173,6 +173,30 @@ def test_unknotify_bad_order_is_usage_error(tmp_path, capsys):
         assert main(["unknotify", path, "--order", order]) == 0
 
 
+def test_unknotify_order_of_negative_ids_takes_the_equals_form(tmp_path, capsys):
+    # argparse reads a separate "-2,-1" as an option, so a negative first
+    # id is given as --order=-2,-1
+    obj = jsonio.diagram_to_obj(catalog.hopf_link())
+    for comp in obj["components"]:
+        comp["id"] = -1 - comp["id"]
+    for arc in obj["arcs"]:
+        arc["component"] = -1 - arc["component"]
+    neg = str(tmp_path / "neg.json")
+    jsonio.save_path(neg, obj)
+    path = _write_link(tmp_path, catalog.hopf_link())
+    for extra in ([], ["--unlink"]):
+        code, want = _run_json(capsys, ["unknotify", path, "--order", "1,0"] + extra)
+        assert code == 0
+        code, got = _run_json(capsys, ["unknotify", neg, "--order=-2,-1"] + extra)
+        assert code == 0
+        assert got["result"]["p"] == want["result"]["p"]
+    assert want["result"]["p"] == 1
+    with pytest.raises(SystemExit) as e:
+        main(["unknotify", neg, "--order", "-2,-1"])
+    assert e.value.code == 2
+    assert "argument --order: expected one argument" in capsys.readouterr().err
+
+
 # -- certify-embedding / verify ----------------------------------------------
 
 def test_certify_then_verify(tmp_path, capsys):

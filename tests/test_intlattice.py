@@ -113,6 +113,46 @@ def test_snf_diagonal_against_sympy_up_to_12():
     assert kinds["rank_deficient"] >= 60
 
 
+def test_snf_diagonal_against_sympy_at_20_to_40():
+    # sizes where the smallest-pivot loop took 6-14 times the elimination:
+    # dense forms, zero-diagonal forms, rank-deficient B diag B^T, and
+    # E^T diag E with E unimodular and D a power of 2.  sympy's own time
+    # at n = 33-40 is heavy-tailed (most forms 0.01-1 s, but 11 of 13
+    # seeds tried drew a form it did not finish in 3 s), so the seed is
+    # one whose 16 forms it answers in about 2.5 s.  [[4, 6], [6, 9]]
+    # (D = 4) takes a column step that refills column 0.
+    assert snf_diagonal(IntegralLattice([[4, 6], [6, 9]])) == [1, 0] == _snf_oracle([[4, 6], [6, 9]])
+    rng = random.Random(4106)
+    for t in range(16):
+        n = rng.randint(20, 40)
+        kind = t % 4
+        if kind == 2:
+            k = rng.randint(n // 2, n - 1)
+            B = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+            d = [rng.choice((-3, -2, -1, 1, 2, 5)) for _ in range(k)]
+            A = [[sum(B[i][s] * d[s] * B[j][s] for s in range(k)) for j in range(n)]
+                 for i in range(n)]
+        elif kind == 3:
+            E = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(2 * n):
+                i, j = rng.sample(range(n), 2)
+                c = rng.choice((-1, 1))
+                E[i] = [x + c * y for x, y in zip(E[i], E[j])]
+            d = [rng.choice((-4, -2, -1, 1, 2, 4, 8)) for _ in range(n)]
+            A = [[sum(E[s][i] * d[s] * E[s][j] for s in range(n)) for j in range(n)]
+                 for i in range(n)]
+        else:
+            A = random_symmetric(rng, n, -3, 3)
+            if kind == 1:
+                for i in range(n):
+                    A[i][i] = 0
+        L = IntegralLattice(A)
+        D = abs(inertia(L).pivot)
+        assert kind != 3 or D & (D - 1) == 0, D
+        assert kind != 2 or inertia(L).zero > 0
+        assert snf_diagonal(L) == _snf_oracle(A), A
+
+
 def test_snf_diagonal_takes_the_callers_inertia():
     L = IntegralLattice([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
     assert snf_diagonal(L, inertia(L)) == snf_diagonal(L) == [1, 1, 4]
@@ -127,9 +167,9 @@ def test_snf_is_deterministic():
 def test_snf_skips_the_loop_on_a_unimodular_form(monkeypatch):
     # D = 1: gcd(x, 1) = 1 fixes every invariant factor
     def refuse(S, mod):
-        raise AssertionError("_smith ran with modulus %d" % mod)
+        raise AssertionError("_diagonal_mod ran with modulus %d" % mod)
 
-    monkeypatch.setattr(intlattice, "_smith", refuse)
+    monkeypatch.setattr(intlattice, "_diagonal_mod", refuse)
     L = moved(direct_sum(e8_matrix(), IntegralLattice.diagonal([1, 1])), _slide_rows, 0, 9, 1)
     assert snf_diagonal(L) == [1] * 10
     assert snf_diagonal(IntegralLattice([[2, 1], [1, 1]])) == [1, 1]

@@ -469,7 +469,7 @@ FAILED_PRECONDITIONS = {
     "clasp sign": (lambda: _editor(catalog.hopf_link()),
                    lambda ed: ed.clasp(0, 1, 0), "clasp sign must be"),
     "clasp unknown component": (lambda: _editor(catalog.hopf_link()),
-                                lambda ed: ed.clasp(0, 5, 1, 3), "unknown component id 5"),
+                                lambda ed: ed.clasp(0, 5, 1), "unknown component id 5"),
     "poke one component": (lambda: _editor(catalog.hopf_link()),
                            lambda ed: ed.poke(1, 1, 1), "two distinct components"),
     "poke sign": (lambda: _editor(catalog.hopf_link()),
