@@ -142,8 +142,7 @@ class Replayer:
         except (MoveError, DiagramError) as e:
             raise MoveError("move %d (%s): %s" % (t, type(move).__name__, e)) from None
         # by component id: twice each linking number (a crossing sign sum), once each framing
-        want = intlattice._pair_sums((p, q, v if p == q else 2 * v)
-                                     for (p, q), v in rule(self.A, *args).items())
+        want = {(p, q): v if p == q else 2 * v for (p, q), v in rule(self.A, *args).items()}
         got = intlattice._pair_sums(self.ed.log)
         self.ed.log.clear()
         if got != want:

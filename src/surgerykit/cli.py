@@ -5,8 +5,9 @@ command name first, then its one positional argument (not starting
 with `-`) and its options, each spelled exactly, with a value option's
 value not starting with `-`.  Every other list (no command, `--help`,
 an abbreviation, `--output=x`, `--`, an unknown name or a usage error)
-goes to argparse, which is imported only then, so help texts, usage
-errors and their exit code 2 are argparse's own.
+goes to one `parse_args` call on argparse's own parser, which is built
+and imported only then, so help texts, usage errors and their exit
+code 2 are argparse's own.
 
 Exit status: 0 success (and PASS for `verify`), 1 verification failure,
 2 malformed input, usage error or unwritable output file, 3 internal
@@ -276,8 +277,8 @@ def _parse(argv):
 
 
 def build_parser():
-    """argparse's parser and its subcommand parsers by name, built from
-    `_COMMANDS`; only help and usage errors need it."""
+    """argparse's parser, built from `_COMMANDS`; only an argv that
+    `_parse` refuses needs it."""
     import argparse
     ap = argparse.ArgumentParser(
         prog="surgerykit",
@@ -290,22 +291,15 @@ def build_parser():
         for flags, option_help, action in options + [_JSON]:
             p.add_argument(*flags, help=option_help, action=action)
         p.set_defaults(func=func)
-    return ap, sub.choices
+    return ap
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse(argv)
     if args is None:  # help, a usage error or a spelling only argparse reads
-        import argparse
-        ap, commands = build_parser()
-        if argv and argv[0] in commands:  # one pass, by the command's own parser
-            args, extra = commands[argv[0]].parse_known_args(
-                argv[1:], argparse.Namespace(command=argv[0]))
-            if extra:  # the error top-level parse_args would give
-                ap.error("unrecognized arguments: %s" % " ".join(extra))
-        else:  # no command, --help, an unknown name or an option first
-            args = ap.parse_args(argv)
+        ap = build_parser()
+        args = ap.parse_args(argv)
         if not getattr(args, "func", None):
             ap.print_help()
             return 2

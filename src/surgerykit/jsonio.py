@@ -71,10 +71,13 @@ def _check_keys(obj, allowed, required, what):
 
 _LINK_KEYS = frozenset(("components", "arcs", "crossings"))
 _COMPONENT_KEYS = frozenset(("id", "framing", "basepoint"))
-_ARC_KEYS = frozenset(("id", "component", "next"))
-_CROSSING_KEYS = frozenset(("id", "over_in", "over_out", "under_in", "under_out", "sign"))
 _ARC_ROW = itemgetter("id", "component", "next")
-_CROSSING_ROW = itemgetter("id", "over_in", "over_out", "under_in", "under_out", "sign")
+_CROSSING_ROW = itemgetter("id", *Crossing.__slots__)
+# list key, record name, class, row getter, {field: error label} in schema order
+_RECORDS = (("arcs", "arc", Arc, _ARC_ROW,
+             {"id": "arc id", "component": "arc component", "next": "arc successor"}),
+            ("crossings", "crossing", Crossing, _CROSSING_ROW,
+             {"id": "crossing id"} | {f: f for f in Crossing.__slots__}))
 
 
 def diagram_to_obj(d: FramedLinkDiagram) -> dict:
@@ -123,30 +126,18 @@ def diagram_from_obj(obj) -> FramedLinkDiagram:
             framing=decode_int(rec["framing"], "framing"),
             basepoint=decode_int(rec["basepoint"], "basepoint")
             if "basepoint" in rec else None))
-    rows = _int_rows(obj.get("arcs"), _ARC_ROW, len(_ARC_KEYS)) or ()
-    arcs = {r[0]: Arc(*r[1:]) for r in rows}
-    d.arcs = arcs if len(arcs) == len(rows) else {}  # else the loop reads it, naming the fault
-    for rec in _link_list(obj, "arcs") if not d.arcs else ():
-        _check_keys(rec, _ARC_KEYS, _ARC_KEYS, "arc")
-        aid = decode_int(rec["id"], "arc id")
-        if aid in d.arcs:
-            raise FormatError("duplicate arc id %d" % aid)
-        d.arcs[aid] = Arc(owner=decode_int(rec["component"], "arc component"),
-                          successor=decode_int(rec["next"], "arc successor"))
-    rows = _int_rows(obj.get("crossings"), _CROSSING_ROW, len(_CROSSING_KEYS)) or ()
-    crossings = {r[0]: Crossing(*r[1:]) for r in rows}
-    d.crossings = crossings if len(crossings) == len(rows) else {}
-    for rec in _link_list(obj, "crossings") if not d.crossings else ():
-        _check_keys(rec, _CROSSING_KEYS, _CROSSING_KEYS, "crossing")
-        xid = decode_int(rec["id"], "crossing id")
-        if xid in d.crossings:
-            raise FormatError("duplicate crossing id %d" % xid)
-        d.crossings[xid] = Crossing(
-            over_in=decode_int(rec["over_in"], "over_in"),
-            over_out=decode_int(rec["over_out"], "over_out"),
-            under_in=decode_int(rec["under_in"], "under_in"),
-            under_out=decode_int(rec["under_out"], "under_out"),
-            sign=decode_int(rec["sign"], "sign"))
+    for key, what, cls, row, labels in _RECORDS:
+        rows = _int_rows(obj.get(key), row, len(labels)) or ()
+        recs = {r[0]: cls(*r[1:]) for r in rows}
+        if not recs or len(recs) < len(rows):  # the loop reads the list, naming the fault
+            recs, keys, fields = {}, frozenset(labels), list(labels.items())[1:]
+            for rec in _link_list(obj, key):
+                _check_keys(rec, keys, keys, what)
+                rid = decode_int(rec["id"], labels["id"])
+                if rid in recs:
+                    raise FormatError("duplicate %s id %d" % (what, rid))
+                recs[rid] = cls(*[decode_int(rec[f], label) for f, label in fields])
+        setattr(d, key, recs)
     return d
 
 

@@ -456,24 +456,22 @@ class Editor:
                 c.under_in = new
             self.in_x[new] = xid
 
-    def subdivide(self, aid: int, count: int) -> tuple[list[int], list[int]]:
-        """Split arc `aid` to make room for `count` new crossing passages.
+    def subdivide(self, aid: int) -> tuple[list[int], list[int]]:
+        """Split arc `aid` to make room for two new crossing passages.
 
         Returns (entries, exits): entries[k] / exits[k] are the in- and
         out-arcs of the k-th new passage, in order along the strand.  The
         original arc keeps its id as the first segment.
         """
-        arc = self.d.arcs[aid]
+        arcs, arc = self.d.arcs, self.d.arcs[aid]
         loop = arc.successor == aid and aid not in self.in_x
-        chain = [aid] + [self.new_arc(arc.owner) for _ in range(count - loop)]
-        if loop:
-            chain.append(aid)
-        else:
-            self.d.arcs[chain[-1]].successor = arc.successor
-            self.repoint(aid, chain[-1])
-        for k in range(count):
-            self.d.arcs[chain[k]].successor = chain[k + 1]
-        return chain[:count], chain[1:]
+        mid = self.new_arc(arc.owner)
+        end = aid if loop else self.new_arc(arc.owner)
+        if not loop:
+            arcs[end].successor = arc.successor
+            self.repoint(aid, end)
+        arc.successor, arcs[mid].successor = mid, end
+        return [aid, mid], [mid, end]
 
     def splice_out(self, in_arc: int, out_arc: int) -> None:
         """Merge the passage (in_arc -> crossing -> out_arc) after the
@@ -516,7 +514,7 @@ class Editor:
         does not move)."""
         if sign not in (1, -1):
             raise DiagramError("kink sign must be +1 or -1")
-        ent, ext = self.subdivide(self.anchor(cid), 2)
+        ent, ext = self.subdivide(self.anchor(cid))
         o, u = (0, 1) if first_over else (1, 0)
         self.put(self.xids.take(), Crossing(ent[o], ext[o], ent[u], ext[u], sign))
 
@@ -531,7 +529,7 @@ class Editor:
         self.comp(i)
         self.comp(j)
         p, q = self.anchor(i), self.anchor(j)
-        return self.subdivide(p, 2), self.subdivide(q, 2), self.xids.take(), self.xids.take()
+        return self.subdivide(p), self.subdivide(q), self.xids.take(), self.xids.take()
 
     def clasp(self, i: int, j: int, sign: int) -> None:
         """A clasp of two same-sign crossings: lk(i, j) += sign."""
@@ -579,7 +577,7 @@ class Editor:
             self.drop_arc(aid)
 
         self.switch(xid)
-        (ex, xx), (ey, yy) = self.subdivide(x, 2), self.subdivide(y, 2)
+        (ex, xx), (ey, yy) = self.subdivide(x), self.subdivide(y)
         u = [self.new_arc(unknot) for _ in range(4)]
         for k in range(4):
             d.arcs[u[k]].successor = u[(k + 1) % 4]

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import e8_sum, random_diagram, scrambled
+from conftest import e8_sum, random_diagram, random_symmetric, scrambled
 from surgerykit import calculus, catalog, cli, intlattice, jsonio, linkdiag
 from surgerykit.cli import main
 from surgerykit.intlattice import IntegralLattice, e8_matrix
@@ -796,19 +796,19 @@ def test_help_matches_the_recorded_parser(capsys):
 
 
 def test_a_command_is_parsed_once(tmp_path, capsys, monkeypatch):
-    # a well-formed argv never reaches argparse; an abbreviation goes
-    # straight to its command's parser
+    # a well-formed argv never reaches argparse; an abbreviation goes to
+    # argparse and gives the same report
     calls = []
     parse = argparse.ArgumentParser.parse_known_args
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
                         lambda self, *a, **k: calls.append(self.prog) or parse(self, *a, **k))
     path = _write_matrix(tmp_path, IntegralLattice.diagonal([2, 3]))
     reports = []
-    for flag, want in (("--json", []), ("--js", ["surgerykit lattice"])):
+    for flag in ("--json", "--js"):
         assert main(["lattice", path, flag]) == 0
         reports.append(json.loads(capsys.readouterr().out))
         assert isinstance(reports[-1].pop("elapsed_s"), float)
-        assert calls == want
+        assert bool(calls) == (flag == "--js")
         calls.clear()
     assert reports[0] == reports[1] and reports[0]["result"]["det"] == 6
 
@@ -821,9 +821,9 @@ _TOKENS = (["m.json", "dir/out.json", "", "-", "--", "-5"]
 
 
 def test_table_parse_matches_argparse(capsys):
-    # whenever the table takes an argv, the command's own argparse parser
-    # takes it too, with no extras, and sets the same attributes
-    _, commands = cli.build_parser()
+    # whenever the table takes an argv, argparse's own parser, the one
+    # main falls back to, takes it too and sets the same attributes
+    ap = cli.build_parser()
     names = [c[0] for c in cli._COMMANDS] + ["bogus"]
     rng = random.Random(20260)
     taken = {}
@@ -833,11 +833,10 @@ def test_table_parse_matches_argparse(capsys):
         if ns is None:
             continue
         try:
-            args, extra = commands[argv[0]].parse_known_args(
-                argv[1:], argparse.Namespace(command=argv[0]))
+            args = ap.parse_args(argv)
         except SystemExit:
             pytest.fail("argparse refuses %r: %s" % (argv, capsys.readouterr().err))
-        assert (extra, vars(args)) == ([], vars(ns)), argv
+        assert vars(args) == vars(ns), argv
         taken[argv[0]] = taken.get(argv[0], 0) + 1
     assert sorted(taken) == sorted(names[:-1]) and sum(taken.values()) > 2_000, taken
 
@@ -854,6 +853,95 @@ def test_main_without_argv_reads_sys_argv(tmp_path, capsys, monkeypatch):
     assert e.value.code == 2
     assert capsys.readouterr().err.endswith(
         "surgerykit: error: unrecognized arguments: --bogus\n")
+
+
+# -- seeded JSON mutants ------------------------------------------------------
+
+# the commands that read each kind of input file, with their options
+_READERS = {"link": [["invariants"], ["unknotify"], ["certify-embedding", "--auto-unknotify"],
+                     ["obstruction"]],
+            "certificate": [["verify"]],
+            "matrix": [["lattice"], ["obstruction"]]}
+
+
+def _mutant_bases():
+    """(kind, JSON object) of catalog and random links, their
+    --auto-unknotify certificates and matrices of rank <= 8."""
+    links = [catalog.unknot(1), catalog.unlink([1, -1]), catalog.hopf_link((1, -1)),
+             catalog.chain_link([2, -3, 5]), catalog.trefoil(-1), catalog.e8_link()]
+    links += [random_diagram(random.Random(s), 3, 10) for s in range(8)]
+    objs = [jsonio.diagram_to_obj(d) for d in links]
+    bases = [("link", obj) for obj in objs]
+    bases += [("certificate", jsonio.certificate_to_obj(calculus.build_embedding_certificate(
+        jsonio.diagram_from_obj(obj), auto_unknotify=True))) for obj in objs]
+    rng = random.Random(7)
+    forms = [e8_matrix(), IntegralLattice([[0, 1], [1, 0]]), IntegralLattice.diagonal([1, 1, -1])]
+    forms += [IntegralLattice(random_symmetric(rng, rng.randint(1, 8), -3, 3)) for _ in range(5)]
+    return bases + [("matrix", jsonio.lattice_to_obj(L)) for L in forms]
+
+
+def _places(obj):
+    """(container, key) of every value nested in obj."""
+    for k, v in list(obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        yield obj, k
+        if isinstance(v, (dict, list)):
+            yield from _places(v)
+
+
+def _edit(obj, rng):
+    """One edit of a value nested in obj: an int moved by 1 or 2 or negated,
+    any value swapped for a bool, float, str, None or list, or deleted."""
+    places = list(_places(obj))
+    if not places:
+        return
+    box, key = rng.choice(places)
+    ops = ["swap", "delete"] + (["move", "negate"] * 2 if type(box[key]) is int else [])
+    op = rng.choice(ops)
+    if op == "move":
+        box[key] += rng.choice((-2, -1, 1, 2))
+    elif op == "negate":
+        box[key] = -box[key]
+    elif op == "swap":
+        box[key] = rng.choice((True, False, 1.5, "x", None, [1]))
+    else:
+        del box[key]
+
+
+def test_seeded_mutants_end_in_a_report_or_exit_two(tmp_path, capsys, monkeypatch):
+    # every reader of every mutant exits 0 or 1 with a JSON report, or 2
+    # with one error line; every other mutant spells --json as --js, which
+    # only argparse reads
+    t0 = time.monotonic()
+    bases, rng = _mutant_bases(), random.Random(20261)
+    parsers, checked = [], set()  # argparse fallbacks; records whose keys were checked
+    build, check = cli.build_parser, jsonio._check_keys
+    monkeypatch.setattr(cli, "build_parser", lambda: parsers.append(1) or build())
+    monkeypatch.setattr(jsonio, "_check_keys", lambda obj, allowed, required, what:
+                        checked.add(what) or check(obj, allowed, required, what))
+    path = str(tmp_path / "mutant.json")
+    codes, abbreviated = {}, 0
+    for i in range(2_000):
+        kind, base = rng.choice(bases)
+        mutant = json.loads(json.dumps(base))
+        for _ in range(rng.randint(1, 4)):
+            _edit(mutant, rng)
+        with open(path, "w") as fh:
+            json.dump(mutant, fh)
+        for reader in _READERS[kind]:
+            argv = reader[:1] + [path] + reader[1:] + ["--js" if i % 2 else "--json"]
+            abbreviated += i % 2
+            code = main(argv)
+            out, err = capsys.readouterr()
+            if code in (0, 1):
+                ok = err == "" and isinstance(json.loads(out)["result"], dict)
+            else:
+                ok = code == 2 and out == "" and err.startswith("error: ") and err.count(
+                    "\n") == 1 and err.endswith("\n")
+            assert ok, (argv, code, err, mutant)
+            codes[code] = codes.get(code, 0) + 1
+    assert set(codes) == {0, 1, 2} and len(parsers) == abbreviated, codes
+    assert {"arc", "crossing"} <= checked, checked  # the record loop ran for both lists
+    assert time.monotonic() - t0 < 60
 
 
 # -- no runtime dependencies -------------------------------------------------
