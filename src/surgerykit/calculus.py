@@ -57,10 +57,10 @@ def reduce_free_word(letters) -> ReducedWord:
     confluent, so the stack pass gives the canonical answer.
     """
     red = _free_reduce(letters)
-    cyc = list(red)
-    while len(cyc) >= 2 and cyc[0][0] == cyc[-1][0] and cyc[0][1] == -cyc[-1][1]:
-        cyc = cyc[1:-1]
-    return ReducedWord(reduced=red, cyclically_reduced=cyc, trivial=not red)
+    i, j = 0, len(red) - 1
+    while i < j and red[i][0] == red[j][0] and red[i][1] == -red[j][1]:
+        i, j = i + 1, j - 1
+    return ReducedWord(reduced=red, cyclically_reduced=red[i:j + 1], trivial=not red)
 
 
 def word_from_intersections(seq) -> list[tuple[int, int]]:
@@ -179,7 +179,7 @@ class Replayer:
             if ucomp.framing not in (1, -1):
                 raise MoveError("slide target unknot %d has framing %d, need +/-1"
                                 % (move.unknot, ucomp.framing))
-            if ed.xs_of[move.unknot]:
+            if next(iter(ed.arcs_of[move.unknot]), None) in ed.in_x:  # see Editor.xs_of
                 raise MoveError("slide target unknot %d is not split" % move.unknot)
             # the split unknot's pushoff links nothing else: the component
             # gains its framing and one clasp with it

@@ -330,28 +330,25 @@ class _Ids:
 class Editor:
     """A diagram rewritten in place, with the indexes its rewrites read.
 
-    The indexes (component -> position, arcs and crossings per component,
-    in-arc -> crossing, free ids) are built once in O(arcs + crossings);
-    each rewrite then costs O(its change).  Every crossing added or
-    removed between components i != j is logged as (i, j, +/-sign), and
-    every framing change of component c, including a component's arrival
-    or removal, as (c, c, delta).  A rewrite whose precondition fails
-    raises before its first change.  To keep a diagram, edit a copy.
+    The indexes (component -> position, arcs per component, in-arc ->
+    crossing, free ids) are built once in O(arcs + crossings); each
+    rewrite then costs O(its change), and a component's crossings are
+    read off its arcs.  Every crossing added or removed between
+    components i != j is logged as (i, j, +/-sign), and every framing
+    change of component c, including a component's arrival or removal,
+    as (c, c, delta).  A rewrite whose precondition fails raises before
+    its first change.  To keep a diagram, edit a copy.
     """
 
     def __init__(self, d: FramedLinkDiagram):
         self.d = d
         self.pos = {c.id: t for t, c in enumerate(d.components)}
         self.arcs_of: dict[int, set[int]] = {c.id: set() for c in d.components}
-        self.xs_of: dict[int, set[int]] = {c.id: set() for c in d.components}
         self.in_x: dict[int, int] = {}
         for aid, arc in d.arcs.items():
             self.arcs_of.setdefault(arc.owner, set()).add(aid)
         for xid, c in d.crossings.items():
-            for a in (c.over_in, c.under_in):
-                self.in_x[a] = xid
-                if a in d.arcs:
-                    self.xs_of.setdefault(d.arcs[a].owner, set()).add(xid)
+            self.in_x[c.over_in] = self.in_x[c.under_in] = xid
         self.arc_ids, self.xids, self.cids = _Ids(d.arcs), _Ids(d.crossings), _Ids(self.pos)
         self.log: list[tuple[int, int, int]] = []
 
@@ -369,8 +366,6 @@ class Editor:
     def put(self, xid: int, c: Crossing) -> None:
         self.d.crossings[xid] = c
         self.in_x[c.over_in] = self.in_x[c.under_in] = xid
-        for cid in self.d._strand_owners(c):
-            self.xs_of[cid].add(xid)
         self._log(c, 1)
 
     def drop(self, xid: int) -> Crossing:
@@ -378,7 +373,6 @@ class Editor:
         self._log(c, -1)
         for a in (c.over_in, c.under_in):
             self.in_x.pop(a, None)
-            self.xs_of[self.d.arcs[a].owner].discard(xid)
         self.xids.give(xid)
         return c
 
@@ -410,7 +404,7 @@ class Editor:
         cid = self.cids.take()
         self.pos[cid] = len(self.d.components)
         self.d.components.append(Component(cid, framing))
-        self.arcs_of[cid], self.xs_of[cid] = set(), set()
+        self.arcs_of[cid] = set()
         self.log.append((cid, cid, framing))
         return cid
 
@@ -420,10 +414,16 @@ class Editor:
         self.d.components[-1].basepoint = self.new_arc(cid)
         return cid
 
+    def xs_of(self, cid: int) -> set[int]:
+        """The crossings of `cid`, each entered along one of its arcs.  In
+        a valid diagram every arc of a component that crosses is an in-arc,
+        and every rewrite keeps it so: one arc tells whether it crosses."""
+        return {self.in_x[a] for a in self.arcs_of[cid] if a in self.in_x}
+
     def linking(self, cid: int) -> dict[int, int]:
         """The nonzero lk(cid, j), read from the crossings of `cid`."""
         twice: dict[int, int] = {}
-        for xid in self.xs_of[cid]:
+        for xid in self.xs_of(cid):
             c = self.d.crossings[xid]
             i, j = self.d._strand_owners(c)
             if i != j:
@@ -438,11 +438,10 @@ class Editor:
     # -- arc surgery -------------------------------------------------------
 
     def anchor(self, cid: int) -> int:
+        """The basepoint of `cid`, set on first use to its smallest arc or a new one."""
         comp = self.comp(cid)
         if comp.basepoint is None:
-            if self.arcs_of[cid]:
-                return min(self.arcs_of[cid])
-            comp.basepoint = self.new_arc(cid)
+            comp.basepoint = min(self.arcs_of[cid]) if self.arcs_of[cid] else self.new_arc(cid)
         return comp.basepoint
 
     def repoint(self, old: int, new: int) -> None:
@@ -490,7 +489,7 @@ class Editor:
     def excise(self, cid: int) -> None:
         """Remove component `cid` and its crossings, splicing the other
         strand through each of them."""
-        for xid in sorted(self.xs_of[cid]):
+        for xid in sorted(self.xs_of(cid)):
             over, under = self.d._strand_owners(self.d.crossings[xid])
             c = self.drop(xid)
             if over != cid:
@@ -499,7 +498,7 @@ class Editor:
                 self.splice_out(c.under_in, c.under_out)
         for aid in list(self.arcs_of[cid]):
             self.drop_arc(aid)
-        del self.arcs_of[cid], self.xs_of[cid]
+        del self.arcs_of[cid]
         comps = self.d.components
         k = self.pos.pop(cid)
         self.log.append((cid, cid, -comps.pop(k).framing))
@@ -512,7 +511,7 @@ class Editor:
     def kink(self, cid: int, sign: int, first_over: bool = True) -> None:
         """Reidemeister-1 kink on one component (framing is stored data and
         does not move)."""
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):  # as validate_diagram
             raise DiagramError("kink sign must be +1 or -1")
         ent, ext = self.subdivide(self.anchor(cid))
         o, u = (0, 1) if first_over else (1, 0)
@@ -571,7 +570,7 @@ class Editor:
         if ucomp.framing != eps:
             raise DiagramError("gadget unknot %d has framing %d, need %d"
                                % (unknot, ucomp.framing, eps))
-        if self.xs_of[unknot]:
+        if next(iter(self.arcs_of[unknot]), None) in self.in_x:
             raise DiagramError("gadget unknot %d is not split" % unknot)
         for aid in list(self.arcs_of[unknot]):
             self.drop_arc(aid)

@@ -174,7 +174,7 @@ def blow_down_gadget(ed, xid, side, u):
     if comp.framing != eps:
         raise DiagramError("gadget unknot %d has framing %d, side %r of crossing %d needs %d"
                            % (u, comp.framing, side, xid, eps))
-    xids = ed.xs_of[u]
+    xids = ed.xs_of(u)
     if len(xids) != 4:
         raise DiagramError("component %d has %d crossings, not the 4-crossing "
                            "gadget shape" % (u, len(xids)))

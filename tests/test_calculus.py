@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import time
 
 import pytest
 import sympy
@@ -85,6 +86,29 @@ def _reduce_random_order(rng, letters):
             return w
         k = rng.choice(pairs)
         del w[k:k + 2]
+
+
+def _cyclic_reduce_by_copies(red):
+    """Oracle: strip one cancelling pair of ends at a time, by copies."""
+    cyc = list(red)
+    while len(cyc) >= 2 and cyc[0][0] == cyc[-1][0] and cyc[0][1] == -cyc[-1][1]:
+        cyc = cyc[1:-1]
+    return cyc
+
+
+def test_cyclic_reduction_matches_oracle_and_is_linear():
+    rng = random.Random(212)
+    for _ in range(20000):
+        u, v = ([(rng.randint(0, 2), rng.choice((1, -1))) for _ in range(rng.randint(0, n))]
+                for n in (30, 6))
+        letters = u + v + [(g, -e) for g, e in reversed(u)]  # u v u^-1, often deep
+        r = reduce_free_word(letters)
+        assert r.cyclically_reduced == _cyclic_reduce_by_copies(r.reduced)
+    k = 40000  # a^k b a^-k: the oracle copies about k^2 letters here
+    start = time.perf_counter()
+    r = reduce_free_word([(0, 1)] * k + [(1, 1)] + [(0, -1)] * k)
+    assert time.perf_counter() - start < 1
+    assert len(r.reduced) == 2 * k + 1 and r.cyclically_reduced == [(1, 1)]
 
 
 def test_reduction_confluence_randomized():

@@ -316,6 +316,24 @@ def test_certify_and_verify_of_a_large_unlink_are_linear(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("verdict: PASS\n")
 
 
+def test_verify_of_many_pokes_on_basepointless_unknots_is_linear(tmp_path, capsys):
+    # every poke anchors on both unknots, which have no basepoint: each
+    # anchor must not scan the unknot's growing arc set
+    initial = catalog.unlink([1, -1])
+    for c in initial.components:
+        c.basepoint = None
+    moves = [calculus.Poke(over=t % 2, under=1 - t % 2, sign=1 if t % 3 else -1)
+             for t in range(16000)]
+    cert = calculus.EmbeddingCertificate(target=catalog.unlink([1, -1]), initial=initial,
+                                         moves=moves, sublink={0: 0, 1: 1}, m=1, n=1, p=0)
+    cert_path = str(tmp_path / "cert.json")
+    jsonio.save_path(cert_path, jsonio.certificate_to_obj(cert))
+    start = time.perf_counter()
+    assert main(["verify", cert_path]) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out.endswith("verdict: PASS\n")
+
+
 @pytest.mark.parametrize("side", [["before"], True, 5, None, {}])
 def test_verify_non_string_side_is_exit_two(tmp_path, capsys, side):
     path = _write_link(tmp_path, catalog.hopf_link())

@@ -462,6 +462,10 @@ FAILED_PRECONDITIONS = {
                                 lambda ed: ed.switch(9), "unknown crossing id 9"),
     "kink sign": (lambda: _editor(catalog.unknot(0)),
                   lambda ed: ed.kink(0, 2), "kink sign must be"),
+    "kink sign True": (lambda: _editor(catalog.unknot(0)),
+                       lambda ed: ed.kink(0, True), "kink sign must be"),
+    "kink sign 1.0": (lambda: _editor(catalog.unknot(0)),
+                      lambda ed: ed.kink(0, 1.0), "kink sign must be"),
     "kink unknown component": (lambda: _editor(catalog.unknot(0)),
                                lambda ed: ed.kink(5, 1), "unknown component id 5"),
     "clasp one component": (lambda: _editor(catalog.hopf_link()),
@@ -517,8 +521,7 @@ FAILED_PRECONDITIONS = {
 
 def _state(ed):
     return (ed.d.copy(), list(ed.log), dict(ed.pos),
-            {c: set(a) for c, a in ed.arcs_of.items()},
-            {c: set(x) for c, x in ed.xs_of.items()}, dict(ed.in_x))
+            {c: set(a) for c, a in ed.arcs_of.items()}, dict(ed.in_x))
 
 
 @pytest.mark.parametrize("case", sorted(FAILED_PRECONDITIONS))
@@ -675,14 +678,43 @@ def test_poke_preserves_linking():
     assert d2.crossings[c_mate].sign == 1
 
 
+def _hopf_basepoint_on_out_arc():
+    # component 1's basepoint is the out-arc of its under-passage at crossing 0
+    d = catalog.hopf_link((2, 3))
+    d.components[1].basepoint = d.crossings[0].under_out
+    return d
+
+
+@pytest.mark.parametrize("make, cid", [
+    (lambda: catalog.hopf_link((2, 3)), 0),
+    (lambda: catalog.hopf_link((2, 3)), 1),
+    (lambda: catalog.chain_link([1, 2, 3]), 1),
+    (_hopf_basepoint_on_out_arc, 0),
+])
+def test_excise_removes_one_row_and_column(make, cid):
+    d = make()
+    L = linking_matrix(d).entries
+    keep = [t for t, c in enumerate(d.components) if c.id != cid]
+    ed = Editor(d)
+    ed.excise(cid)
+    assert validate_diagram(d) == []
+    assert linking_matrix(d).entries == [[L[s][t] for t in keep] for s in keep]
+    fresh = Editor(d.copy())
+    assert (fresh.pos, fresh.arcs_of, fresh.in_x) == (ed.pos, ed.arcs_of, ed.in_x)
+    assert all(fresh.xs_of(c) == ed.xs_of(c) for c in d.component_ids())
+    if len(keep) == 1:  # the other Hopf component is left a zero-crossing loop
+        assert not d.crossings and len(d.arcs) == 1
+
+
 def test_anchor_of_a_component_without_basepoint():
-    # with arcs, the anchor is the smallest of them and no basepoint is
-    # set; with none, a fresh arc becomes the basepoint
+    # with arcs, the smallest of them becomes the basepoint, which a
+    # second anchor returns; with none, a fresh arc becomes the basepoint
     d = catalog.hopf_link()
     d.components[1].basepoint = None
     ed = Editor(d)
     arcs = {a for a, arc in d.arcs.items() if arc.owner == 1}
-    assert ed.anchor(1) == min(arcs) and d.components[1].basepoint is None
+    assert ed.anchor(1) == min(arcs) == d.components[1].basepoint
+    assert ed.anchor(1) == min(arcs)
     d = FramedLinkDiagram(components=[Component(0, 1)])
     ed = Editor(d)
     aid = ed.anchor(0)
