@@ -387,12 +387,12 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
 
     bad = linkdiag.validate_diagram(cert.initial)
     if not bad and (cert.initial.crossings or any(
-            c.framing not in (1, -1) for c in cert.initial.components)):
+            c.framing not in (1, -1) for c in cert.initial.components.values())):
         bad = ["initial diagram is not a +/-1-framed zero-crossing unlink"]
     unlink = check("initial is a +/-1-framed unlink", "; ".join(bad))
 
-    m = sum(1 for c in cert.initial.components if c.framing == 1)
-    n = sum(1 for c in cert.initial.components if c.framing == -1)
+    m = sum(1 for c in cert.initial.components.values() if c.framing == 1)
+    n = sum(1 for c in cert.initial.components.values() if c.framing == -1)
     check("declared m, n match initial framings",
           "" if (m, n) == (cert.m, cert.n) else
           "initial has m=%d, n=%d; certificate declares m=%d, n=%d" % (m, n, cert.m, cert.n))
@@ -423,9 +423,9 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
     check("script replays")
 
     Lf = result.rows
-    ids = cert.target.component_ids()
-    mapped = [cert.sublink.get(cid) for cid in ids]
-    ok_map = (cert.sublink.keys() == set(ids) and len(set(mapped)) == len(mapped)
+    mapped = [cert.sublink.get(cid) for cid in cert.target.components]
+    ok_map = (cert.sublink.keys() == cert.target.components.keys()
+              and len(set(mapped)) == len(mapped)
               and all(x in Lf for x in mapped))
     if not check("sublink designates distinct final components",
                  "" if ok_map else "sublink map %r does not inject target components "

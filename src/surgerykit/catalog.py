@@ -13,7 +13,7 @@ def unlink(framings) -> FramedLinkDiagram:
     """Component k is a zero-crossing loop on arc k with the k-th framing."""
     fs = list(framings)
     return FramedLinkDiagram(
-        components=[Component(k, f, basepoint=k) for k, f in enumerate(fs)],
+        components={k: Component(f, basepoint=k) for k, f in enumerate(fs)},
         arcs={k: Arc(owner=k, successor=k) for k in range(len(fs))})
 
 
@@ -45,7 +45,7 @@ def trefoil(framing: int = 0) -> FramedLinkDiagram:
     number one).
     """
     d = FramedLinkDiagram(
-        components=[Component(0, framing, basepoint=0)],
+        components={0: Component(framing, basepoint=0)},
         arcs={a: Arc(owner=0, successor=(a + 1) % 6) for a in range(6)},
         crossings={
             0: Crossing(over_in=0, over_out=1, under_in=3, under_out=4, sign=1),

@@ -70,20 +70,20 @@ def _check_keys(obj, allowed, required, what):
 
 
 _LINK_KEYS = frozenset(("components", "arcs", "crossings"))
-_COMPONENT_KEYS = frozenset(("id", "framing", "basepoint"))
-_ARC_ROW = itemgetter("id", "component", "next")
-_CROSSING_ROW = itemgetter("id", *Crossing.__slots__)
-# list key, record name, class, row getter, {field: error label} in schema order
-_RECORDS = (("arcs", "arc", Arc, _ARC_ROW,
+# list key, record name, class, row getter, {field: error label} in schema order;
+# a component's basepoint, its last field, is the one that may be left out
+_RECORDS = (("components", "component", Component, itemgetter("id", "framing", "basepoint"),
+             {"id": "component id", "framing": "framing", "basepoint": "basepoint"}),
+            ("arcs", "arc", Arc, itemgetter("id", "component", "next"),
              {"id": "arc id", "component": "arc component", "next": "arc successor"}),
-            ("crossings", "crossing", Crossing, _CROSSING_ROW,
+            ("crossings", "crossing", Crossing, itemgetter("id", *Crossing.__slots__),
              {"id": "crossing id"} | {f: f for f in Crossing.__slots__}))
 
 
 def diagram_to_obj(d: FramedLinkDiagram) -> dict:
     comps = []
-    for c in d.components:
-        rec = {"id": c.id, "framing": encode_int(c.framing)}
+    for cid, c in d.components.items():
+        rec = {"id": cid, "framing": encode_int(c.framing)}
         if c.basepoint is not None:
             rec["basepoint"] = c.basepoint
         comps.append(rec)
@@ -118,25 +118,18 @@ def _int_rows(recs, row, width: int):
 def diagram_from_obj(obj) -> FramedLinkDiagram:
     _check_keys(obj, _LINK_KEYS, frozenset(("components",)), "link")
     d = FramedLinkDiagram()
-    required = _COMPONENT_KEYS - {"basepoint"}
-    for rec in _link_list(obj, "components"):
-        _check_keys(rec, _COMPONENT_KEYS, required, "component")
-        d.components.append(Component(
-            id=decode_int(rec["id"], "component id"),
-            framing=decode_int(rec["framing"], "framing"),
-            basepoint=decode_int(rec["basepoint"], "basepoint")
-            if "basepoint" in rec else None))
     for key, what, cls, row, labels in _RECORDS:
         rows = _int_rows(obj.get(key), row, len(labels)) or ()
         recs = {r[0]: cls(*r[1:]) for r in rows}
         if not recs or len(recs) < len(rows):  # the loop reads the list, naming the fault
             recs, keys, fields = {}, frozenset(labels), list(labels.items())[1:]
+            required = keys - {"basepoint"}
             for rec in _link_list(obj, key):
-                _check_keys(rec, keys, keys, what)
+                _check_keys(rec, keys, required, what)
                 rid = decode_int(rec["id"], labels["id"])
                 if rid in recs:
                     raise FormatError("duplicate %s id %d" % (what, rid))
-                recs[rid] = cls(*[decode_int(rec[f], label) for f, label in fields])
+                recs[rid] = cls(*[decode_int(rec[f], label) for f, label in fields if f in rec])
         setattr(d, key, recs)
     return d
 
@@ -154,6 +147,8 @@ def lattice_from_obj(obj) -> IntegralLattice:
     keys = frozenset(("n", "entries"))
     _check_keys(obj, keys, keys, "matrix")
     n = decode_int(obj["n"], "dimension")
+    if n < 0:
+        raise FormatError("matrix dimension must be non-negative, got %d" % n)
     rows = obj["entries"]
     if not isinstance(rows, list) or len(rows) != n:
         raise FormatError("matrix entries must be a list of %d rows" % n)

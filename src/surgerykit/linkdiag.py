@@ -58,10 +58,10 @@ def _side_arcs(c: Crossing, side: str) -> tuple[int, int, int, int, int]:
 
 
 class Component(Record):
-    __slots__ = ("id", "framing", "basepoint")
+    __slots__ = ("framing", "basepoint")
 
-    def __init__(self, id: int, framing: int, basepoint: int | None = None):
-        self.id, self.framing, self.basepoint = id, framing, basepoint
+    def __init__(self, framing: int, basepoint: int | None = None):
+        self.framing, self.basepoint = framing, basepoint
 
 
 class Arc(Record):
@@ -85,10 +85,10 @@ class Crossing(Record):
 class FramedLinkDiagram(Record):
     __slots__ = ("components", "arcs", "crossings")
 
-    def __init__(self, components: list[Component] | None = None,
+    def __init__(self, components: dict[int, Component] | None = None,
                  arcs: dict[int, Arc] | None = None,
                  crossings: dict[int, Crossing] | None = None):
-        self.components = [] if components is None else components
+        self.components = {} if components is None else components  # in component order
         self.arcs = {} if arcs is None else arcs
         self.crossings = {} if crossings is None else crossings
 
@@ -96,22 +96,13 @@ class FramedLinkDiagram(Record):
 
     def copy(self) -> "FramedLinkDiagram":
         return FramedLinkDiagram(
-            components=[Component(c.id, c.framing, c.basepoint) for c in self.components],
+            components={k: Component(c.framing, c.basepoint) for k, c in self.components.items()},
             arcs={a: Arc(v.owner, v.successor) for a, v in self.arcs.items()},
             crossings={
                 x: Crossing(c.over_in, c.over_out, c.under_in, c.under_out, c.sign)
                 for x, c in self.crossings.items()
             },
         )
-
-    def component(self, cid: int) -> Component:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise DiagramError("unknown component id %r" % (cid,))
-
-    def component_ids(self) -> list[int]:
-        return [c.id for c in self.components]
 
     def crossing(self, xid: int) -> Crossing:
         try:
@@ -138,18 +129,13 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
     its records to name the faults.  A component's successor walk is
     bounded by its own arc count: O(arcs + crossings) on every input."""
     bad: list[str] = []
-    comp_ids = [c.id for c in d.components]
-    comp_set = set(comp_ids)
-    if len(comp_set) != len(comp_ids):
-        bad.append("duplicate component ids")
-
-    arcs = d.arcs
+    comps, arcs = d.components, d.arcs
     owners = list(map(_OWNER, arcs.values()))
     succ = dict(zip(arcs, map(_SUCCESSOR, arcs.values())))
     first, targets = dict(zip(owners, arcs)), set(succ.values())  # an arc of each owner
-    arcs_ok = comp_set.issuperset(first) and arcs.keys() >= targets
+    arcs_ok = comps.keys() >= first.keys() and arcs.keys() >= targets
     for aid, arc in arcs.items() if not arcs_ok else ():
-        if arc.owner not in comp_set:
+        if arc.owner not in comps:
             bad.append("arc %d owned by unknown component %r" % (aid, arc.owner))
         if arc.successor not in arcs:
             bad.append("arc %d has unknown successor %r" % (aid, arc.successor))
@@ -205,7 +191,7 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
     # the arcs of the components that cross
     if not (arcs_ok and xs_ok and cycles):
         # strand owners are read from the in-arcs; a missing in-arc names no owner
-        loops = comp_set - {arcs[a].owner for a in ins if a in arcs}
+        loops = comps.keys() - {arcs[a].owner for a in ins if a in arcs}
         in_count, out_count = dict.fromkeys(arcs, 0), dict.fromkeys(arcs, 0)
         for a, b in zip(whole_ins, whole_outs):
             in_count[a] += 1
@@ -221,8 +207,8 @@ def validate_diagram(d: FramedLinkDiagram) -> list[str]:
                     bad.append("arc %d is the out-arc of %d crossings" % (aid, out_count[aid]))
 
     by_owner = None
-    for comp in d.components:
-        cid, bp = comp.id, comp.basepoint
+    for cid, comp in comps.items():
+        bp = comp.basepoint
         if type(comp.framing) is not int:  # no bool or float
             bad.append("component %d has framing %r, expected an integer"
                        % (cid, comp.framing))
@@ -282,11 +268,12 @@ def _linking_rows(d: FramedLinkDiagram) -> dict[int, dict[int, int]]:
             twice[key] = twice.get(key, 0) + c.sign
     odd = [key for key, s in twice.items() if s % 2]
     if odd:  # name the first odd pair in component order
-        pos = {c.id: t for t, c in enumerate(d.components)}
+        ids = list(d.components)
+        pos = {c: t for t, c in enumerate(ids)}
         a, b = min(sorted((pos[a], pos[b])) for a, b in odd)
         raise DiagramError("components %d and %d share an odd number of crossings"
-                           % (d.components[a].id, d.components[b].id))
-    rows = {c.id: {c.id: c.framing} if c.framing else {} for c in d.components}
+                           % (ids[a], ids[b]))
+    rows = {cid: {cid: c.framing} if c.framing else {} for cid, c in d.components.items()}
     for (a, b), s in twice.items():
         if s:
             rows[a][b] = rows[b][a] = s // 2
@@ -330,26 +317,26 @@ class _Ids:
 class Editor:
     """A diagram rewritten in place, with the indexes its rewrites read.
 
-    The indexes (component -> position, arcs per component, in-arc ->
-    crossing, free ids) are built once in O(arcs + crossings); each
-    rewrite then costs O(its change), and a component's crossings are
-    read off its arcs.  Every crossing added or removed between
-    components i != j is logged as (i, j, +/-sign), and every framing
-    change of component c, including a component's arrival or removal,
-    as (c, c, delta).  A rewrite whose precondition fails raises before
-    its first change.  To keep a diagram, edit a copy.
+    The indexes (arcs per component, in-arc -> crossing, free ids) are
+    built once in O(arcs + crossings); each rewrite then costs O(its
+    change), and a component's crossings are read off its arcs, so
+    `excise` costs only the removed component's arcs and crossings.
+    Every crossing added or removed between components i != j is logged
+    as (i, j, +/-sign), and every framing change of component c,
+    including a component's arrival or removal, as (c, c, delta).  A
+    rewrite whose precondition fails raises before its first change.  To
+    keep a diagram, edit a copy.
     """
 
     def __init__(self, d: FramedLinkDiagram):
         self.d = d
-        self.pos = {c.id: t for t, c in enumerate(d.components)}
-        self.arcs_of: dict[int, set[int]] = {c.id: set() for c in d.components}
+        self.arcs_of: dict[int, set[int]] = {cid: set() for cid in d.components}
         self.in_x: dict[int, int] = {}
         for aid, arc in d.arcs.items():
             self.arcs_of.setdefault(arc.owner, set()).add(aid)
         for xid, c in d.crossings.items():
             self.in_x[c.over_in] = self.in_x[c.under_in] = xid
-        self.arc_ids, self.xids, self.cids = _Ids(d.arcs), _Ids(d.crossings), _Ids(self.pos)
+        self.arc_ids, self.xids, self.cids = _Ids(d.arcs), _Ids(d.crossings), _Ids(d.components)
         self.log: list[tuple[int, int, int]] = []
 
     def _log(self, c: Crossing, way: int) -> None:
@@ -359,7 +346,7 @@ class Editor:
 
     def comp(self, cid: int) -> Component:
         try:
-            return self.d.components[self.pos[cid]]
+            return self.d.components[cid]
         except KeyError:
             raise DiagramError("unknown component id %r" % (cid,)) from None
 
@@ -402,8 +389,7 @@ class Editor:
 
     def add_component(self, framing: int) -> int:
         cid = self.cids.take()
-        self.pos[cid] = len(self.d.components)
-        self.d.components.append(Component(cid, framing))
+        self.d.components[cid] = Component(framing)
         self.arcs_of[cid] = set()
         self.log.append((cid, cid, framing))
         return cid
@@ -411,7 +397,7 @@ class Editor:
     def split_unknot(self, framing: int) -> int:
         """Disjoint zero-crossing unknot with the given framing."""
         cid = self.add_component(framing)
-        self.d.components[-1].basepoint = self.new_arc(cid)
+        self.d.components[cid].basepoint = self.new_arc(cid)
         return cid
 
     def xs_of(self, cid: int) -> set[int]:
@@ -429,10 +415,10 @@ class Editor:
             if i != j:
                 other = j if i == cid else i
                 twice[other] = twice.get(other, 0) + c.sign
-        odd = [j for j, s in twice.items() if s % 2]
-        if odd:
+        odd = {j for j, s in twice.items() if s % 2}
+        if odd:  # name the first in component order
             raise DiagramError("components %d and %d share an odd number of crossings"
-                               % (cid, min(odd, key=self.pos.get)))
+                               % (cid, next(c for c in self.d.components if c in odd)))
         return {j: s // 2 for j, s in twice.items() if s}
 
     # -- arc surgery -------------------------------------------------------
@@ -499,11 +485,7 @@ class Editor:
         for aid in list(self.arcs_of[cid]):
             self.drop_arc(aid)
         del self.arcs_of[cid]
-        comps = self.d.components
-        k = self.pos.pop(cid)
-        self.log.append((cid, cid, -comps.pop(k).framing))
-        for t in range(k, len(comps)):
-            self.pos[comps[t].id] = t
+        self.log.append((cid, cid, -self.d.components.pop(cid).framing))
         self.cids.give(cid)
 
     # -- kinks, clasps, pokes and the gadget -------------------------------
@@ -611,7 +593,7 @@ def descending_switch_set(d: FramedLinkDiagram, component_order=None,
     in `component_order`: O(arcs + crossings).
     """
     require_valid(d)
-    ids = d.component_ids()
+    ids = list(d.components)
     order = ids if component_order is None else list(component_order)
     if sorted(order) != sorted(ids):
         raise DiagramError("component order %r is not a permutation of %r" % (order, ids))
@@ -620,13 +602,12 @@ def descending_switch_set(d: FramedLinkDiagram, component_order=None,
     for xid, c in d.crossings.items():
         in_x[c.over_in] = in_x[c.under_in] = xid
     busy = {arcs[a].owner for a in in_x}
-    basepoint = {c.id: c.basepoint for c in d.components}
     seen: set[int] = set()
     out: set[int] = set()
     for cid in order:
         if cid not in busy:
             continue
-        start = aid = basepoint[cid]
+        start = aid = d.components[cid].basepoint
         if start is None:
             raise DiagramError("component %d has crossings but no basepoint" % cid)
         while True:

@@ -33,7 +33,7 @@ def _grown(rng: random.Random, ed: linkdiag.Editor, target: int) -> FramedLinkDi
     """The editor's diagram grown by kinks, clasps and pokes to `target`
     crossings, then each crossing switched with probability 0.3."""
     d = ed.d
-    ids = d.component_ids()
+    ids = list(d.components)
     while len(d.crossings) < target:
         room = target - len(d.crossings)
         choices = ["kink"] if room < 2 else ["kink", "kink", "clasp", "poke"]
@@ -66,9 +66,9 @@ def with_split_unknots(rng: random.Random, d: FramedLinkDiagram,
 def random_kirby_move(rng: random.Random, d: FramedLinkDiagram):
     """A random Poke, SlideOverUnknot or GadgetSwitch that replays on `d`,
     or None when the pick does not apply to `d`."""
-    ids = d.component_ids()
+    ids = list(d.components)
     busy = {d.arcs[a].owner for c in d.crossings.values() for a in (c.over_in, c.under_in)}
-    units = [c.id for c in d.components if c.framing in (1, -1) and c.id not in busy]
+    units = [cid for cid, c in d.components.items() if c.framing in (1, -1) and cid not in busy]
     kind = rng.choice(["poke", "slide", "gadget"])
     if kind == "poke" and len(ids) >= 2:
         over, under = rng.sample(ids, 2)
@@ -83,7 +83,7 @@ def random_kirby_move(rng: random.Random, d: FramedLinkDiagram):
         if sides:
             side = rng.choice(sides)
             eps = linkdiag._side_arcs(d.crossing(xid), side)[4]
-            fits = [u for u in units if d.component(u).framing == eps]
+            fits = [u for u in units if d.components[u].framing == eps]
             if fits:
                 return GadgetSwitch(crossing=xid, unknot=rng.choice(fits), side=side)
     return None
@@ -215,12 +215,10 @@ def validate_diagram_oracle(d: FramedLinkDiagram) -> list[str]:
     """linkdiag.validate_diagram as it was before it decided each group of
     checks in bulk, kept verbatim as the oracle of the differential test.
     Its successor walk may run len(arcs) + 1 steps per component and counts
-    an arc each time it is reached."""
+    an arc each time it is reached.  Component ids are the keys of
+    d.components, so they cannot repeat."""
     bad: list[str] = []
-    comp_ids = [c.id for c in d.components]
-    if len(set(comp_ids)) != len(comp_ids):
-        bad.append("duplicate component ids")
-    comp_set = set(comp_ids)
+    comp_set = set(d.components)
 
     arcs = d.arcs
     by_owner: dict[int, list[int]] = {}
@@ -276,15 +274,15 @@ def validate_diagram_oracle(d: FramedLinkDiagram) -> list[str]:
                 bad.append("arc %d is the out-arc of %d crossings" % (aid, out_count[aid]))
 
     # per component, the successor map is one cycle through its arcs
-    for comp in d.components:
+    for cid, comp in d.components.items():
         if type(comp.framing) is not int:  # no bool or float
             bad.append("component %d has framing %r, expected an integer"
-                       % (comp.id, comp.framing))
-        mine = by_owner.get(comp.id, [])
+                       % (cid, comp.framing))
+        mine = by_owner.get(cid, [])
         if comp.basepoint is not None:
-            if comp.basepoint not in arcs or arcs[comp.basepoint].owner != comp.id:
+            if comp.basepoint not in arcs or arcs[comp.basepoint].owner != cid:
                 bad.append("component %d basepoint %r is not one of its arcs"
-                           % (comp.id, comp.basepoint))
+                           % (cid, comp.basepoint))
         if not mine:
             continue
         start = min(mine)
@@ -292,9 +290,9 @@ def validate_diagram_oracle(d: FramedLinkDiagram) -> list[str]:
         cur = start
         for _ in range(len(arcs) + 1):
             nxt = arcs[cur].successor if cur in arcs else None
-            if nxt is None or nxt not in arcs or arcs[nxt].owner != comp.id:
+            if nxt is None or nxt not in arcs or arcs[nxt].owner != cid:
                 bad.append("component %d successor chain leaves the component at arc %r"
-                           % (comp.id, cur))
+                           % (cid, cur))
                 break
             if nxt == start:
                 break
@@ -302,5 +300,5 @@ def validate_diagram_oracle(d: FramedLinkDiagram) -> list[str]:
             cur = nxt
         if set(seen) != set(mine):
             bad.append("component %d arcs are not a single successor cycle (%d of %d reached)"
-                       % (comp.id, len(seen), len(mine)))
+                       % (cid, len(seen), len(mine)))
     return bad

@@ -215,9 +215,8 @@ def test_acceptance_8_unknotify():
         for d in fixtures:
             res = unknotify(d)
             assert linkdiag.descending_switch_set(res.diagram, self_only=True) == set()
-            original = {c.id for c in d.components}
-            for c in res.diagram.components:
-                if c.id not in original:
+            for cid, c in res.diagram.components.items():
+                if cid not in d.components:
                     assert c.framing in (1, -1)
             assert (linking_matrix(blow_down_unknotify(d, res)).entries
                     == linking_matrix(d).entries)

@@ -143,8 +143,8 @@ def test_unknotify_writes_ids_past_64_bits_back_as_read(tmp_path, capsys):
     big = 2 ** 70
     d = catalog.trefoil(0)
     shifted = linkdiag.FramedLinkDiagram(
-        components=[linkdiag.Component(c.id + big, c.framing, c.basepoint + big)
-                    for c in d.components],
+        components={k + big: linkdiag.Component(c.framing, c.basepoint + big)
+                    for k, c in d.components.items()},
         arcs={a + big: linkdiag.Arc(v.owner + big, v.successor + big)
               for a, v in d.arcs.items()},
         crossings={x + big: linkdiag.Crossing(*(a + big for a in c.arc_ids()), c.sign)
@@ -156,7 +156,7 @@ def test_unknotify_writes_ids_past_64_bits_back_as_read(tmp_path, capsys):
     with open(out) as fh:
         assert '"component": %d,' % big in fh.read()
     d2 = jsonio.diagram_from_obj(jsonio.load_path(out))
-    assert d2.component(big).basepoint == shifted.components[0].basepoint
+    assert d2.components[big].basepoint == shifted.components[big].basepoint
     assert all(d2.arcs[a].owner == big for a in shifted.arcs)
     assert shifted.crossings.keys() <= d2.crossings.keys()
 
@@ -304,6 +304,23 @@ def test_verify_sublink_keys_naming_one_id_exit_two(tmp_path, capsys):
         assert capsys.readouterr() == ("", "error: duplicate sublink key 1 ('01')\n")
 
 
+@pytest.mark.parametrize("diagram", ["target", "initial"])
+def test_verify_repeated_component_id_exits_two(tmp_path, capsys, diagram):
+    # a repeated component id is refused as the file is read, as a
+    # repeated arc or crossing id is
+    path = _write_link(tmp_path, catalog.hopf_link())
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify-embedding", path, "-o", cert_path]) == 0
+    capsys.readouterr()
+    obj = jsonio.load_path(cert_path)
+    assert obj[diagram]["components"][1]["id"] == 1
+    obj[diagram]["components"][1]["id"] = 0
+    jsonio.save_path(cert_path, obj)
+    for json_flag in ([], ["--json"]):
+        assert main(["verify", cert_path] + json_flag) == 2
+        assert capsys.readouterr() == ("", "error: duplicate component id 0\n")
+
+
 def test_certify_and_verify_of_a_large_unlink_are_linear(tmp_path, capsys):
     # 8,000 split +/-1 unknots: a dense 8,000 x 8,000 matrix anywhere would
     # take seconds and hundreds of MB
@@ -320,7 +337,7 @@ def test_verify_of_many_pokes_on_basepointless_unknots_is_linear(tmp_path, capsy
     # every poke anchors on both unknots, which have no basepoint: each
     # anchor must not scan the unknot's growing arc set
     initial = catalog.unlink([1, -1])
-    for c in initial.components:
+    for c in initial.components.values():
         c.basepoint = None
     moves = [calculus.Poke(over=t % 2, under=1 - t % 2, sign=1 if t % 3 else -1)
              for t in range(16000)]

@@ -52,17 +52,24 @@ def test_decode_int_rejects_garbage():
 
 # -- links -------------------------------------------------------------------
 
+def _assert_round_trip(d):
+    # dict == ignores the order of the components, which the file keeps
+    d2 = diagram_from_obj(diagram_to_obj(d))
+    assert d2 == d and list(d2.components) == list(d.components)
+
+
 def test_diagram_round_trip_fixtures():
+    reordered = catalog.unlink([1, 2, 3])
+    reordered.components = dict(reversed(reordered.components.items()))
     for d in (catalog.unknot(3), catalog.hopf_link((2, -2)),
-              catalog.trefoil(-1), catalog.e8_link()):
-        assert diagram_from_obj(diagram_to_obj(d)) == d
+              catalog.trefoil(-1), catalog.e8_link(), reordered):
+        _assert_round_trip(d)
 
 
 def test_diagram_round_trip_randomized():
     rng = random.Random(307)
     for _ in range(25):
-        d = random_diagram(rng)
-        assert diagram_from_obj(diagram_to_obj(d)) == d
+        _assert_round_trip(random_diagram(rng))
 
 
 # sha256 of dumps(diagram_to_obj(random_diagram(random.Random(seed), ...))),
@@ -132,11 +139,26 @@ def test_diagram_rejects_duplicates_and_missing():
         diagram_from_obj({})
 
 
+def test_repeated_component_id_is_a_parse_error():
+    # read a list at a time when every component has a basepoint, record
+    # by record when one has none: either way the repeat is named
+    for column in (True, False):
+        obj = diagram_to_obj(catalog.hopf_link())
+        obj["components"][1]["id"] = 0
+        if not column:
+            del obj["components"][1]["basepoint"]
+        row, width = jsonio._RECORDS[0][3], len(jsonio._RECORDS[0][4])
+        assert (jsonio._int_rows(obj["components"], row, width) is not None) == column
+        with pytest.raises(FormatError) as err:
+            diagram_from_obj(obj)
+        assert str(err.value) == "duplicate component id 0"
+
+
 def test_diagram_big_framing():
     d = catalog.unknot(10 ** 30)
     obj = diagram_to_obj(d)
     assert obj["components"][0]["framing"] == str(10 ** 30)
-    assert diagram_from_obj(obj).component(0).framing == 10 ** 30
+    assert diagram_from_obj(obj).components[0].framing == 10 ** 30
 
 
 # -- reading records a list at a time ----------------------------------------
@@ -151,7 +173,7 @@ def _read(obj):
 
 def _link_mutants(obj, rng):
     """JSON-level mutants of a link object, each on its own copy."""
-    kinds = [kind for kind in ("arcs", "crossings") if obj[kind]]
+    kinds = [kind for kind in ("components", "arcs", "crossings") if obj[kind]]
     edits = [lambda rec, v=v: rec.__setitem__(rng.choice(sorted(rec)), v)
              for v in (True, 1.5, None, "7", str(2 ** 70), [1])]
     edits += [lambda rec: rec.pop(rng.choice(sorted(rec))), lambda rec: rec.update(extra=0)]
@@ -178,8 +200,8 @@ def test_column_reader_matches_the_record_loop(monkeypatch):
     rng = random.Random(15)
     for s in range(300):
         obj = diagram_to_obj(random_diagram(random.Random(s), 1 + s % 7, s % 41))
-        assert jsonio._int_rows(obj["arcs"], jsonio._ARC_ROW, 3) is not None
-        assert jsonio._int_rows(obj["crossings"], jsonio._CROSSING_ROW, 6) is not None
+        for key, _, _, row, labels in jsonio._RECORDS:
+            assert jsonio._int_rows(obj[key], row, len(labels)) is not None
         for m in [obj, *_link_mutants(obj, rng)]:
             outcome = _read(m)
             with monkeypatch.context() as loop_only:
@@ -219,6 +241,10 @@ def test_lattice_rejects_bad_shapes():
         lattice_from_obj({"n": 1, "entries": [[1]], "junk": 0})
     with pytest.raises(FormatError, match="symmetric"):
         lattice_from_obj({"n": 2, "entries": [[1, 2], [3, 1]]})
+    for n in (-1, "-1"):
+        with pytest.raises(FormatError) as err:
+            lattice_from_obj({"n": n, "entries": []})
+        assert str(err.value) == "matrix dimension must be non-negative, got -1"
 
 
 def test_lattice_rows_at_the_64_bit_edges_match_the_entry_encoding():

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 
@@ -22,7 +23,7 @@ def _switched(d, xids):
 def _lk(d, i, j):
     """The linking number of components i and j (ids), read from the
     linking matrix."""
-    pos = d.component_ids()
+    pos = list(d.components)
     return linking_matrix(d).entries[pos.index(i)][pos.index(j)]
 
 
@@ -40,7 +41,7 @@ def test_trefoil_is_valid():
 def test_bad_successor_cycle_reported():
     # one declared component whose two arcs form two 1-cycles
     d = FramedLinkDiagram(
-        components=[Component(0, 0, basepoint=0)],
+        components={0: Component(0, basepoint=0)},
         arcs={0: Arc(0, 0), 1: Arc(0, 1)},
         crossings={})
     bad = validate_diagram(d)
@@ -66,7 +67,7 @@ def test_crossing_naming_missing_arc_is_reported_not_raised():
 def _diagram(components, arcs, crossings=()):
     """Components (id, basepoint) framed 0, arcs {id: (owner, next)} and
     crossings (over_in, over_out, under_in, under_out, sign) with ids 0, 1, ..."""
-    return FramedLinkDiagram(components=[Component(cid, 0, bp) for cid, bp in components],
+    return FramedLinkDiagram(components={cid: Component(0, bp) for cid, bp in components},
                              arcs={a: Arc(*v) for a, v in arcs.items()},
                              crossings=dict(enumerate(Crossing(*c) for c in crossings)))
 
@@ -76,9 +77,6 @@ _HOPF_CROSSINGS = [(0, 2, 1, 3, 1), (3, 1, 2, 0, 1)]
 
 # one minimal malformed diagram per message -> everything validate_diagram returns
 MALFORMED = {
-    "duplicate component ids": (
-        _diagram([(0, 0), (0, 0)], {0: (0, 0)}),
-        ["duplicate component ids"]),
     "arc of an unknown component": (
         _diagram([], {0: (7, 0)}),
         ["arc 0 owned by unknown component 7", "arc 0 is the in-arc of 0 crossings",
@@ -97,10 +95,10 @@ MALFORMED = {
         _diagram([(0, 0), (1, 1)], _HOPF_ARCS, [_HOPF_CROSSINGS[0], (3, 1, 2, 0, 1.0)]),
         ["crossing 1 has sign 1.0, expected +1 or -1"]),
     "float framing": (
-        FramedLinkDiagram([Component(0, 2.0, 0)], {0: Arc(0, 0)}),
+        FramedLinkDiagram({0: Component(2.0, 0)}, {0: Arc(0, 0)}),
         ["component 0 has framing 2.0, expected an integer"]),
     "boolean framing": (
-        FramedLinkDiagram([Component(0, True, 0)], {0: Arc(0, 0)}),
+        FramedLinkDiagram({0: Component(True, 0)}, {0: Arc(0, 0)}),
         ["component 0 has framing True, expected an integer"]),
     "in-arc shared between strands": (
         _diagram([(0, 0), (1, 1)], _HOPF_ARCS, [(0, 2, 0, 3, 1), _HOPF_CROSSINGS[1]]),
@@ -146,11 +144,11 @@ def test_validate_diagram_messages(case):
 def _mutant(rng, d):
     """A copy of `d` with one to three seeded faults: an arc's owner or
     successor, a crossing's arc or sign, a basepoint, a framing or a
-    component id rewritten, or an arc or a crossing deleted."""
+    component re-keyed to a fresh id, or an arc or a crossing deleted."""
     d = d.copy()
     for _ in range(rng.choice((1, 1, 2, 3))):
         arcs, xs, comps = d.arcs, d.crossings, d.components
-        aids, cids = list(arcs), [c.id for c in comps]
+        aids, cids = list(arcs), list(comps)
         arc_ids = aids + [max(aids, default=0) + 1]
         kind = rng.choice(("owner", "successor", "arc", "sign", "basepoint", "framing",
                            "id", "del arc", "del crossing") if xs else
@@ -168,11 +166,11 @@ def _mutant(rng, d):
             c = xs[rng.choice(list(xs))]
             c.sign = rng.choice((-c.sign, 0, 2, True, False, 1.0, -1.0))
         elif kind == "basepoint":
-            rng.choice(comps).basepoint = rng.choice(arc_ids + [None])
+            comps[rng.choice(cids)].basepoint = rng.choice(arc_ids + [None])
         elif kind == "framing":
-            rng.choice(comps).framing = rng.choice((2.0, True, False, -1.0, 5))
+            comps[rng.choice(cids)].framing = rng.choice((2.0, True, False, -1.0, 5))
         elif kind == "id":
-            rng.choice(comps).id = rng.choice(cids + [max(cids) + 1])
+            comps[max(cids) + 1] = comps.pop(rng.choice(cids))
         elif kind == "del arc":
             del arcs[rng.choice(aids)]
         else:
@@ -188,17 +186,16 @@ def _revisit_messages(d):
     for aid, arc in d.arcs.items():
         mine.setdefault(arc.owner, []).append(aid)
     out = {}
-    for comp in d.components:
-        if comp.id not in mine:
+    for cid in d.components:
+        if cid not in mine:
             continue
-        start = cur = min(mine[comp.id])
+        start = cur = min(mine[cid])
         seen = {start}
-        while (nxt := d.arcs[cur].successor) in d.arcs and d.arcs[nxt].owner == comp.id:
+        while (nxt := d.arcs[cur].successor) in d.arcs and d.arcs[nxt].owner == cid:
             if nxt in seen:
                 if nxt != start:
-                    out[comp.id] = ("component %d arcs are not a single successor cycle "
-                                    "(%d of %d reached)" % (comp.id, len(seen),
-                                                            len(mine[comp.id])))
+                    out[cid] = ("component %d arcs are not a single successor cycle "
+                                "(%d of %d reached)" % (cid, len(seen), len(mine[cid])))
                 break
             seen.add(nxt)
             cur = nxt
@@ -228,7 +225,7 @@ def test_validate_diagram_matches_the_oracle_on_seeded_mutants():
             kept = [m for m in old if m.split(" (")[0] not in moved]
             assert [m for m in new if m.split(" (")[0] not in moved] == kept, t
             assert [m for m in new if m.split(" (")[0] in moved] == [
-                extra[c.id] for c in d.components if c.id in extra], t
+                extra[c] for c in d.components if c in extra], t
             revisits += bool(extra)
             invalid += bool(old)
     assert revisits >= 50 and 3000 <= invalid < 5000
@@ -269,7 +266,7 @@ def test_linking_matrix_symmetric_with_framing_diagonal():
         d = random_diagram(rng)
         L = linking_matrix(d)
         assert L.entries == [list(r) for r in zip(*L.entries)]
-        for t, c in enumerate(d.components):
+        for t, c in enumerate(d.components.values()):
             assert L.entries[t][t] == c.framing
 
 
@@ -278,9 +275,9 @@ def _pairwise_linking_matrix(d):
     row per component, each read by its own walk of that component's
     crossings."""
     ed = Editor(d.copy())
-    ids = d.component_ids()
+    ids = list(d.components)
     rows = {i: ed.linking(i) for i in ids}
-    return [[d.component(i).framing if i == j else rows[i].get(j, 0)
+    return [[d.components[i].framing if i == j else rows[i].get(j, 0)
              for j in ids] for i in ids]
 
 
@@ -297,12 +294,15 @@ def test_linking_matrix_odd_pair_error():
     crossings = {0: Crossing(0, 1, 2, 3, 1), 1: Crossing(3, 2, 4, 5, 1),
                  2: Crossing(5, 4, 1, 0, 1)}
     d = FramedLinkDiagram(
-        components=[Component(k, 0, basepoint=2 * k) for k in range(3)],
+        components={k: Component(0, basepoint=2 * k) for k in range(3)},
         arcs=arcs, crossings=crossings)
     assert validate_diagram(d) == []
     with pytest.raises(DiagramError) as err:
         linking_matrix(d)
     assert str(err.value) == "components 0 and 1 share an odd number of crossings"
+    with pytest.raises(DiagramError) as err:  # the first odd partner in component order
+        Editor(d).linking(2)
+    assert str(err.value) == "components 2 and 0 share an odd number of crossings"
 
 
 # -- switch ------------------------------------------------------------------
@@ -337,7 +337,8 @@ def test_switch_changes_linking_by_sign():
                 continue
             d2 = _switched(d, [xid])
             assert _lk(d2, i, j) == _lk(d, i, j) - c.sign
-            assert [x.framing for x in d2.components] == [x.framing for x in d.components]
+            assert ([x.framing for x in d2.components.values()]
+                    == [x.framing for x in d.components.values()])
             break
 
 
@@ -357,7 +358,7 @@ def test_many_split_unknots_are_zero_crossing_loops():
     for k in range(4):
         ed.split_unknot(k)
     d = ed.d
-    assert d.component_ids() == [0, 1, 2, 3] and not d.crossings
+    assert list(d.components) == [0, 1, 2, 3] and not d.crossings
     assert sorted((v.owner, v.successor) for v in d.arcs.values()) == [(k, k) for k in range(4)]
 
 
@@ -369,7 +370,7 @@ def test_self_crossing_antiparallel_side_has_no_compensation():
     assert a == -b
     u = gadget(ed, 0, linkdiag.SIDE_LEFT)
     d2 = ed.d
-    assert d2.component(0).framing == 0
+    assert d2.components[0].framing == 0
     assert _lk(d2, 0, u) == 0
 
 
@@ -377,7 +378,7 @@ def test_hopf_gadget_compensations():
     ed = Editor(catalog.hopf_link((0, 0)))
     xid = min(ed.d.crossings)  # sign +1
     u = gadget(ed, xid, linkdiag.SIDE_BEFORE)
-    assert [c.framing for c in ed.d.components] == [-1, -1, -1]  # 0, 1 and the unknot
+    assert [c.framing for c in ed.d.components.values()] == [-1, -1, -1]  # 0, 1 and the unknot
     blow_down_gadget(ed, xid, linkdiag.SIDE_BEFORE, u)
     assert linking_matrix(ed.d).entries == [[0, 1], [1, 0]]
 
@@ -386,7 +387,7 @@ def test_gadget_unknot_shape():
     ed = Editor(catalog.trefoil(0))
     u = gadget(ed, 1, linkdiag.SIDE_BEFORE)
     d2 = ed.d
-    assert d2.component(u).framing in (1, -1)
+    assert d2.components[u].framing in (1, -1)
     owners = [(d2.arcs[c.over_in].owner, d2.arcs[c.under_in].owner)
               for c in d2.crossings.values()]
     assert sum(u in pair for pair in owners) == 4
@@ -520,8 +521,7 @@ FAILED_PRECONDITIONS = {
 
 
 def _state(ed):
-    return (ed.d.copy(), list(ed.log), dict(ed.pos),
-            {c: set(a) for c, a in ed.arcs_of.items()}, dict(ed.in_x))
+    return (ed.d.copy(), list(ed.log), {c: set(a) for c, a in ed.arcs_of.items()}, dict(ed.in_x))
 
 
 @pytest.mark.parametrize("case", sorted(FAILED_PRECONDITIONS))
@@ -569,7 +569,7 @@ def test_switching_descending_set_descends():
     rng = random.Random(19)
     for _ in range(40):
         d = random_diagram(rng)
-        order = d.component_ids()
+        order = list(d.components)
         rng.shuffle(order)
         d2 = _switched(d, descending_switch_set(d, order))
         assert descending_switch_set(d2, order) == set()
@@ -605,7 +605,7 @@ def _reference_switch_set(d, order, self_only):
     for cid in order:
         if cid not in busy:
             continue
-        start = d.component(cid).basepoint
+        start = d.components[cid].basepoint
         if start is None:
             return "component %d has crossings but no basepoint" % cid
         cycle = [start]
@@ -626,18 +626,18 @@ def test_descending_switch_set_matches_reference_traversal():
     compared = errors = 0
     for _ in range(300):
         d = random_diagram(rng, max_components=6, max_crossings=30)
-        shuffled = d.component_ids()
+        shuffled = list(d.components)
         rng.shuffle(shuffled)
         # the same diagram with some basepoints removed
         e = d.copy()
-        for comp in rng.sample(e.components, rng.randint(1, len(e.components))):
+        for comp in rng.sample(list(e.components.values()), rng.randint(1, len(e.components))):
             comp.basepoint = None
         for order in (None, shuffled):
             for self_only in (False, True):
-                want = _reference_switch_set(d, order or d.component_ids(), self_only)
+                want = _reference_switch_set(d, order or list(d.components), self_only)
                 assert descending_switch_set(d, order, self_only=self_only) == want
                 compared += 1
-                want = _reference_switch_set(e, order or e.component_ids(), self_only)
+                want = _reference_switch_set(e, order or list(e.components), self_only)
                 if isinstance(want, str):
                     with pytest.raises(DiagramError) as err:
                         descending_switch_set(e, order, self_only=self_only)
@@ -694,16 +694,29 @@ def _hopf_basepoint_on_out_arc():
 def test_excise_removes_one_row_and_column(make, cid):
     d = make()
     L = linking_matrix(d).entries
-    keep = [t for t, c in enumerate(d.components) if c.id != cid]
+    keep = [t for t, c in enumerate(d.components) if c != cid]
     ed = Editor(d)
     ed.excise(cid)
     assert validate_diagram(d) == []
     assert linking_matrix(d).entries == [[L[s][t] for t in keep] for s in keep]
     fresh = Editor(d.copy())
-    assert (fresh.pos, fresh.arcs_of, fresh.in_x) == (ed.pos, ed.arcs_of, ed.in_x)
-    assert all(fresh.xs_of(c) == ed.xs_of(c) for c in d.component_ids())
+    assert (fresh.arcs_of, fresh.in_x) == (ed.arcs_of, ed.in_x)
+    assert all(fresh.xs_of(c) == ed.xs_of(c) for c in d.components)
     if len(keep) == 1:  # the other Hopf component is left a zero-crossing loop
         assert not d.crossings and len(d.arcs) == 1
+
+
+def test_excise_from_the_front_is_linear():
+    # each excision costs the removed component's arcs and crossings, not
+    # the components after it
+    d = catalog.unlink([1] * 20000)
+    ed = Editor(d)
+    start = time.perf_counter()
+    for cid in range(19999):
+        ed.excise(cid)
+    assert time.perf_counter() - start < 1
+    assert validate_diagram(d) == [] and list(d.components) == [19999]
+    assert linking_matrix(d).entries == [[1]] and d.arcs == {19999: Arc(19999, 19999)}
 
 
 def test_anchor_of_a_component_without_basepoint():
@@ -715,7 +728,7 @@ def test_anchor_of_a_component_without_basepoint():
     arcs = {a for a, arc in d.arcs.items() if arc.owner == 1}
     assert ed.anchor(1) == min(arcs) == d.components[1].basepoint
     assert ed.anchor(1) == min(arcs)
-    d = FramedLinkDiagram(components=[Component(0, 1)])
+    d = FramedLinkDiagram(components={0: Component(1)})
     ed = Editor(d)
     aid = ed.anchor(0)
     assert d.components[0].basepoint == aid and d.arcs == {aid: Arc(0, aid)}
