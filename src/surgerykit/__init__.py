@@ -4,7 +4,7 @@ Donaldson-type diagonalizability obstruction."""
 
 from .calculus import (EmbeddingCertificate, ObstructionReport,
                        build_embedding_certificate, donaldson_obstruction,
-                       reduce_free_word, replay, unknotify, verify_certificate,
+                       reduce_free_word, unknotify, verify_certificate,
                        word_from_intersections)
 from .intlattice import (AbelianGroupPresentation, Inertia, IntegralLattice,
                          diagonalizable_over_Z, direct_sum, e8_matrix,

@@ -5,14 +5,14 @@ obstruction verdict.
 
 A move script is replayed in place on the diagram and on its linking
 matrix, kept as rows of nonzero entries keyed by component id -- the
-one matrix form that the builder, the replay and the verifier share --
-at a cost that follows the size of each move's change.  Each move's
-matrix rule is read off the move and the diagram before the rewrite,
-never from what the rewrite returns.  After every move the crossings and
-framings the diagram rewrite logged are checked against the entries the
-rule changed, in O(change); the rows of the final diagram are checked
-once at the end.  A mismatch is a hard internal error, never a report
-entry.
+one matrix form that the builder and the verifier share, each driving
+one `Replayer` move by move -- at a cost that follows the size of each
+move's change.  Each move's matrix rule is read off the move and the
+diagram before the rewrite, never from what the rewrite returns.  After
+every move the crossings and framings the diagram rewrite logged are
+checked against the entries the rule changed, in O(change); the rows of
+the final diagram are checked once at the end.  A mismatch is a hard
+internal error, never a report entry.
 """
 
 from __future__ import annotations
@@ -112,13 +112,6 @@ class Poke(Record):
 KirbyMove = (GadgetSwitch, SlideOverUnknot, Poke)  # the move classes, for isinstance
 
 
-class ReplayResult(Record):
-    __slots__ = ("final", "rows")  # rows: final's linking matrix's nonzeros, {id: {id': entry}}
-
-    def __init__(self, final: FramedLinkDiagram, rows: dict[int, dict[int, int]]):
-        self.final, self.rows = final, rows
-
-
 class Replayer:
     """One diagram and its linking matrix, rewritten in place move by move.
 
@@ -201,30 +194,16 @@ class Replayer:
         entries += [(p, q, eps * w[p] * w[q]) for p in w for q in w if p <= q]
         return intlattice._add_rows, (entries,)
 
-    def result(self) -> ReplayResult:
-        """The replay so far, after one full check of the final diagram."""
+    def result(self) -> dict[int, dict[int, int]]:
+        """The final diagram's linking matrix rows, {id: {id': entry}},
+        after one full check of that diagram and of the tracked rows."""
         linkdiag.require_valid(self.ed.d)
         final = linkdiag._linking_rows(self.ed.d)
         if list(final.items()) != list(self.A.items()):  # the rows and their order
             raise AssertionError("the final diagram's linking matrix %r differs from "
                                  "the tracked matrix %r"
                                  % (_lattice(final).entries, _lattice(self.A).entries))
-        return ReplayResult(final=self.ed.d, rows=final)
-
-
-def replay(initial: FramedLinkDiagram, moves) -> ReplayResult:
-    """Deterministic replay on a copy of the initial diagram, once that
-    is validated, checked after every move and once in full at the end."""
-    linkdiag.require_valid(initial)
-    return _replay(initial, moves)
-
-
-def _replay(initial: FramedLinkDiagram, moves) -> ReplayResult:
-    """`replay` of an initial diagram already found valid."""
-    rp = Replayer(initial.copy())
-    for t, move in enumerate(moves):
-        rp.apply(t, move)
-    return rp.result()
+        return final
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +278,8 @@ def build_embedding_certificate(d: FramedLinkDiagram,
         if switches:
             raise DiagramError(
                 "components are not presented as descending unknots "
-                "(crossings %r need switching); pass auto_unknotify=True"
+                "(crossings %r need switching); unknotify them first "
+                "(--auto-unknotify, or auto_unknotify=True)"
                 % (sorted(switches),))
 
     rows = linkdiag._linking_rows(d)  # d is valid: checked, or unknotify's
@@ -415,14 +395,16 @@ def verify_certificate(cert: EmbeddingCertificate) -> VerificationReport:
     if tgt_bad:
         check("target diagram valid", "; ".join(tgt_bad))
         return VerificationReport(checks)
+    rp = Replayer(cert.initial.copy())  # the initial was validated above
     try:
-        result = _replay(cert.initial, cert.moves)  # the initial was validated above
+        for t, move in enumerate(cert.moves):
+            rp.apply(t, move)
     except MoveError as e:
         check("script replays", str(e))
         return VerificationReport(checks)
     check("script replays")
 
-    Lf = result.rows
+    Lf = rp.result()
     mapped = [cert.sublink.get(cid) for cid in cert.target.components]
     ok_map = (cert.sublink.keys() == cert.target.components.keys()
               and len(set(mapped)) == len(mapped)

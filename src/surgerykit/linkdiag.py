@@ -406,21 +406,6 @@ class Editor:
         and every rewrite keeps it so: one arc tells whether it crosses."""
         return {self.in_x[a] for a in self.arcs_of[cid] if a in self.in_x}
 
-    def linking(self, cid: int) -> dict[int, int]:
-        """The nonzero lk(cid, j), read from the crossings of `cid`."""
-        twice: dict[int, int] = {}
-        for xid in self.xs_of(cid):
-            c = self.d.crossings[xid]
-            i, j = self.d._strand_owners(c)
-            if i != j:
-                other = j if i == cid else i
-                twice[other] = twice.get(other, 0) + c.sign
-        odd = {j for j, s in twice.items() if s % 2}
-        if odd:  # name the first in component order
-            raise DiagramError("components %d and %d share an odd number of crossings"
-                               % (cid, next(c for c in self.d.components if c in odd)))
-        return {j: s // 2 for j, s in twice.items() if s}
-
     # -- arc surgery -------------------------------------------------------
 
     def anchor(self, cid: int) -> int:

@@ -1,9 +1,21 @@
 import random
+from types import SimpleNamespace
 
 from surgerykit import calculus, catalog, linkdiag
 from surgerykit.calculus import GadgetSwitch, Poke, SlideOverUnknot
 from surgerykit.intlattice import IntegralLattice, _lattice, _slide_rows, direct_sum, e8_matrix
 from surgerykit.linkdiag import DiagramError, FramedLinkDiagram
+
+
+def replay(d: FramedLinkDiagram, moves) -> SimpleNamespace:
+    """The script replayed by one `calculus.Replayer` on a copy of `d`, once
+    `d` is validated, as the builder and the verifier drive it: the final
+    rows, checked in full, and the final diagram."""
+    linkdiag.require_valid(d)
+    rp = calculus.Replayer(d.copy())
+    for t, move in enumerate(moves):
+        rp.apply(t, move)
+    return SimpleNamespace(rows=rp.result(), final=rp.ed.d)
 
 
 def random_diagram(rng: random.Random, max_components: int = 3,
@@ -190,7 +202,7 @@ def blow_down_gadget(ed, xid, side, u):
     over, under = d._strand_owners(c)
     want = {under: a}
     want[over] = want.get(over, 0) + b
-    w = ed.linking(u)
+    w = {t: v for t, v in linkdiag._linking_rows(d)[u].items() if t != u}
     if w != {t: v for t, v in want.items() if v}:
         raise DiagramError("gadget unknot %d links %r, side %r of crossing %d needs %r"
                            % (u, w, side, xid, want))

@@ -114,7 +114,7 @@ def test_acceptance_4_move_invariance():
                 if mv is not None:
                     rp.apply(t, mv)  # asserts matrix/diagram agreement at the move
                     t += 1
-            h1 = homology_from_diagonal(snf_diagonal(_lattice(rp.result().rows)))
+            h1 = homology_from_diagonal(snf_diagonal(_lattice(rp.result())))
             assert (h0.rank, h0.torsion) == (h1.rank, h1.torsion)
 
 
