@@ -17,7 +17,6 @@ fixed input; `--json` switches the report to machine-readable form.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -168,7 +167,7 @@ def cmd_word(args):
         obj = jsonio.load_path(args.intersections, args._inputs)
     else:
         try:
-            obj = json.loads(args.intersections)
+            obj = jsonio.loads(args.intersections)
         except (ValueError, RecursionError):  # bad JSON, too deep, or too many digits
             raise FormatError("expected a JSON file or inline JSON list of "
                               "[disc, sign] pairs")

@@ -10,9 +10,7 @@ that schema drift fails loudly.
 
 from __future__ import annotations
 
-import hashlib
 import io
-import json
 from itertools import chain
 from operator import itemgetter
 
@@ -20,6 +18,17 @@ from .calculus import (EmbeddingCertificate, GadgetSwitch, KirbyMove, Poke,
                        SlideOverUnknot)
 from .intlattice import IntegralLattice
 from .linkdiag import Arc, Component, Crossing, FramedLinkDiagram
+
+# The C functions that json and hashlib themselves call, without loading
+# those modules (or json's re and enum) on a cold start.
+try:
+    from _json import encode_basestring_ascii, make_encoder, make_scanner
+except ImportError:  # no C accelerator: json's own code reads and writes
+    encode_basestring_ascii = make_encoder = make_scanner = None
+try:
+    from _hashlib import openssl_sha256 as sha256
+except ImportError:
+    from hashlib import sha256
 
 
 class FormatError(ValueError):
@@ -253,10 +262,14 @@ def _int_records(o, sep: str):
     if (keys, sep) not in _records:  # the C encoder writes an int v as repr(v) == "%d" % v
         ind = sep + "  "
         _records[keys, sep] = (itemgetter(*keys), "{%s%s}" % (ind[1:] + ind.join(
-            json.encoder.encode_basestring_ascii(k).replace("%", "%%") + ": %d" for k in keys), sep[1:]))
+            encode_basestring_ascii(k).replace("%", "%%") + ": %d" for k in keys), sep[1:]))
     row, rec = _records[keys, sep]
     rows = _int_rows(o, row, len(keys))
     return rows and "[%s]" % sep.join([rec] * len(o)) % tuple(chain.from_iterable(rows))
+
+
+def _default(o):
+    raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
 
 
 def _encode(o, depth: int) -> str:
@@ -264,18 +277,18 @@ def _encode(o, depth: int) -> str:
     dict or list of scalars is one call of the C encoder."""
     if depth not in _levels:
         sep = ",\n" + "  " * (depth + 1)
-        _levels[depth] = (json.encoder.c_make_encoder(
-            None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
-            None, ": ", sep, True, False, True), sep, "\n" + "  " * depth)
+        _levels[depth] = (make_encoder(None, _default, encode_basestring_ascii, None, ": ",
+                                       sep, True, False, True), sep, "\n" + "  " * depth)
     enc, sep, end = _levels[depth]
     if not isinstance(o, (dict, list, tuple)) or not o:
         return "".join(enc(o, 0))
     if isinstance(o, dict) and not {str}.issuperset(map(type, o)):
+        import json
         return json.dumps(o, indent=2, sort_keys=True).replace("\n", end)
     if _SCALARS.issuperset(map(type, o.values() if isinstance(o, dict) else o)):
         text = "".join(enc(o, 0))
     elif isinstance(o, dict):
-        text = "{%s}" % sep.join([json.encoder.encode_basestring_ascii(k) + ": "
+        text = "{%s}" % sep.join([encode_basestring_ascii(k) + ": "
                                   + _encode(v, depth + 1) for k, v in sorted(o.items())])
     else:
         text = (_int_records(o, sep)
@@ -285,9 +298,33 @@ def _encode(o, depth: int) -> str:
 
 def dumps(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) and a newline, in C where it can."""
-    if json.encoder.c_make_encoder is None:
+    if make_encoder is None:
+        import json
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
     return _encode(obj, 0) + "\n"
+
+
+class _Decoder:  # the settings of json.JSONDecoder()
+    strict, object_hook, object_pairs_hook, parse_float, parse_int = True, None, None, float, int
+    parse_constant = {"NaN": float("nan"), "Infinity": float("inf"),
+                      "-Infinity": float("-inf")}.__getitem__
+
+
+_scan = make_scanner and make_scanner(_Decoder)
+
+
+def loads(s: str):
+    """json.loads(s) for a str, by json's C scanner; json itself words any error."""
+    if _scan is not None:
+        start, end = len(s) - len(s.lstrip(" \t\n\r")), len(s.rstrip(" \t\n\r"))
+        try:
+            obj, stop = _scan(s, start)
+            if stop == end:
+                return obj
+        except (ValueError, StopIteration, SystemError, RecursionError):
+            pass  # SystemError: Python 3.10 and 3.11 raise it until json.decoder is imported
+    import json
+    return json.loads(s)
 
 
 def load_path(path: str, digests: dict | None = None):
@@ -297,9 +334,9 @@ def load_path(path: str, digests: dict | None = None):
         with open(path, "rb") as fh:
             raw = fh.read()
         if digests is not None:
-            digests[path] = hashlib.sha256(raw).hexdigest()
+            digests[path] = sha256(raw).hexdigest()
         with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as fh:
-            return json.load(fh)
+            return loads(fh.read())
     except (OSError, ValueError, RecursionError) as e:  # bad JSON, UTF-8, digits, depth
         raise FormatError("cannot read %s: %s" % (path, e)) from None
 

@@ -982,15 +982,16 @@ def test_seeded_mutants_end_in_a_report_or_exit_two(tmp_path, capsys, monkeypatc
 # -- no runtime dependencies -------------------------------------------------
 
 _LOADED_MODULES = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 from surgerykit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(argv) for argv in json.loads(sys.argv[2])]
+    codes = [main(line.split("\\0")) for line in sys.stdin.read().split("\\n")]
 tops = {name.partition(".")[0] for name in sys.modules}
-print(json.dumps([codes, sorted(tops - set(sys.stdlib_module_names) - {"__main__"}),
-                  sorted({"argparse", "dataclasses", "inspect", "typing"}
-                         & sys.modules.keys())]))
+print(*codes)
+print(*sorted(tops - set(sys.stdlib_module_names) - {"__main__"}))
+print(*sorted({"argparse", "dataclasses", "inspect", "typing", "json", "re", "enum", "hashlib"}
+              & sys.modules.keys()))
 """
 
 
@@ -998,7 +999,10 @@ def test_every_command_loads_only_the_standard_library(tmp_path):
     # -I -S: no environment, no user or site packages; only the source tree.
     # The records are plain classes, so no command loads dataclasses,
     # inspect or typing, which were about half of a cold start's import;
-    # a well-formed command is parsed without argparse.
+    # a well-formed command is parsed without argparse; jsonio calls the C
+    # cores of json and hashlib, so json, its re and enum, and hashlib stay
+    # unloaded too.  The child reads one command a line, its arguments
+    # NUL-joined, and prints without json.
     knot = _write_link(tmp_path, catalog.trefoil(-1), "knot.json")
     link = _write_link(tmp_path, catalog.chain_link([2, -3, 5]))
     form = _write_matrix(tmp_path, intlattice.direct_sum(e8_matrix(),
@@ -1008,10 +1012,11 @@ def test_every_command_loads_only_the_standard_library(tmp_path):
              ["unknotify", knot], ["certify-embedding", link, "-o", cert],
              ["verify", cert], ["word", "[[0, 1], [0, -1]]"]]
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _LOADED_MODULES, src,
-                           json.dumps(argvs)], capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _LOADED_MODULES, src],
+                          input="\n".join("\0".join(argv) for argv in argvs),
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    codes, foreign, heavy = json.loads(proc.stdout)
-    assert codes == [0] * len(argvs)
+    codes, foreign, heavy = [line.split() for line in proc.stdout.split("\n")[:3]]
+    assert codes == ["0"] * len(argvs)
     assert foreign == ["surgerykit"]
     assert heavy == []

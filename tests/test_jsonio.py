@@ -1,8 +1,12 @@
 import functools
 import hashlib
 import json
+import marshal
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -490,7 +494,7 @@ _EDGE_CASES = [
 @pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
 def test_dumps_matches_json_dumps(c_encoder, monkeypatch):
     if not c_encoder:
-        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        monkeypatch.setattr(jsonio, "make_encoder", None)
     for obj in _seeded_records() + tuple(_EDGE_CASES):
         assert dumps(obj) == _reference(obj), obj
 
@@ -499,7 +503,7 @@ def test_dumps_matches_json_dumps(c_encoder, monkeypatch):
 def test_dumps_matches_json_dumps_on_every_report(c_encoder, monkeypatch, tmp_path, capsys):
     from surgerykit.cli import main
     if not c_encoder:
-        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        monkeypatch.setattr(jsonio, "make_encoder", None)
     link = tmp_path / "link.json"
     jsonio.save_path(str(link), diagram_to_obj(catalog.hopf_link((1, 1))))
     knot = tmp_path / "knot.json"
@@ -520,10 +524,111 @@ def test_dumps_matches_json_dumps_on_every_report(c_encoder, monkeypatch, tmp_pa
 
 
 def test_dumps_without_c_encoder_takes_json_dumps(monkeypatch):
-    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(jsonio, "make_encoder", None)
     monkeypatch.setattr(jsonio, "_encode", None)
     obj = diagram_to_obj(catalog.trefoil(1))
     assert dumps(obj) == _reference(obj)
+
+
+# -- the reader against json.loads ------------------------------------------
+
+# Each text is read in a fresh `python -I -S` that has not imported json, as
+# a cold CLI command reads it: on Python 3.10 and 3.11 the C scanner's errors
+# differ until json.decoder is loaded.  With "no-c", `_json` and `_hashlib`
+# cannot be imported, and the child's own json.loads (pure Python) is the
+# reference.  The child prints, per text, ("ok", repr(value)) or ("err",
+# exception type, message), then the SHA-256 of b"surgerykit" and one dumps.
+_LOADS = """
+import marshal, sys
+if sys.argv[2] == "no-c":
+    sys.modules["_json"] = sys.modules["_hashlib"] = None
+sys.path.insert(0, sys.argv[1])
+from surgerykit import jsonio
+
+def outcomes(read):
+    out = []
+    for text in texts:
+        try:
+            out.append(("ok", repr(read(text))))
+        except Exception as e:
+            out.append(("err", type(e).__name__, str(e)))
+    return out
+
+texts = marshal.loads(sys.stdin.buffer.read())
+assert "json" not in sys.modules
+out = outcomes(jsonio.loads)
+if sys.argv[2] == "no-c":
+    import json
+    assert jsonio.make_encoder is None and json.scanner.make_scanner is json.scanner.py_make_scanner
+    out += outcomes(json.loads)
+sys.stdout.buffer.write(marshal.dumps(out + [jsonio.sha256(b"surgerykit").hexdigest(),
+                                             jsonio.dumps({"b": [1, {"c": None}], "a": "\\u00e9"})]))
+"""
+
+
+def _outcome(read, text):
+    try:
+        return ("ok", repr(read(text)))
+    except Exception as e:
+        return ("err", type(e).__name__, str(e))
+
+
+def _loads_corpus():
+    """Edge cases, then 3,000 seeded mutants of link, certificate and matrix files."""
+    texts = [
+        '{"a" 1}',  # first: an error before json.decoder is loaded
+        "", "\ufeff", "\ufeff[1]", " \ufeff1", "\x0b1", "1\x0b", "\x0c[1]", "[1]\x0c",
+        " \t\n\r[1, 2] \t\n\r", " \t\n\r", "\t{}\n", "[1] [2]", "1 2", "{} x", "[1]]",
+        "NaN", "-NaN", "[Infinity, -Infinity, NaN]", "1e999", "-1e999", "1E-999", "Infinity1",
+        "[" * 100000, "[" * 100000 + "]" * 100000, "[" * 500 + "]" * 500,
+        "9" * 5000, "-" + "9" * 5000, "0." + "9" * 5000, "9" * 4300, "1" + "0" * 4300,
+        '"\\ud800"', '"\\udc00x"', '"\\ud83d\\ude00"', '"\ud800"', '"a\x01b"', '"\\u12"', '"\\q"',
+        '"', '"abc', '{"a": 1, "a": 2}', '{"a": {"b": 1}, "a": [2]}', '{"a":1,}', "[1,]",
+        "[,1]", "{,}", "01", "-", "-0", "1.", ".5", "1e", "tru", "nul", "true", "null", "false",
+        "{}", "[]", '{"x": 1 "y": 2}', "{1: 2}", "[1 2]", "\xa01", "\u20281",
+    ]
+    d = catalog.trefoil(-1)
+    bases = [dumps(diagram_to_obj(d)), dumps(diagram_to_obj(catalog.chain_link([2, -3, 5]))),
+             dumps(certificate_to_obj(build_embedding_certificate(d, auto_unknotify=True))),
+             dumps(certificate_to_obj(build_embedding_certificate(catalog.hopf_link((1, 1))))),
+             dumps(lattice_to_obj(IntegralLattice([[2, 1], [1, 3]]))),
+             dumps(lattice_to_obj(IntegralLattice.diagonal([2 ** 70, -1, 1])))]
+    rng = random.Random("loads")
+    for i in range(3000):
+        t = bases[i % len(bases)]
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(t) + 1)
+            op = rng.randrange(3)
+            if op == 0:
+                t = t[:at] + t[at + rng.randint(1, 3):]
+            elif op == 1:
+                t = t[:at] + rng.choice('[]{},:"\\ -+.0eE\t\x0b\ufeffNI') + t[at:]
+            else:
+                t = t[:at]
+        texts.append(t)
+    return texts
+
+
+@pytest.mark.parametrize("c_scanner", [True, False], ids=["c-scanner", "no-c-scanner"])
+def test_loads_matches_json_loads(c_scanner):
+    texts = _loads_corpus()
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _LOADS, src,
+                           "c" if c_scanner else "no-c"], input=marshal.dumps(texts),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    *got, digest, written = marshal.loads(proc.stdout)
+    assert digest == hashlib.sha256(b"surgerykit").hexdigest()
+    assert written == _reference({"b": [1, {"c": None}], "a": "\u00e9"})
+    if c_scanner:
+        want = [_outcome(json.loads, text) for text in texts]
+    else:
+        got, want = got[:len(texts)], got[len(texts):]
+    assert len(got) == len(want) == len(texts) > 3000
+    for text, g, w in zip(texts, got, want):
+        assert g == w, text[:200]
+    kinds = {w[0] if w[0] == "ok" else w[1] for w in want}
+    assert {"ok", "JSONDecodeError", "RecursionError", "ValueError"} <= kinds, kinds
 
 
 # -- record keys -------------------------------------------------------------
