@@ -11,6 +11,7 @@ that schema drift fails loudly.
 from __future__ import annotations
 
 import io
+import sys
 from itertools import chain
 from operator import itemgetter
 
@@ -19,16 +20,17 @@ from .calculus import (EmbeddingCertificate, GadgetSwitch, KirbyMove, Poke,
 from .intlattice import IntegralLattice
 from .linkdiag import Arc, Component, Crossing, FramedLinkDiagram
 
-# The C functions that json and hashlib themselves call, without loading
-# those modules (or json's re and enum) on a cold start.
+# The C functions that json and hashlib themselves call, so that a cold
+# start loads neither module, nor json's re and enum, nor OpenSSL's 2-3 ms.
 try:
     from _json import encode_basestring_ascii, make_encoder, make_scanner
 except ImportError:  # no C accelerator: json's own code reads and writes
     encode_basestring_ascii = make_encoder = make_scanner = None
-try:
-    from _hashlib import openssl_sha256 as sha256
+try:  # the interpreter's own SHA-256, which hashlib falls back on
+    _builtin_sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
 except ImportError:
-    from hashlib import sha256
+    _builtin_sha256 = None
+_OPENSSL_AFTER, _hashed = 1 << 19, 0  # the builtin hashes a process's first 512 KiB
 
 
 class FormatError(ValueError):
@@ -325,6 +327,19 @@ def loads(s: str):
             pass  # SystemError: Python 3.10 and 3.11 raise it until json.decoder is imported
     import json
     return json.loads(s)
+
+
+def sha256(raw: bytes):
+    """hashlib.sha256(raw); rebinds itself to OpenSSL's once _hashed passes _OPENSSL_AFTER."""
+    global sha256, _hashed
+    _hashed += len(raw)  # a racing update only changes which hasher runs: same digest
+    if _builtin_sha256 is not None and _hashed <= _OPENSSL_AFTER:
+        return _builtin_sha256(raw)
+    try:
+        from _hashlib import openssl_sha256 as sha256
+    except ImportError:
+        from hashlib import sha256
+    return sha256(raw)
 
 
 def load_path(path: str, digests: dict | None = None):

@@ -990,8 +990,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 tops = {name.partition(".")[0] for name in sys.modules}
 print(*codes)
 print(*sorted(tops - set(sys.stdlib_module_names) - {"__main__"}))
-print(*sorted({"argparse", "dataclasses", "inspect", "typing", "json", "re", "enum", "hashlib"}
-              & sys.modules.keys()))
+print(*sorted({"argparse", "dataclasses", "inspect", "typing", "json", "re", "enum", "hashlib",
+               "_hashlib"} & sys.modules.keys()))
 """
 
 
@@ -1001,7 +1001,9 @@ def test_every_command_loads_only_the_standard_library(tmp_path):
     # inspect or typing, which were about half of a cold start's import;
     # a well-formed command is parsed without argparse; jsonio calls the C
     # cores of json and hashlib, so json, its re and enum, and hashlib stay
-    # unloaded too.  The child reads one command a line, its arguments
+    # unloaded too.  These inputs are far below the 512 KiB jsonio hashes
+    # with the interpreter's own SHA-256, so OpenSSL (_hashlib) is never
+    # loaded either.  The child reads one command a line, its arguments
     # NUL-joined, and prints without json.
     knot = _write_link(tmp_path, catalog.trefoil(-1), "knot.json")
     link = _write_link(tmp_path, catalog.chain_link([2, -3, 5]))

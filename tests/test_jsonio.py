@@ -534,14 +534,19 @@ def test_dumps_without_c_encoder_takes_json_dumps(monkeypatch):
 
 # Each text is read in a fresh `python -I -S` that has not imported json, as
 # a cold CLI command reads it: on Python 3.10 and 3.11 the C scanner's errors
-# differ until json.decoder is loaded.  With "no-c", `_json` and `_hashlib`
-# cannot be imported, and the child's own json.loads (pure Python) is the
-# reference.  The child prints, per text, ("ok", repr(value)) or ("err",
-# exception type, message), then the SHA-256 of b"surgerykit" and one dumps.
+# differ until json.decoder is loaded.  With "no-c", `_json`, `_hashlib` and
+# the interpreter's own SHA-256 (`_sha256`, `_sha2`) cannot be imported, and
+# the child's own json.loads (pure Python) is the reference; hashlib is loaded
+# first, while it can still find a SHA-256, so the digest is that of jsonio's
+# last fallback, `from hashlib import sha256`.  The child prints, per text,
+# ("ok", repr(value)) or ("err", exception type, message), then the SHA-256
+# of b"surgerykit" and one dumps.
 _LOADS = """
 import marshal, sys
 if sys.argv[2] == "no-c":
-    sys.modules["_json"] = sys.modules["_hashlib"] = None
+    import hashlib
+    for name in ("_json", "_hashlib", "_sha256", "_sha2"):
+        sys.modules[name] = None
 sys.path.insert(0, sys.argv[1])
 from surgerykit import jsonio
 
@@ -557,11 +562,13 @@ def outcomes(read):
 texts = marshal.loads(sys.stdin.buffer.read())
 assert "json" not in sys.modules
 out = outcomes(jsonio.loads)
+digest = jsonio.sha256(b"surgerykit").hexdigest()
 if sys.argv[2] == "no-c":
     import json
     assert jsonio.make_encoder is None and json.scanner.make_scanner is json.scanner.py_make_scanner
+    assert jsonio.sha256 is hashlib.sha256
     out += outcomes(json.loads)
-sys.stdout.buffer.write(marshal.dumps(out + [jsonio.sha256(b"surgerykit").hexdigest(),
+sys.stdout.buffer.write(marshal.dumps(out + [digest,
                                              jsonio.dumps({"b": [1, {"c": None}], "a": "\\u00e9"})]))
 """
 
@@ -629,6 +636,40 @@ def test_loads_matches_json_loads(c_scanner):
         assert g == w, text[:200]
     kinds = {w[0] if w[0] == "ok" else w[1] for w in want}
     assert {"ok", "JSONDecodeError", "RecursionError", "ValueError"} <= kinds, kinds
+
+
+# -- input digests ------------------------------------------------------------
+
+# A fresh `python -I -S` hashes the inputs it is sent, in order, and prints per
+# input its digest and whether OpenSSL's `_hashlib` is loaded after it.
+_SHA256 = """
+import marshal, sys
+sys.path.insert(0, sys.argv[1])
+from surgerykit import jsonio
+out = []
+for raw in marshal.loads(sys.stdin.buffer.read()):
+    out.append((jsonio.sha256(raw).hexdigest(), "_hashlib" in sys.modules))
+sys.stdout.buffer.write(marshal.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("sizes, openssl", [
+    ([0, 1, 4096, (1 << 19) - 4097, 1, 1 << 20], [False] * 4 + [True] * 2),
+    ([1 << 19], [False]),
+    ([(1 << 19) + 1, 7], [True, True]),
+], ids=["running-total", "one-at-the-limit", "one-over-the-limit"])
+def test_sha256_takes_openssl_once_512_kib_are_hashed(sizes, openssl):
+    # The builtin hashes while the process's total, this input included, is
+    # at most 1 << 19 bytes; the input that passes it loads _hashlib.
+    rng = random.Random("sha256")
+    inputs = [rng.randbytes(n) for n in sizes]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _SHA256, src],
+                          input=marshal.dumps(inputs), capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    got = marshal.loads(proc.stdout)
+    assert [digest for digest, _ in got] == [hashlib.sha256(raw).hexdigest() for raw in inputs]
+    assert [loaded for _, loaded in got] == openssl
 
 
 # -- record keys -------------------------------------------------------------
