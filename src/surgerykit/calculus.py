@@ -15,9 +15,7 @@ the final diagram are checked once at the end.  A mismatch is a hard
 internal error, never a report entry.
 """
 
-from __future__ import annotations
-
-from . import catalog, intlattice, linkdiag
+from . import intlattice, linkdiag
 from .intlattice import IntegralLattice, Record, _lattice
 from .linkdiag import Crossing, DiagramError, FramedLinkDiagram
 
@@ -304,7 +302,8 @@ def build_embedding_certificate(d: FramedLinkDiagram,
     framings += [_sign_or_plus(dt) for dt in deficits for _ in range(abs(dt))]
     if pad_positive and not (1 in framings and -1 in framings):
         framings += [1, -1]
-    initial = catalog.unlink(framings)
+    from .catalog import unlink  # here, so no other command loads catalog
+    initial = unlink(framings)
 
     rp = Replayer(initial.copy())
     moves: list[KirbyMove] = []

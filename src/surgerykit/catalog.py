@@ -1,7 +1,5 @@
 """Hand-built sample diagrams used in tests and documentation."""
 
-from __future__ import annotations
-
 from .linkdiag import Arc, Component, Crossing, Editor, FramedLinkDiagram, require_valid
 
 

@@ -15,8 +15,6 @@ error (a fault of the program).  Every command is deterministic for a
 fixed input; `--json` switches the report to machine-readable form.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 import time

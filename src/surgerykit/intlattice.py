@@ -12,8 +12,6 @@ not truncated.  The loops go a row at a time, with dot products through
 `map`, and skip the entries and rows an update would leave as they are.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import permutations
 from operator import mul

@@ -8,8 +8,6 @@ forms are accepted on input.  Unknown keys are rejected everywhere so
 that schema drift fails loudly.
 """
 
-from __future__ import annotations
-
 import io
 import sys
 from itertools import chain

@@ -18,10 +18,12 @@ Conventions fixed here and pinned by the tests:
   replay bit-identically.
 """
 
-from __future__ import annotations
-
-import heapq
 from operator import attrgetter, eq
+
+try:  # the C functions heapq.py itself re-exports
+    from _heapq import heappop, heappush
+except ImportError:
+    from heapq import heappop, heappush
 
 from .intlattice import IntegralLattice, Record, _lattice
 
@@ -39,7 +41,7 @@ SIDE_RIGHT = "right"     # over_out + under_in   (antiparallel passages)
 SIDES = (SIDE_BEFORE, SIDE_AFTER, SIDE_LEFT, SIDE_RIGHT)
 
 
-def _side_arcs(c: Crossing, side: str) -> tuple[int, int, int, int, int]:
+def _side_arcs(c: "Crossing", side: str) -> tuple[int, int, int, int, int]:
     """Arcs encircled on `side`, the passage signs (a for the over
     strand's arc, b for the under strand's) and the framing epsilon =
     -s*a*b of the gadget unknot there, s the crossing's sign.  A passage
@@ -304,14 +306,14 @@ class _Ids:
     def take(self) -> int:
         i = self.peek()
         if self.freed:
-            heapq.heappop(self.freed)
+            heappop(self.freed)
         else:
             self.low += 1
         return i
 
     def give(self, i: int) -> None:
         if i < self.low:
-            heapq.heappush(self.freed, i)
+            heappush(self.freed, i)
 
 
 class Editor:

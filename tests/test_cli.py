@@ -991,7 +991,7 @@ tops = {name.partition(".")[0] for name in sys.modules}
 print(*codes)
 print(*sorted(tops - set(sys.stdlib_module_names) - {"__main__"}))
 print(*sorted({"argparse", "dataclasses", "inspect", "typing", "json", "re", "enum", "hashlib",
-               "_hashlib"} & sys.modules.keys()))
+               "_hashlib", "__future__", "heapq"} & sys.modules.keys()))
 """
 
 
@@ -1003,7 +1003,9 @@ def test_every_command_loads_only_the_standard_library(tmp_path):
     # cores of json and hashlib, so json, its re and enum, and hashlib stay
     # unloaded too.  These inputs are far below the 512 KiB jsonio hashes
     # with the interpreter's own SHA-256, so OpenSSL (_hashlib) is never
-    # loaded either.  The child reads one command a line, its arguments
+    # loaded either.  No module defers its annotations, so __future__ stays
+    # unloaded, and linkdiag takes heappush and heappop from _heapq, not
+    # from heapq.py.  The child reads one command a line, its arguments
     # NUL-joined, and prints without json.
     knot = _write_link(tmp_path, catalog.trefoil(-1), "knot.json")
     link = _write_link(tmp_path, catalog.chain_link([2, -3, 5]))
@@ -1022,3 +1024,28 @@ def test_every_command_loads_only_the_standard_library(tmp_path):
     assert codes == ["0"] * len(argvs)
     assert foreign == ["surgerykit"]
     assert heavy == []
+
+
+_IMPORT_THEN_CERTIFY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import surgerykit.cli
+unused = {"__future__", "heapq", "surgerykit.catalog"}
+print(*sorted(unused & sys.modules.keys()), flush=True)
+code = surgerykit.cli.main(sys.argv[2:])
+print(code, "surgerykit.catalog" in sys.modules)
+"""
+
+
+def test_import_loads_no_future_heapq_or_catalog(tmp_path):
+    # The import alone loads none of the three; only certify-embedding,
+    # which builds its initial unlink with catalog, loads catalog.
+    link = _write_link(tmp_path, catalog.hopf_link((1, -1)))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _IMPORT_THEN_CERTIFY, src,
+                           "certify-embedding", link, "-o", str(tmp_path / "cert.json")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.split("\n")
+    assert lines[0] == ""
+    assert lines[-2:] == ["0 True", ""]

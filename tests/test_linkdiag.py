@@ -1,11 +1,14 @@
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
 from conftest import blow_down_gadget, gadget, gadget_sides, random_diagram
-from surgerykit import catalog, intlattice, linkdiag
+from surgerykit import calculus, catalog, intlattice, jsonio, linkdiag
 from surgerykit.linkdiag import (Arc, Component, Crossing, DiagramError,
                                  Editor, FramedLinkDiagram,
                                  descending_switch_set, linking_matrix,
@@ -431,6 +434,48 @@ def test_degenerate_side_on_kink_errors():
     u = ed.split_unknot(-1)
     with pytest.raises(DiagramError, match="selects one arc twice"):
         ed.gadget(xid, linkdiag.SIDE_LEFT if c.over_in == c.under_out else linkdiag.SIDE_RIGHT, u)
+
+
+# -- freed ids without _heapq -------------------------------------------------
+
+# A fresh `python -I -S` in which `_heapq` cannot be imported: it prints
+# whether linkdiag took heapq.py's own functions, how often each ran, and
+# the certificate of Hopf(3, -4) as jsonio writes it.
+_NO_C_HEAP = """
+import sys
+sys.modules["_heapq"] = None
+sys.path.insert(0, sys.argv[1])
+import heapq
+from surgerykit import calculus, catalog, jsonio, linkdiag
+print(heapq.heappush.__module__, linkdiag.heappush is heapq.heappush,
+      linkdiag.heappop is heapq.heappop)
+calls = {"push": 0, "pop": 0}
+def push(heap, i):
+    calls["push"] += 1
+    heapq.heappush(heap, i)
+def pop(heap):
+    calls["pop"] += 1
+    return heapq.heappop(heap)
+linkdiag.heappush, linkdiag.heappop = push, pop
+cert = calculus.build_embedding_certificate(catalog.hopf_link((3, -4)))
+print(calls["push"], calls["pop"])
+sys.stdout.write(jsonio.dumps(jsonio.certificate_to_obj(cert)))
+"""
+
+
+def test_freed_ids_without_c_heapq_give_the_same_certificate():
+    # Hopf(3, -4)'s gadgets free arc ids and take them again, so both heap
+    # calls run on the pure-Python fallback.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _NO_C_HEAP, src],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    taken, calls, text = proc.stdout.split("\n", 2)
+    assert taken == "heapq True True"
+    push, pop = map(int, calls.split())
+    assert push > 0 and pop > 0
+    cert = calculus.build_embedding_certificate(catalog.hopf_link((3, -4)))
+    assert text == jsonio.dumps(jsonio.certificate_to_obj(cert))
 
 
 # -- failed preconditions ----------------------------------------------------
